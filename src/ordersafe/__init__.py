@@ -9,6 +9,8 @@ in large samples.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
@@ -41,7 +43,6 @@ from .geometry import (
     acceptance_member_type_b,
     face_dimension,
     in_polar_orthant,
-    inner,
     polar_complement,
     project_cone,
     project_subspace,
@@ -88,4 +89,7 @@ from .testing import (
     safe_test,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

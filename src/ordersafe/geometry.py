@@ -12,7 +12,6 @@ function of its inputs, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from scipy.linalg import cho_factor, cho_solve, null_space
 from .errors import (
     CapabilityError,
     ContractViolationError,
+    InternalInvariantError,
     NotPositiveDefiniteError,
     NumericError,
     SingularMatrixError,
@@ -32,8 +32,6 @@ ZERO_TOL = 1e-10
 
 _SYMMETRY_RTOL = 1e-10
 _RANK_RTOL = 1e-10
-_DYKSTRA_MAX_SWEEPS = 10_000
-_DYKSTRA_TOL = 1e-10
 _EXACT_MAX_ROWS = 16
 
 
@@ -43,6 +41,8 @@ def _as_vector(x, dim=None, name="x"):
         raise ContractViolationError(f"{name} must be a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractViolationError(f"{name} has length {v.shape[0]}, expected {dim}")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolationError(f"{name} has non-finite entries")
     return v
 
 
@@ -67,6 +67,8 @@ class Metric:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ContractViolationError(f"sigma must be square, got shape {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise ContractViolationError("sigma has non-finite entries")
         scale = np.linalg.norm(sigma)
         if scale == 0 or np.linalg.norm(sigma - sigma.T) > _SYMMETRY_RTOL * scale:
             raise ContractViolationError("sigma is not symmetric within tolerance 1e-10")
@@ -108,11 +110,6 @@ class Metric:
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.norm_sq(u), 0.0)))
-
-
-def inner(u, v, metric: Metric) -> float:
-    """Metric inner product u' sigma^{-1} v."""
-    return metric.inner(u, v)
 
 
 @dataclass(frozen=True)
@@ -308,14 +305,21 @@ def project_subspace(x, sub: LinearSubspace, metric: Metric) -> np.ndarray:
     return b @ coef
 
 
-def project_cone(x, cone: ConeSpec, metric: Metric, method: str = "exact") -> np.ndarray:
+def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     """Metric projection of x onto the polyhedral cone {theta : R theta >= 0}.
 
-    The default path enumerates all active-set candidates, solving each
-    equality-constrained problem exactly and returning the feasible
-    candidate of least distance, which is the unique KKT point. That path
-    supports at most 16 restriction rows; pass method="dykstra" (or "auto")
-    to fall back to cyclic Dykstra projections for larger systems.
+    Solves the dual problem exactly: theta = x + sigma R' lam, where
+    lam >= 0 minimizes 1/2 lam' G lam + lam' R x with G = R sigma R',
+    by the Lawson-Hanson active-set method (Lawson & Hanson 1974, ch. 23).
+    G is SPD because ConeSpec admits only restriction matrices of full row
+    rank, so every passive-set system is solved exactly and the method
+    terminates after finitely many steps; there is no limit on the number
+    of restriction rows.
+
+    The result is checked before it is returned: primal feasibility
+    R theta >= -tol and dual feasibility lam >= 0, with tol =
+    1e-10 * (1 + ||x||). A breach raises InternalInvariantError; a solve
+    that needs more than 3p active-set steps raises NumericError.
 
     Parameters
     ----------
@@ -325,7 +329,6 @@ def project_cone(x, cone: ConeSpec, metric: Metric, method: str = "exact") -> np
         Target cone; named orders are compiled to restriction matrices.
     metric : Metric
         SPD matrix defining the geometry.
-    method : {"exact", "dykstra", "auto"}
     """
     x = _as_vector(x, metric.dim)
     r = cone.as_polyhedral()
@@ -333,81 +336,62 @@ def project_cone(x, cone: ConeSpec, metric: Metric, method: str = "exact") -> np
         raise ContractViolationError(
             f"cone lives in dimension {r.shape[1]}, metric in {metric.dim}"
         )
-    if method not in ("exact", "dykstra", "auto"):
-        raise ContractViolationError(f"unknown method {method!r}")
-    p = r.shape[0]
-    if method == "dykstra" or (method == "auto" and p > _EXACT_MAX_ROWS):
-        return _dykstra_cone(x, r, metric)
-    if p > _EXACT_MAX_ROWS:
-        raise CapabilityError(
-            f"exact enumeration supports at most {_EXACT_MAX_ROWS} restriction rows "
-            f"(got {p}); use method='dykstra'"
-        )
-    return _enumerate_cone(x, r, metric)
+    return _dual_active_set(x, r, metric)
 
 
-def _enumerate_cone(x, r, metric):
-    p = r.shape[0]
+def _dual_active_set(x, r, metric):
     tol = _activity_tol(x)
-    if np.all(r @ x >= -tol):
+    rx = r @ x
+    if np.all(rx >= -tol):
         return x.copy()
-    sigma_rt = metric.sigma @ r.T  # columns sigma r_i
-    best = None
-    best_obj = np.inf
-    for size in range(1, p + 1):
-        for active in itertools.combinations(range(p), size):
-            idx = list(active)
-            gram = r[idx] @ sigma_rt[:, idx]
-            rhs = r[idx] @ x
-            try:
-                z = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                warnings.warn(
-                    "rank-deficient active set encountered; using pseudo-solve",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                z = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            cand = x - sigma_rt[:, idx] @ z
-            if np.all(r @ cand >= -tol):
-                obj = metric.norm_sq(x - cand)
-                if obj < best_obj:
-                    best_obj, best = obj, cand
-    if best is None:
-        raise NumericError("no feasible active-set candidate found")
-    return best
-
-
-def _dykstra_cone(x, r, metric):
     p = r.shape[0]
-    sigma_rt = metric.sigma @ r.T
-    denom = np.einsum("ij,ji->i", r, sigma_rt)  # r_i' sigma r_i
-    if np.any(denom <= 0):
-        raise NumericError("degenerate restriction row in Dykstra sweep")
-    cur = x.copy()
-    corrections = np.zeros((p, x.shape[0]))
-    tol = _DYKSTRA_TOL * (1.0 + np.linalg.norm(x))
-    for _ in range(_DYKSTRA_MAX_SWEEPS):
-        prev = cur.copy()
-        for i in range(p):
-            y = cur + corrections[i]
-            viol = r[i] @ y
-            if viol < 0:
-                proj = y - sigma_rt[:, i] * (viol / denom[i])
-            else:
-                proj = y
-            corrections[i] = y - proj
-            cur = proj
-        if metric.norm(cur - prev) < tol:
-            return cur
-    raise NumericError(
-        f"Dykstra projections did not converge within {_DYKSTRA_MAX_SWEEPS} sweeps"
-    )
+    sigma_rt = metric.sigma @ r.T  # columns sigma r_i
+    gram = r @ sigma_rt
+    lam = np.zeros(p)
+    passive = np.zeros(p, dtype=bool)
+    w = rx  # gradient G lam + R x, which equals R theta
+    max_iter = 3 * p
+    n_iter = 0
+    while not passive.all():
+        j = int(np.argmin(np.where(passive, np.inf, w)))
+        if w[j] >= -tol:
+            break
+        passive[j] = True
+        while True:
+            n_iter += 1
+            if n_iter > max_iter:
+                raise NumericError(
+                    f"cone projection did not converge within {max_iter} active-set steps"
+                )
+            idx = np.flatnonzero(passive)
+            z = np.zeros(p)
+            z[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -rx[idx])
+            if np.all(z[idx] > 0):
+                lam = z
+                break
+            # step from lam towards z until the first passive multiplier hits
+            # zero, then drop that row and every row roundoff left at zero
+            blocking = idx[z[idx] <= 0]
+            ratios = lam[blocking] / (lam[blocking] - z[blocking])
+            k = int(np.argmin(ratios))
+            lam = lam + ratios[k] * (z - lam)
+            lam[blocking[k]] = 0.0
+            passive &= lam > 0
+            lam[~passive] = 0.0
+        w = gram @ lam + rx
+    theta = x + sigma_rt @ lam
+    r_theta = r @ theta
+    if np.any(r_theta < -tol) or np.any(lam < 0):
+        raise InternalInvariantError(
+            "cone projection breaks its KKT conditions: "
+            f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}"
+        )
+    return theta
 
 
-def polar_complement(x, cone: ConeSpec, metric: Metric, method: str = "exact") -> np.ndarray:
+def polar_complement(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     """Residual x - proj(x | cone), i.e. the projection onto the polar cone."""
-    return _as_vector(x, metric.dim) - project_cone(x, cone, metric, method=method)
+    return _as_vector(x, metric.dim) - project_cone(x, cone, metric)
 
 
 def in_polar_orthant(theta, restriction, metric: Metric) -> bool:
@@ -457,12 +441,11 @@ def acceptance_member_type_b(s, cone: ConeSpec, c, n, metric: Metric) -> bool:
     return bool(val < c / n)
 
 
-def face_dimension(x, metric: Metric | None = None) -> int:
+def face_dimension(x) -> int:
     """Dimension of the orthant face containing a projection result.
 
     Counts coordinates strictly above the activity tolerance
-    1e-10 * (1 + ||x||). The metric argument is accepted for interface
-    symmetry with the projection routines; the count is metric-free.
+    1e-10 * (1 + ||x||).
     """
     x = np.asarray(x, dtype=float)
     return int(np.sum(x > _activity_tol(x)))

@@ -33,6 +33,7 @@ from .geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
+    _as_vector,
     project_cone,
     project_subspace,
 )
@@ -57,12 +58,8 @@ class Statistic:
     n: int
 
     def __post_init__(self):
-        s = np.asarray(self.s_n, dtype=float)
-        if s.ndim != 1:
-            raise ContractViolationError("s_n must be a 1-d vector")
-        if s.shape[0] != self.sigma_n.dim:
-            raise ContractViolationError("s_n and sigma_n dimensions disagree")
-        if int(self.n) < 1:
+        s = _as_vector(self.s_n, self.sigma_n.dim, "s_n")
+        if isinstance(self.n, bool) or int(self.n) < 1:
             raise ContractViolationError("n must be a positive integer")
         s = s.copy()
         s.setflags(write=False)
@@ -300,11 +297,17 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
     positive value (beyond 1e-8) predicts rejection with probability one in
     the large-sample limit. Pass FULL_SPACE as the alternative for cone-null
     pairings.
+
+    Evaluated in Moreau form, ||P_alt theta||^2 - ||P_null theta||^2, which
+    equals the difference of squared distances for any closed convex cone,
+    subspace or the full space because dist^2(theta, S) = ||theta||^2 -
+    ||P_S theta||^2. The common ||theta||^2 never enters, so a theta in the
+    polar cone gives a drift at the square of the projector's roundoff
+    rather than at its first power.
     """
     theta = np.asarray(theta, dtype=float)
-    d_null = metric.norm_sq(theta - _project_set(theta, null_set, metric))
-    d_alt = metric.norm_sq(theta - _project_set(theta, alt_set, metric))
-    value = d_null - d_alt
+    value = (metric.norm_sq(_project_set(theta, alt_set, metric))
+             - metric.norm_sq(_project_set(theta, null_set, metric)))
     if value < -1e-10:
         raise InternalInvariantError(f"distance drop negative beyond tolerance: {value}")
     return max(value, 0.0)

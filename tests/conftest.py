@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -26,6 +28,33 @@ def random_full_rank(rng, p, m):
         sv = np.linalg.svd(r, compute_uv=False)
         if sv[-1] > 1e-3 * sv[0]:
             return r
+
+
+def enumerate_cone_oracle(x, r, metric):
+    """Independent oracle: metric projection onto {theta : R theta >= 0}
+    by enumerating all 2^p - 1 active sets.
+
+    Each candidate solves its equality-constrained problem exactly; the
+    feasible candidate of least metric distance is the unique KKT point.
+    Cost grows like 2^p, so keep p small (p = 13 takes about 0.4 s).
+    """
+    x = np.asarray(x, dtype=float)
+    tol = 1e-10 * (1.0 + np.linalg.norm(x))
+    if np.all(r @ x >= -tol):
+        return x.copy()
+    sigma_rt = metric.sigma @ r.T
+    best, best_obj = None, np.inf
+    for size in range(1, r.shape[0] + 1):
+        for active in itertools.combinations(range(r.shape[0]), size):
+            idx = list(active)
+            z = np.linalg.solve(r[idx] @ sigma_rt[:, idx], r[idx] @ x)
+            cand = x - sigma_rt[:, idx] @ z
+            if np.all(r @ cand >= -tol):
+                obj = metric.norm_sq(x - cand)
+                if obj < best_obj:
+                    best_obj, best = obj, cand
+    assert best is not None, "no feasible active-set candidate"
+    return best
 
 
 @pytest.fixture

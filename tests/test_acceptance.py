@@ -25,7 +25,6 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    inner,
     polar_complement,
     project_cone,
     project_orthant_batch,
@@ -335,7 +334,7 @@ class TestCriterion5PropertySuites:
             comp = polar_complement(x, cone, metric)
             np.testing.assert_allclose(proj + comp, x, atol=1e-12)
             scale = max(metric.norm_sq(x), 1.0)
-            worst_inner = max(worst_inner, abs(inner(proj, comp, metric)) / scale)
+            worst_inner = max(worst_inner, abs(metric.inner(proj, comp)) / scale)
             again = project_cone(proj, cone, metric)
             worst_idem = max(worst_idem, float(np.max(np.abs(again - proj))))
         checks = [

@@ -98,6 +98,18 @@ class TestSafeTestCommand:
         assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"s_n": [NaN, 1.0], "sigma_n": [[1.0, 0.0], [0.0, 1.0]], "n": 5, "order": "simple"}',
+        '{"s_n": [1.0, 2.0], "sigma_n": [[1.0, NaN], [NaN, 1.0]], "n": 5, "order": "simple"}',
+        '{"s_n": [1.0, 2.0], "sigma_n": [[1.0, 0.5], [0.5, 1.0]], "n": true, "order": "simple"}',
+    ], ids=["nan-in-s_n", "nan-in-sigma_n", "bool-n"])
+    def test_invalid_values_exit_2_without_output(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+
     def test_infeasible_level_exits_3(self, tmp_path):
         out = tmp_path / "report.json"
         code = run(["safe-test", "--case", "silvapulle",

@@ -1,10 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordersafe.errors import (
-    CapabilityError,
     ContractViolationError,
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -13,20 +12,19 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    _enumerate_cone,
     acceptance_member_type_a,
     acceptance_member_type_b,
     face_dimension,
     face_dimension_batch,
     in_polar_orthant,
-    inner,
     polar_complement,
     project_cone,
     project_orthant_batch,
     project_subspace,
 )
+from ordersafe.isotonic import WeightedSeries, pava
 
-from conftest import random_full_rank, random_spd
+from conftest import enumerate_cone_oracle, random_full_rank, random_spd
 
 
 def interclass(rho):
@@ -36,7 +34,7 @@ def interclass(rho):
 class TestMetric:
     def test_identity_inner_orthogonal_axes(self):
         m = Metric(np.eye(2))
-        assert inner([1.0, 0.0], [0.0, 1.0], m) == pytest.approx(0.0)
+        assert m.inner([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
     def test_inner_matches_explicit_2x2_inverse(self):
         """Oracle: invert the 2 x 2 interclass matrix by the adjugate formula."""
@@ -45,10 +43,10 @@ class TestMetric:
         det = 1.0 - rho**2
         inv = np.array([[1.0, -rho], [-rho, 1.0]]) / det
         u = np.array([1.0, 1.0])
-        assert inner(u, u, m) == pytest.approx(u @ inv @ u, abs=1e-12)
-        assert inner(u, u, m) == pytest.approx(2.0 / (1.0 + rho), abs=1e-12)
+        assert m.inner(u, u) == pytest.approx(u @ inv @ u, abs=1e-12)
+        assert m.inner(u, u) == pytest.approx(2.0 / (1.0 + rho), abs=1e-12)
         e1, e2 = np.eye(2)
-        assert inner(e1, e2, m) == pytest.approx(-rho / det, abs=1e-12)
+        assert m.inner(e1, e2) == pytest.approx(-rho / det, abs=1e-12)
 
     def test_positive_definiteness_of_inner(self, rng):
         m = Metric(random_spd(rng, 4))
@@ -68,7 +66,18 @@ class TestMetric:
     def test_dimension_mismatch(self):
         m = Metric(np.eye(2))
         with pytest.raises(ContractViolationError):
-            inner([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], m)
+            m.inner([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ContractViolationError):
+            Metric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ContractViolationError):
+            Metric(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        m = Metric(np.eye(2))
+        with pytest.raises(ContractViolationError):
+            m.norm_sq([np.nan, 1.0])
+        with pytest.raises(ContractViolationError):
+            project_cone([1.0, -np.inf], ConeSpec.orthant(2), m)
 
 
 class TestConeSpec:
@@ -163,7 +172,7 @@ class TestProjectSubspace:
         x = rng.standard_normal(5)
         res = x - project_subspace(x, sub, m)
         for col in sub.basis.T:
-            assert abs(inner(res, col, m)) < 1e-8
+            assert abs(m.inner(res, col)) < 1e-8
 
 
 class TestProjectCone:
@@ -230,7 +239,7 @@ class TestProjectCone:
             np.testing.assert_allclose(
                 project_cone(proj, cone, metric), proj, atol=1e-10
             )
-            assert abs(inner(proj, comp, metric)) <= 1e-8 * (1 + metric.norm_sq(x))
+            assert abs(metric.inner(proj, comp)) <= 1e-8 * (1 + metric.norm_sq(x))
 
     def test_contraction(self, rng):
         m = Metric(random_spd(rng, 3))
@@ -241,33 +250,50 @@ class TestProjectCone:
             py = project_cone(y, cone, m)
             assert m.norm(px - py) <= m.norm(x - y) + 1e-8
 
-    def test_dykstra_agrees_with_exact(self, rng):
-        for _ in range(20):
-            r = random_full_rank(rng, 3, 4)
-            m = Metric(random_spd(rng, 4))
-            cone = ConeSpec.polyhedral(r)
-            x = rng.standard_normal(4) * 2
-            exact = project_cone(x, cone, m, method="exact")
-            iterative = project_cone(x, cone, m, method="dykstra")
-            np.testing.assert_allclose(exact, iterative, atol=1e-6)
+    def test_equals_enumeration_oracle(self, rng):
+        """The active-set solver matches 2^p active-set enumeration."""
+        for _ in range(200):
+            p = int(rng.integers(1, 11))
+            mdim = p + int(rng.integers(0, 3))
+            r = random_full_rank(rng, p, mdim)
+            m = Metric(random_spd(rng, mdim))
+            x = rng.standard_normal(mdim) * 2
+            np.testing.assert_allclose(
+                project_cone(x, ConeSpec.polyhedral(r), m),
+                enumerate_cone_oracle(x, r, m),
+                rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(x)),
+            )
+        for k, draws in ((8, 10), (14, 2)):
+            for cone in (ConeSpec.simple_order(k), ConeSpec.tree_order(k),
+                         ConeSpec.umbrella_order(k, peak=k // 2)):
+                m = Metric(random_spd(rng, k))
+                for _ in range(draws):
+                    x = rng.standard_normal(k) * 2
+                    r = cone.as_polyhedral()
+                    np.testing.assert_allclose(
+                        project_cone(x, cone, m),
+                        enumerate_cone_oracle(x, r, m),
+                        rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(x)),
+                    )
 
-    def test_capability_error_beyond_sixteen_rows(self, rng):
-        r = np.eye(17)
-        cone = ConeSpec.polyhedral(r)
-        m = Metric(np.eye(17))
-        with pytest.raises(CapabilityError):
-            project_cone(rng.standard_normal(17), cone, m, method="exact")
-        # auto falls back to Dykstra instead of failing
-        x = rng.standard_normal(17)
-        proj = project_cone(x, cone, m, method="auto")
-        np.testing.assert_allclose(proj, np.clip(x, 0.0, None), atol=1e-8)
-
-    def test_rank_deficient_active_set_uses_pseudo_solve(self):
-        r = np.array([[1.0, 0.0], [1.0, 0.0]])  # duplicated row, bypasses ConeSpec
-        m = Metric(np.eye(2))
-        with pytest.warns(RuntimeWarning):
-            proj = _enumerate_cone(np.array([-1.0, 1.0]), r, m)
-        np.testing.assert_allclose(proj, [0.0, 1.0], atol=1e-10)
+    def test_many_rows_project_exactly(self, rng):
+        """No row limit: 17 to 59 rows match the closed-form projections."""
+        for p in (17, 40):
+            m = Metric(np.diag(rng.uniform(0.5, 2.0, p)))
+            x = rng.standard_normal(p) * 2
+            np.testing.assert_allclose(
+                project_cone(x, ConeSpec.orthant(p), m), np.clip(x, 0.0, None),
+                rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(x)),
+            )
+        # diagonal sigma = diag(1 / w): the weighted isotonic fit is the projection
+        for k in (18, 41, 60):
+            w = rng.uniform(0.3, 2.0, k)
+            x = rng.standard_normal(k) * 2
+            np.testing.assert_allclose(
+                project_cone(x, ConeSpec.simple_order(k), Metric(np.diag(1.0 / w))),
+                pava(WeightedSeries(x, w)).fitted,
+                rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(x)),
+            )
 
 
 class TestPolarMembership:
@@ -347,7 +373,7 @@ class TestFaceDimension:
     def test_apex_projection_has_dimension_zero(self):
         m = Metric(np.eye(2))
         proj = project_cone([-1.0, -1.0], ConeSpec.orthant(2), m)
-        assert face_dimension(proj, m) == 0
+        assert face_dimension(proj) == 0
 
 
 class TestBatchProjection:
@@ -368,3 +394,37 @@ class TestBatchProjection:
         np.testing.assert_array_equal(
             face_dimension_batch(pts), [face_dimension(r) for r in pts]
         )
+
+
+@st.composite
+def _cone_problems(draw):
+    """A random SPD sigma, a full-row-rank R and a point x.
+
+    The matrices come from a drawn seed; x comes from hypothesis directly,
+    so its entries include zeros, repeats and the ends of their range.
+    """
+    p = draw(st.integers(1, 12))
+    m = p + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = random_full_rank(rng, p, m)
+    sigma = random_spd(rng, m, 0.1, 10.0)
+    x = draw(st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m))
+    return r, sigma, np.array(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cone_problems())
+def test_projection_satisfies_kkt(problem):
+    """Primal feasibility, Moreau orthogonality, idempotence and lambda >= 0."""
+    r, sigma, x = problem
+    metric = Metric(sigma)
+    cone = ConeSpec.polyhedral(r)
+    theta = project_cone(x, cone, metric)
+    tol = 1e-10 * (1.0 + np.linalg.norm(x))
+    assert np.all(r @ theta >= -tol)
+    assert abs(metric.inner(theta, x - theta)) <= 1e-10 * (1.0 + metric.norm_sq(x))
+    np.testing.assert_allclose(project_cone(theta, cone, metric), theta, rtol=0, atol=tol)
+    # theta - x = sigma R' lam with lam >= 0 (the residual lies in the polar cone)
+    lam = np.linalg.solve(r @ sigma @ r.T, r @ (theta - x))
+    np.testing.assert_allclose(sigma @ r.T @ lam, theta - x, rtol=0, atol=tol)
+    assert np.all(lam >= -tol)

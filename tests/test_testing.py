@@ -7,6 +7,7 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
+    in_polar_orthant,
     project_orthant_batch,
 )
 from ordersafe.isotonic import WeightedSeries, simple_order_consistency
@@ -66,6 +67,12 @@ class TestDistanceStatistics:
         sub = LinearSubspace.from_basis(np.array([[1.0], [0.0]]))
         with pytest.raises(ContractViolationError):
             dt_type_a(gaussian_stat([1.0, 1.0], np.eye(2), 4), sub, ORTHANT2)
+
+    @pytest.mark.parametrize("s_n,n", [([np.nan, 1.0], 4), ([1.0, np.inf], 4),
+                                       ([1.0, 1.0], True), ([1.0, 1.0], 0)])
+    def test_statistic_rejects_invalid_values(self, s_n, n):
+        with pytest.raises(ContractViolationError):
+            gaussian_stat(s_n, np.eye(2), n)
 
 
 class TestPValues:
@@ -230,14 +237,32 @@ class TestConsistencyRegion:
         assert (check.consistent, check.type3_risk) == (True, False)
 
     def test_agrees_with_polar_membership(self, rng):
-        from ordersafe.geometry import in_polar_orthant
-
         for _ in range(40):
             sigma = random_spd(rng, 2)
             metric = Metric(sigma)
             theta = rng.standard_normal(2) * 1.5
             check = consistency_region(theta, ZERO2, ORTHANT2, metric)
             assert check.consistent == (not in_polar_orthant(theta, np.eye(2), metric))
+
+    def test_polar_points_are_not_consistent_seeded_sweep(self):
+        """6 000 seeded draws over orthants at p = 2..4, about 900 of them polar.
+
+        A drift formed as a difference of squared distances carries the full
+        ||theta||^2 in both terms, so projector roundoff alone can push
+        sqrt(drift) past 1e-8 at a point of the polar cone.
+        """
+        rng = np.random.default_rng(60002)
+        n_polar = 0
+        for p in (2, 3, 4):
+            sub, cone = LinearSubspace.zero(p), ConeSpec.orthant(p)
+            for _ in range(2000):
+                metric = Metric(random_spd(rng, p))
+                theta = rng.standard_normal(p) * 1.5
+                polar = in_polar_orthant(theta, np.eye(p), metric)
+                n_polar += polar
+                check = consistency_region(theta, sub, cone, metric)
+                assert check.consistent == (not polar), (p, theta.tolist())
+        assert n_polar > 600
 
     def test_matches_split_checker_through_drift(self, rng):
         """Simple-order split fires exactly when the drift is positive."""

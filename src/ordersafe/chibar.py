@@ -3,9 +3,14 @@
 The squared metric norm of a Gaussian vector projected onto a convex cone
 is distributed as a mixture of chi-square laws whose weights are the
 probabilities of landing on a face of each dimension. This module provides
-the closed-form weights for two-dimensional orthants, Monte Carlo weight
-estimation by face counting for higher dimensions, upper/joint tail
-evaluation, and bisection solvers for critical values.
+the closed-form weights for one- and two-dimensional orthants, exact
+weights up to p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with
+Plackett's orthant reduction (weights_exact, deterministic, the "auto"
+weights of the safe test for 3 <= p <= 8), Monte Carlo weight
+estimation by face counting (the estimator beyond p = 8, where the exact
+quadrature fails, on request at any p, and the oracle the exact weights are
+tested against), upper/joint tail evaluation, and bisection solvers for
+critical values.
 
 Conventions for the zero-degree-of-freedom component (point mass at 0):
 P(chi2_0 >= t) = 1 if t <= 0 else 0, and P(chi2_0 < t) = 1 if t > 0 else 0.
@@ -13,12 +18,19 @@ P(chi2_0 >= t) = 1 if t <= 0 else 0, and P(chi2_0 < t) = 1 if t > 0 else 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, ndtr
 
-from .errors import ContractViolationError, InfeasibleLevelError, NumericError
+from .errors import (
+    CapabilityError,
+    ContractViolationError,
+    InfeasibleLevelError,
+    InternalInvariantError,
+    NumericError,
+)
 from .geometry import Metric, face_dimension_batch, project_orthant_batch
 
 #: Documented default seed used by every stochastic entry point.
@@ -27,6 +39,16 @@ DEFAULT_SEED = 1729
 #: Default number of Monte Carlo replications for weight estimation.
 DEFAULT_MC_DRAWS = 1_000_000
 
+#: Largest dimension weights_exact accepts; one 16-node pass takes 0.15 s at p = 8.
+EXACT_MAX_DIM = 8
+
+#: Gauss-Legendre nodes per Plackett integral on the first pass of weights_exact.
+EXACT_NODES = 16
+
+_EXACT_MAX_NODES = 128
+_EXACT_TOL = 1e-13
+# conditioned correlation matrices built at once by one orthant reduction step
+_ORTHANT_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 15
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
@@ -63,7 +85,7 @@ class ChiBarWeights:
             raise ContractViolationError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ContractViolationError(f"weights sum to {w.sum()}, not 1")
-        if self.source not in ("closed_form", "monte_carlo"):
+        if self.source not in ("closed_form", "exact", "monte_carlo"):
             raise ContractViolationError(f"unknown weight source {self.source!r}")
         w = w.copy()
         w.setflags(write=False)
@@ -108,6 +130,148 @@ def weights_closed_form_1d() -> ChiBarWeights:
     return ChiBarWeights(w=np.array([0.5, 0.5]))
 
 
+def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
+    """P(X >= 0) for X ~ N(0, C), for each correlation matrix C of an (m, d, d) stack.
+
+    Dimensions up to three have closed forms. From four on, Plackett's
+    reduction (1954) follows the path C(t), t from 0 to 1, that scales the
+    off-diagonal entries of row and column 0 by t: at t = 0 variable 0 is
+    independent of the rest, so P_d = P_{d-1}(C_{-0}) / 2, and along the path
+    dP/dc_0k is the bivariate density at zero times the orthant probability
+    of the other d - 2 variables given X_0 = X_k = 0. The substitution
+    sin u = t c_0k removes the 1 / sqrt(1 - t^2 c_0k^2) singularity, leaving
+    (1 / 2pi) sum_k int_0^{asin c_0k} P_{d-2}(conditional correlation) du,
+    evaluated with the Gauss-Legendre rule nodes = (points, weights).
+    """
+    m, d = corr.shape[0], corr.shape[1]
+    if d <= 3:
+        i, j = np.triu_indices(d, 1)
+        return _orthant_small(corr[:, i, j], d)
+    x, g = nodes
+    step = max(1, _ORTHANT_CHUNK // ((d - 1) * x.size))
+    if m > step:
+        return np.concatenate([_orthant_probabilities(corr[i:i + step], nodes)
+                               for i in range(0, m, step)])
+    r = d - 2
+    # row k - 1 of rest lists the variables other than X_0 and X_k
+    rest = np.array([[i for i in range(1, d) if i != k] for k in range(1, d)])
+    c0 = corr[:, 0, 1:]                                      # (m, d-1): c_0k
+    ck = corr[:, 1:][:, np.arange(d - 1)[:, None], rest]     # (m, d-1, r): c_kR
+    # Given X_k, then X_0 under C(t): the first step leaves base, the second
+    # subtracts q f f' with f = c_0R - c_0k c_kR and q = t^2 / (1 - t^2 c_0k^2).
+    # The nodes run along the last axis, which keeps numpy's inner loops long.
+    base = corr[:, rest[:, :, None], rest[:, None, :]] - ck[..., :, None] * ck[..., None, :]
+    f = corr[:, 0, rest] - c0[..., None] * ck
+    top = np.arcsin(c0)
+    s = np.sin(0.5 * top[..., None] * (x + 1.0))             # (m, d-1, n): t c_0k
+    t = np.divide(s, c0[..., None], out=np.zeros_like(s), where=c0[..., None] != 0.0)
+    q = (t * t / (1.0 - s * s))[:, :, None, :]
+    diag = np.diagonal(base, axis1=-2, axis2=-1)[..., None] - q * (f * f)[..., None]
+    if r <= 3:
+        i, j = np.triu_indices(r, 1)
+        off = base[..., i, j][..., None] - q * (f[..., i] * f[..., j])[..., None]
+        inner = _orthant_small(off / np.sqrt(diag[:, :, i] * diag[:, :, j]), r, axis=2)
+    else:
+        cond = base[..., None] - q[:, :, None] * (f[..., :, None] * f[..., None, :])[..., None]
+        sd = np.sqrt(diag)
+        cond /= sd[:, :, :, None] * sd[:, :, None, :]
+        cond = np.moveaxis(cond, -1, 2).reshape(-1, r, r)
+        inner = _orthant_probabilities(cond, nodes).reshape(m, d - 1, x.size)
+    integral = 0.5 * top * (inner @ g)
+    return 0.5 * _orthant_probabilities(corr[:, 1:, 1:], nodes) + integral.sum(axis=1) / (2.0 * np.pi)
+
+
+def _orthant_small(rho: np.ndarray, d: int, axis: int = -1) -> np.ndarray:
+    """Closed-form orthant probability for d <= 3 from the pairwise correlations
+    along axis: 2^-d + sum of asin(rho_ij) / (2^(d-1) pi), after Sheppard."""
+    return 0.5 ** d + np.arcsin(rho).sum(axis=axis) / (2.0 ** (d - 1) * np.pi)
+
+
+def _kudo_weights(corr: np.ndarray, prec: np.ndarray, nodes) -> np.ndarray:
+    """Face decomposition (Kudô 1963) of the orthant weights of a correlation matrix.
+
+    w_j = sum over |J| = j of P(N(0, ((C^-1)_JJ)^-1) >= 0) P(N(0, (C_J'J')^-1) >= 0),
+    J' the complement of J; prec is C^-1. Every orthant probability of one
+    dimension d, from either factor, is evaluated in one batch.
+    """
+    p = corr.shape[0]
+    subsets = [list(itertools.combinations(range(p), j)) for j in range(p + 1)]
+    first, second = {}, {}
+    for d in range(p + 1):
+        blocks = [prec[np.ix_(s, s)] for s in subsets[d]]
+        for s in subsets[p - d]:
+            c = [i for i in range(p) if i not in s]
+            blocks.append(corr[np.ix_(c, c)])
+        blocks = np.array(blocks, dtype=float).reshape(len(blocks), d, d)
+        if d >= 2:
+            inv = np.linalg.inv(blocks)
+            sd = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
+            blocks = inv / (sd[:, :, None] * sd[:, None, :])
+        probs = _orthant_probabilities(blocks, nodes)
+        first[d], second[p - d] = np.split(probs, [len(subsets[d])])
+    return np.array([first[j] @ second[j] for j in range(p + 1)])
+
+
+def weights_exact(psi) -> ChiBarWeights:
+    """Orthant weights by Kudô's face decomposition, deterministic and exact.
+
+    Only the correlation of psi matters. Orthant probabilities of dimension
+    four and up are Plackett integrals evaluated by Gauss-Legendre
+    quadrature, starting from EXACT_NODES nodes and doubling the count until
+    the identities sum_j w_j = 1 and sum_j (-1)^j w_j = 0 both hold to 1e-13.
+    The weights are never renormalised: a psi that still misses the
+    identities at _EXACT_MAX_NODES nodes (correlations very near +-1), or
+    whose weights are not finite, raises NumericError, and its weights are
+    left to Monte Carlo. A breach of the identities by more than 1e-12 in
+    the weights returned raises InternalInvariantError. p above
+    EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes 1.2 s at
+    p = 9 and 18 s at p = 10, and each doubling multiplies that by about 12.
+
+    One pass costs about 2 ms at p = 3, 4 ms at p = 5, 20 ms at p = 7 and
+    0.15 s at p = 8 with 16 nodes.
+
+    Parameters
+    ----------
+    psi : Metric or array_like
+        SPD covariance of the Gaussian vector projected onto the orthant.
+    """
+    metric = psi if isinstance(psi, Metric) else Metric(np.asarray(psi, dtype=float))
+    if metric.dim > EXACT_MAX_DIM:
+        raise CapabilityError(f"exact weights support p <= {EXACT_MAX_DIM}, not {metric.dim}")
+    sd = np.sqrt(np.diag(metric.sigma))
+    corr = metric.sigma / np.outer(sd, sd)
+    prec = np.linalg.inv(corr)
+    n_nodes = EXACT_NODES
+    while True:
+        nodes = np.polynomial.legendre.leggauss(n_nodes)
+        w = _kudo_weights(corr, prec, nodes)
+        residual = _identity_residual(w)
+        if not np.isfinite(residual):
+            raise NumericError(
+                f"exact weights are not finite at {n_nodes} quadrature nodes; "
+                "use method=\"monte_carlo\""
+            )
+        if residual <= _EXACT_TOL:
+            break
+        if n_nodes >= _EXACT_MAX_NODES:
+            raise NumericError(
+                f"exact weights missed the sum and parity identities by {residual:.3g} "
+                f"at {n_nodes} quadrature nodes; use method=\"monte_carlo\""
+            )
+        n_nodes *= 2
+    if residual > 1e-12:
+        raise InternalInvariantError(
+            f"exact weights break the sum and parity identities by {residual!r}"
+        )
+    return ChiBarWeights(w=w, source="exact")
+
+
+def _identity_residual(w: np.ndarray) -> float:
+    """Largest breach of sum_j w_j = 1 and sum_j (-1)^j w_j = 0 (NaN propagates)."""
+    signs = np.where(np.arange(w.size) % 2 == 0, 1.0, -1.0)
+    return float(np.max(np.abs([w.sum() - 1.0, signs @ w])))
+
+
 def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAULT_SEED) -> ChiBarWeights:
     """Estimate orthant weights by projecting Gaussian draws and counting faces.
 
@@ -128,6 +292,8 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     metric = psi if isinstance(psi, Metric) else Metric(np.asarray(psi, dtype=float))
     if n_draws < 1:
         raise ContractViolationError("n_draws must be at least 1")
+    if seed < 0:
+        raise ContractViolationError(f"seed must be nonnegative, not {seed}")
     p = metric.dim
     chol = metric.chol_lower
     counts = np.zeros(p + 1, dtype=np.int64)

@@ -165,11 +165,10 @@ def _weight_config(mc_doc, args, path):
         raise InputError(f"{path}: 'mc' must be an object with N and seed")
     n_draws = args.mc_n if args.mc_n is not None else mc_doc.get("N", DEFAULT_MC_DRAWS)
     seed = args.seed if args.seed is not None else mc_doc.get("seed", DEFAULT_SEED)
-    if not isinstance(n_draws, int) or n_draws < 1:
-        raise InputError(f"{path}: Monte Carlo size N must be a positive integer")
-    if not isinstance(seed, int):
-        raise InputError(f"{path}: seed must be an integer")
-    return WeightConfig(n_draws=n_draws, seed=seed)
+    try:
+        return WeightConfig(n_draws=n_draws, seed=seed)
+    except OrderSafeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _case_problem(name, args):
@@ -233,8 +232,15 @@ def build_report(outcome, inputs_echo, seed):
 
 
 def dumps_report(obj) -> str:
-    """Canonical serialization: sorted keys, full float round-trip precision."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, full float round-trip precision.
+
+    Strict JSON: a NaN or infinity raises NumericError (exit 3) instead of
+    writing a token that JSON parsers reject.
+    """
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"report holds a non-finite value: {exc}") from exc
 
 
 def _check_out_path(path):

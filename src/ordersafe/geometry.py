@@ -47,7 +47,10 @@ def _as_vector(x, dim=None, name="x"):
 
 
 def _activity_tol(x):
-    return ZERO_TOL * (1.0 + float(np.linalg.norm(x)))
+    # the norm of x / max|x| cannot overflow where the norm of x can (|x| > 1e154)
+    scale = float(np.max(np.abs(x), initial=0.0))
+    norm = scale * float(np.linalg.norm(x / scale)) if scale > 0.0 else 0.0
+    return ZERO_TOL * (1.0 + norm)
 
 
 @dataclass(frozen=True)

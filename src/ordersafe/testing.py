@@ -19,6 +19,7 @@ import numpy as np
 from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
+    EXACT_MAX_DIM,
     ChiBarWeights,
     correlation_2x2,
     joint_tail,
@@ -26,9 +27,10 @@ from .chibar import (
     solve_critical,
     weights_closed_form_1d,
     weights_closed_form_2d,
+    weights_exact,
     weights_monte_carlo,
 )
-from .errors import ContractViolationError, InternalInvariantError
+from .errors import ContractViolationError, InternalInvariantError, NumericError
 from .geometry import (
     ConeSpec,
     LinearSubspace,
@@ -71,12 +73,20 @@ class Statistic:
         return self.s_n.shape[0]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """How mixture weights are obtained for p-values and critical values.
 
-    method "auto" uses the exact closed form for one- and two-dimensional
-    orthant reductions and Monte Carlo face counting otherwise.
+    method "auto" uses the closed forms for one- and two-dimensional
+    orthant reductions, Kudô's exact face decomposition (weights_exact) for
+    3 <= p <= EXACT_MAX_DIM (8), and Monte Carlo face counting beyond and
+    wherever the exact quadrature fails (correlations very near +-1);
+    n_draws and seed matter only where Monte Carlo runs. "closed_form" allows
+    p <= 2 only; "monte_carlo" estimates the weights at every p.
     """
 
     n_draws: int = DEFAULT_MC_DRAWS
@@ -84,6 +94,12 @@ class WeightConfig:
     method: str = "auto"
 
     def __post_init__(self):
+        if not _is_integer(self.n_draws) or self.n_draws < 1:
+            raise ContractViolationError(
+                f"Monte Carlo size n_draws must be a positive integer, not {self.n_draws!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ContractViolationError(
+                f"seed must be a nonnegative integer, not {self.seed!r}")
         if self.method not in ("auto", "closed_form", "monte_carlo"):
             raise ContractViolationError(f"unknown weight method {self.method!r}")
 
@@ -177,8 +193,13 @@ def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
     """Mixture weights of the orthant-reduced problem under the given config."""
     psi = _reduced_psi(stat, sub, cone)
     p = psi.shape[0]
-    if cfg.method == "monte_carlo" or (cfg.method == "auto" and p > 2):
+    if cfg.method == "monte_carlo" or (cfg.method == "auto" and p > EXACT_MAX_DIM):
         return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
+    if cfg.method == "auto" and p > 2:
+        try:
+            return weights_exact(psi)
+        except NumericError:
+            return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
     if p == 1:
         return weights_closed_form_1d()
     if p == 2:
@@ -201,6 +222,7 @@ def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
     d_null = metric.norm_sq(stat.s_n - project_subspace(stat.s_n, sub, metric))
     d_alt = metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
     value = stat.n * (d_null - d_alt)
+    _require_finite(value, "type A")
     if value < -1e-10:
         raise InternalInvariantError(f"distance drop is negative beyond tolerance: {value}")
     return max(value, 0.0)
@@ -212,7 +234,14 @@ def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
     if cone.as_polyhedral().shape[1] != stat.dim:
         raise ContractViolationError("cone and statistic dimensions disagree")
     value = stat.n * metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
+    _require_finite(value, "type B")
     return max(value, 0.0)
+
+
+def _require_finite(value: float, kind: str) -> None:
+    if not np.isfinite(value):
+        raise NumericError(f"the {kind} statistic is not finite ({value}); the data "
+                           "overflow double precision")
 
 
 def p_value(statistic_value: float, weights: ChiBarWeights, problem: str) -> float:

@@ -1,8 +1,16 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ordersafe import chibar
 from ordersafe.chibar import (
+    EXACT_MAX_DIM,
     ChiBarWeights,
+    _orthant_probabilities,
     correlation_2x2,
     joint_tail,
     mixture_lower_tail,
@@ -12,9 +20,16 @@ from ordersafe.chibar import (
     solve_nominal_level,
     weights_closed_form_1d,
     weights_closed_form_2d,
+    weights_exact,
     weights_monte_carlo,
 )
-from ordersafe.errors import ContractViolationError, InfeasibleLevelError
+from ordersafe.errors import (
+    CapabilityError,
+    ContractViolationError,
+    InfeasibleLevelError,
+    NumericError,
+)
+from ordersafe.geometry import ConeSpec
 
 from conftest import mp_chi2_sf, random_spd
 
@@ -80,6 +95,105 @@ class TestMonteCarloWeights:
         w = weights_monte_carlo(sigma, n_draws=50_000, seed=5)
         assert w.p == 3
         assert w.w.sum() == pytest.approx(1.0, abs=0.0)
+
+
+def equicorrelation(d, rho):
+    c = np.full((d, d), float(rho))
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+def mp_equicorrelated_orthant(d, rho):
+    """Independent oracle: P(X >= 0) for d equicorrelated N(0, 1), rho >= 0.
+
+    X_i = sqrt(rho) Z + sqrt(1 - rho) Y_i, so conditioning on Z leaves a
+    product: P = int phi(z) Phi(z sqrt(rho / (1 - rho)))^d dz.
+    """
+    a = mpmath.sqrt(mpmath.mpf(rho) / (1 - mpmath.mpf(rho)))
+    f = lambda z: mpmath.npdf(z) * mpmath.ncdf(a * z) ** d
+    return float(mpmath.quad(f, [-mpmath.inf, -1, 0, 1, mpmath.inf]))
+
+
+class TestExactWeights:
+    def test_low_dimensions_match_closed_forms(self):
+        np.testing.assert_allclose(weights_exact(np.eye(1)).w, weights_closed_form_1d().w,
+                                   rtol=0, atol=1e-15)
+        for rho in (-0.95, -0.3, 0.0, 0.45, 0.9, 0.99):
+            psi = np.array([[4.0, 2.0 * rho * 0.7], [2.0 * rho * 0.7, 0.49]])
+            np.testing.assert_allclose(weights_exact(psi).w, weights_closed_form_2d(rho).w,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_identity_gives_binomial_weights(self, p):
+        w = weights_exact(np.eye(p))
+        expected = [math.comb(p, j) / 2**p for j in range(p + 1)]
+        np.testing.assert_allclose(w.w, expected, rtol=0, atol=1e-14)
+        assert (w.source, w.n_draws, w.seed) == ("exact", None, None)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_orthant_helper_at_equicorrelation_half(self, d):
+        nodes = np.polynomial.legendre.leggauss(16)
+        prob = _orthant_probabilities(equicorrelation(d, 0.5)[None], nodes)[0]
+        assert prob == pytest.approx(1.0 / (d + 1), abs=1e-15)
+
+    def test_near_singular_equicorrelation(self):
+        """rho = 0.99 at p = 5 needs more than the first pass's nodes.
+
+        For equicorrelated psi every face term of one size is equal: the
+        first factor is equicorrelated with rho / (1 + m rho), m = p - j,
+        the second with -rho / (1 + (m - 2) rho) in dimension m. For j >= 2
+        that dimension is at most 3, where the orthant law is Sheppard's.
+        """
+        p, rho = 5, 0.99
+        w = weights_exact(equicorrelation(p, rho))
+        assert abs(w.w.sum() - 1.0) <= 1e-12
+        assert abs(w.w @ (-1.0) ** np.arange(p + 1)) <= 1e-12
+        for j in range(2, p + 1):
+            m = p - j
+            s = math.asin(-rho / (1.0 + (m - 2) * rho)) if m >= 2 else 0.0
+            second = [1.0, 0.5, 0.25 + s / (2 * math.pi), 0.125 + 3 * s / (4 * math.pi)][m]
+            expected = math.comb(p, j) * mp_equicorrelated_orthant(j, rho / (1 + m * rho)) * second
+            assert w.w[j] == pytest.approx(expected, rel=0, abs=1e-12), j
+
+    def test_dimension_cap(self):
+        with pytest.raises(CapabilityError):
+            weights_exact(np.eye(EXACT_MAX_DIM + 1))
+
+    def test_non_finite_weights_are_numeric_errors(self, monkeypatch):
+        monkeypatch.setattr(chibar, "_kudo_weights", lambda corr, prec, nodes: np.full(5, np.nan))
+        with pytest.raises(NumericError, match="not finite"):
+            weights_exact(np.eye(4))
+
+    @pytest.mark.parametrize("p", range(3, 8))
+    @pytest.mark.parametrize("order", ["simple", "tree"])
+    def test_monte_carlo_oracle(self, order, p):
+        """Face counts at N = 2e5 lie within 4 binomial standard errors."""
+        rng = np.random.default_rng(100 + p)
+        r = getattr(ConeSpec, f"{order}_order")(p + 1).as_polyhedral()
+        psi = r @ random_spd(rng, p + 1) @ r.T
+        exact = weights_exact(psi).w
+        n = 200_000
+        mc = weights_monte_carlo(psi, n_draws=n, seed=p).w
+        se = np.sqrt(exact * (1.0 - exact) / n)
+        assert np.all(np.abs(mc - exact) <= 4.0 * se), (mc, exact)
+
+
+@st.composite
+def _spd_matrices(draw):
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_spd(rng, p, 0.1, 10.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_spd_matrices())
+def test_exact_weights_identities_and_polar_duality(psi):
+    """Sum and parity identities, nonnegativity, and w(psi^-1) = reversed w(psi)."""
+    w = weights_exact(psi).w
+    assert np.all(w >= -1e-15)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert abs(w @ (-1.0) ** np.arange(w.size)) <= 1e-12
+    np.testing.assert_allclose(weights_exact(np.linalg.inv(psi)).w, w[::-1], rtol=0, atol=1e-12)
 
 
 class TestMixtureTails:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from ordersafe.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, dumps_report, main
+from ordersafe.errors import NumericError
 
 
 def run(argv, capsys=None):
@@ -102,13 +103,45 @@ class TestSafeTestCommand:
         '{"s_n": [NaN, 1.0], "sigma_n": [[1.0, 0.0], [0.0, 1.0]], "n": 5, "order": "simple"}',
         '{"s_n": [1.0, 2.0], "sigma_n": [[1.0, NaN], [NaN, 1.0]], "n": 5, "order": "simple"}',
         '{"s_n": [1.0, 2.0], "sigma_n": [[1.0, 0.5], [0.5, 1.0]], "n": true, "order": "simple"}',
-    ], ids=["nan-in-s_n", "nan-in-sigma_n", "bool-n"])
+        '{"s_n": [1.0, 2.0, 0.5, 3.0], "sigma_n": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+        '[0, 0, 0, 1]], "n": 5, "order": "simple", "mc": {"N": true, "seed": false}}',
+        '{"s_n": [1.0, 2.0, 0.5, 3.0], "sigma_n": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], '
+        '[0, 0, 0, 1]], "n": 5, "order": "simple", "mc": {"N": 100, "seed": -1}}',
+    ], ids=["nan-in-s_n", "nan-in-sigma_n", "bool-n", "bool-mc", "negative-seed"])
     def test_invalid_values_exit_2_without_output(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         out = tmp_path / "report.json"
         assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
+
+    def test_overflowing_statistic_exits_3_without_output(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"s_n": [1e200, -1e200], "sigma_n": [[1.0, 0.0], [0.0, 1.0]], '
+                        '"n": 5, "restriction": [[1.0, 0.0], [0.0, 1.0]]}')
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert "not finite" in capsys.readouterr().err
+
+    def test_report_is_strict_json(self):
+        with pytest.raises(NumericError):
+            dumps_report({"t_n": float("inf")})
+
+    @pytest.mark.parametrize("p, rho", [(4, 1.0 - 1e-6), (10, 0.99)],
+                             ids=["exact-quadrature-fails", "beyond-exact-range"])
+    def test_monte_carlo_weights_follow_mc_options(self, tmp_path, p, rho):
+        sigma = [[1.0 if i == j else rho for j in range(p)] for i in range(p)]
+        doc = {"s_n": [float(i) for i in range(p)], "sigma_n": sigma, "n": 5,
+               "restriction": [[float(i == j) for j in range(p)] for i in range(p)],
+               "mc": {"N": 200, "seed": 3}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert (report["weights"]["source"], report["weights"]["n_draws"],
+                report["weights"]["seed"]) == ("monte_carlo", 200, 3)
 
     def test_infeasible_level_exits_3(self, tmp_path):
         out = tmp_path / "report.json"
@@ -208,6 +241,10 @@ class TestWeightsCommand:
         path = tmp_path / "sigma.json"
         path.write_text(json.dumps({"sigma": [[1.0, 2.0], [2.0, 1.0]]}))
         assert run(["weights", "--input", str(path), "--mc-n", "1000"]) == EXIT_NUMERIC
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert run(["weights", "--identity", "3", "--mc-n", "100", "--seed", "-1"]) == EXIT_INPUT
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
     def test_one_dimensional(self, tmp_path, capsys):
         code = run(["weights", "--identity", "1", "--mc-n", "50000", "--seed", "2"])

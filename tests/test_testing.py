@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ordersafe.chibar import solve_critical, weights_closed_form_2d
-from ordersafe.errors import ContractViolationError, InfeasibleLevelError
+from ordersafe.chibar import EXACT_MAX_DIM, solve_critical, weights_closed_form_2d, weights_exact
+from ordersafe.errors import ContractViolationError, InfeasibleLevelError, NumericError
 from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
@@ -102,18 +102,42 @@ class TestWeightResolution:
         assert w.source == "closed_form"
         assert w.w[2] == pytest.approx(0.4282, abs=5e-5)
 
-    def test_monte_carlo_for_3d(self):
+    def test_exact_for_3d(self):
         stat = gaussian_stat([0.0, 0.0, 0.0], np.eye(3), 5)
         cfg = WeightConfig(n_draws=20_000, seed=5)
         w = resolve_weights(stat, LinearSubspace.zero(3), ConeSpec.orthant(3), cfg)
-        assert w.source == "monte_carlo"
-        assert w.p == 3
+        assert (w.source, w.n_draws, w.seed) == ("exact", None, None)
+        np.testing.assert_allclose(w.w, np.array([1, 3, 3, 1]) / 8, rtol=0, atol=1e-15)
+
+    def test_monte_carlo_beyond_exact_range(self):
+        p = EXACT_MAX_DIM + 1
+        stat = gaussian_stat(np.zeros(p), np.eye(p), 5)
+        cfg = WeightConfig(n_draws=100, seed=5)
+        w = resolve_weights(stat, LinearSubspace.zero(p), ConeSpec.orthant(p), cfg)
+        assert (w.source, w.n_draws, w.seed) == ("monte_carlo", 100, 5)
+
+    def test_monte_carlo_where_exact_quadrature_fails(self):
+        # correlation 1 - 1e-6 misses the identities at the node cap even at p = 4
+        p, rho = 4, 1.0 - 1e-6
+        sigma = (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
+        stat = gaussian_stat(np.zeros(p), sigma, 5)
+        cfg = WeightConfig(n_draws=1000, seed=5)
+        with pytest.raises(NumericError):
+            weights_exact(sigma)
+        w = resolve_weights(stat, LinearSubspace.zero(p), ConeSpec.orthant(p), cfg)
+        assert (w.source, w.n_draws, w.seed) == ("monte_carlo", 1000, 5)
 
     def test_forced_monte_carlo_in_2d(self):
         stat = gaussian_stat([0.0, 0.0], np.eye(2), 5)
         cfg = WeightConfig(n_draws=50_000, seed=5, method="monte_carlo")
         w = resolve_weights(stat, ZERO2, ORTHANT2, cfg)
         assert w.source == "monte_carlo"
+
+    @pytest.mark.parametrize("kwargs", [{"n_draws": True}, {"n_draws": 0}, {"n_draws": 2.5},
+                                        {"seed": False}, {"seed": "1"}, {"seed": -1}])
+    def test_config_rejects_invalid_values(self, kwargs):
+        with pytest.raises(ContractViolationError):
+            WeightConfig(**kwargs)
 
     def test_subspace_must_be_restriction_kernel(self):
         # one equality direction too few: dim L = 0 but kernel has dim 1

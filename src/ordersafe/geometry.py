@@ -457,10 +457,20 @@ def face_dimension(x) -> int:
 def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     """Metric projection of each row of points onto the nonnegative orthant.
 
-    Vectorized active-set enumeration over all coordinate supports; for each
-    row the feasible candidate of least metric distance is selected. Used by
-    the Monte Carlo weight estimator and the power harness, where millions
-    of low-dimensional projections are needed.
+    Vectorized active-set enumeration over all coordinate supports, smallest
+    support first; for each row the feasible candidate of least metric
+    distance is kept, ties going to the earlier support (strict <).
+    A candidate is feasible when no coordinate falls below
+    -ZERO_TOL * (1 + ||x||). Used by the Monte Carlo weight estimator and
+    the power harness, where millions of low-dimensional projections are
+    needed.
+
+    The work is coordinate-major: the points are transposed once to a
+    (p, n) array, so each support costs one p x p matrix product for its
+    candidates A_S x and reductions run over the p rows, not along the
+    short rows of the (n, p) input. The result is the (n, p) transpose of
+    that array (Fortran-ordered); ``.T`` gives the coordinate-major layout
+    back without a copy.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -471,30 +481,32 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     if p > _EXACT_MAX_ROWS:
         raise CapabilityError(f"batch projection supports p <= {_EXACT_MAX_ROWS}")
     minv = metric.inverse()
-    tol = ZERO_TOL * (1.0 + np.linalg.norm(pts, axis=1))
+    xt = np.ascontiguousarray(pts.T)
+    neg_tol = -ZERO_TOL * (1.0 + np.sqrt((xt * xt).sum(axis=0)))
     best_obj = np.full(n, np.inf)
-    best = np.zeros_like(pts)
+    best = np.zeros_like(xt)
     for size in range(p + 1):
         for support in itertools.combinations(range(p), size):
             sup = list(support)
             comp = [i for i in range(p) if i not in support]
-            theta = np.zeros_like(pts)
+            # theta_S = x_S + (Sinv_SS)^{-1} Sinv_SC x_C and theta_C = 0
+            a = np.zeros((p, p))
+            a[sup, sup] = 1.0
             if sup and comp:
-                gain = np.linalg.solve(minv[np.ix_(sup, sup)], minv[np.ix_(sup, comp)])
-                theta[:, sup] = pts[:, sup] + pts[:, comp] @ gain.T
-            elif sup:
-                theta[:, sup] = pts[:, sup]
-            feasible = np.all(theta >= -tol[:, None], axis=1)
+                a[np.ix_(sup, comp)] = np.linalg.solve(minv[np.ix_(sup, sup)],
+                                                       minv[np.ix_(sup, comp)])
+            theta = a @ xt
+            feasible = theta.min(axis=0) >= neg_tol
             if not feasible.any():
                 continue
-            diff = pts - theta
-            obj = np.einsum("ni,ij,nj->n", diff, minv, diff)
+            diff = xt - theta
+            obj = (diff * (minv @ diff)).sum(axis=0)
             take = feasible & (obj < best_obj)
-            best_obj[take] = obj[take]
-            best[take] = theta[take]
+            best_obj = np.where(take, obj, best_obj)
+            best = np.where(take, theta, best)
     if not np.all(np.isfinite(best_obj)):
         raise NumericError("batch projection found rows with no feasible candidate")
-    return best
+    return best.T
 
 
 def face_dimension_batch(points) -> np.ndarray:

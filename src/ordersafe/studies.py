@@ -23,7 +23,7 @@ from .chibar import (
 )
 from .errors import ContractViolationError, DegenerateVarianceError
 from .geometry import ConeSpec, LinearSubspace, Metric, project_orthant_batch
-from .testing import Statistic
+from .testing import Statistic, _is_integer
 
 _POWER_CHUNK = 1 << 14
 
@@ -52,6 +52,13 @@ def simulation_means() -> dict[str, np.ndarray]:
     return means
 
 
+def _check_count(name, value, least):
+    if not _is_integer(value) or value < least:
+        raise ContractViolationError(
+            f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PowerScenario:
     """One cell of the power study: a mean, a covariance, and run settings."""
@@ -70,8 +77,8 @@ class PowerScenario:
             raise ContractViolationError("theta must be a 2-vector")
         if self.sigma.dim != 2:
             raise ContractViolationError("sigma must be 2 x 2")
-        if self.replications < 1:
-            raise ContractViolationError("replications must be at least 1")
+        for name, least in (("n", 1), ("replications", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         if not (0 < self.alpha < 1 and 0 < self.gamma < 1):
             raise ContractViolationError("alpha and gamma must lie in (0, 1)")
         theta = theta.copy()
@@ -104,46 +111,77 @@ def run_power_scenario(scenario: PowerScenario, workers: int = 1) -> PowerResult
     statistic staying below the auxiliary critical value. Replications are
     generated in fixed-size chunks with seeds spawned deterministically from
     the scenario seed and counts merged in chunk order, so results are
-    identical for any worker count.
+    identical for any worker count. This is the one-scenario case of the
+    pass power_grid makes over the whole grid.
     """
-    w = weights_closed_form_2d(correlation_2x2(scenario.sigma.sigma))
-    c_alpha = solve_critical(w, scenario.alpha, "marginal")
-    c_gamma = solve_critical(w.complement(), scenario.gamma, "marginal")
+    return _run_scenarios([scenario], workers)[0]
 
-    chol = scenario.sigma.chol_lower / np.sqrt(scenario.n)
-    minv = scenario.sigma.inverse()
-    reps = scenario.replications
-    n_chunks = (reps + _POWER_CHUNK - 1) // _POWER_CHUNK
-    children = np.random.SeedSequence(scenario.seed).spawn(n_chunks)
-    sizes = [min(_POWER_CHUNK, reps - i * _POWER_CHUNK) for i in range(n_chunks)]
 
-    def one_chunk(args):
-        child, size = args
+def _run_scenarios(scenarios, workers) -> list[PowerResult]:
+    """All chunks of all scenarios through one pool; one result per scenario.
+
+    Critical values are solved once per distinct pair of mixture weights and
+    level. Each chunk works coordinate-major on (2, size) arrays.
+    """
+    workers = _check_count("workers", workers, 1)
+    critical = {}
+
+    def critical_value(weights, level):
+        key = (tuple(weights.w), level)
+        if key not in critical:
+            critical[key] = solve_critical(weights, level, "marginal")
+        return critical[key]
+
+    plans, jobs = [], []
+    for index, scenario in enumerate(scenarios):
+        w = weights_closed_form_2d(correlation_2x2(scenario.sigma.sigma))
+        plans.append((
+            scenario,
+            scenario.sigma.chol_lower / np.sqrt(scenario.n),
+            scenario.sigma.inverse(),
+            critical_value(w, scenario.alpha),
+            critical_value(w.complement(), scenario.gamma),
+        ))
+        reps = scenario.replications
+        n_chunks = (reps + _POWER_CHUNK - 1) // _POWER_CHUNK
+        children = np.random.SeedSequence(scenario.seed).spawn(n_chunks)
+        jobs += [(index, child, min(_POWER_CHUNK, reps - i * _POWER_CHUNK))
+                 for i, child in enumerate(children)]
+
+    def one_chunk(job):
+        index, child, size = job
+        scenario, chol, minv, c_alpha, c_gamma = plans[index]
         rng = np.random.default_rng(child)
         xbar = scenario.theta + rng.standard_normal((size, 2)) @ chol.T
-        proj = project_orthant_batch(xbar, scenario.sigma)
-        diff = xbar - proj
-        t = scenario.n * np.einsum("ni,ij,nj->n", proj, minv, proj)
-        t_aux = scenario.n * np.einsum("ni,ij,nj->n", diff, minv, diff)
+        proj = project_orthant_batch(xbar, scenario.sigma).T
+        diff = xbar.T - proj
+        t = scenario.n * (proj * (minv @ proj)).sum(axis=0)
+        t_aux = scenario.n * (diff * (minv @ diff)).sum(axis=0)
         reject_dt = t >= c_alpha
-        return int(reject_dt.sum()), int((reject_dt & (t_aux < c_gamma)).sum())
+        return index, int(reject_dt.sum()), int((reject_dt & (t_aux < c_gamma)).sum())
 
-    jobs = list(zip(children, sizes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chunk, jobs))
+            counts = list(pool.map(one_chunk, jobs))
     else:
-        results = [one_chunk(job) for job in jobs]
-    n_dt = sum(r[0] for r in results)
-    n_safe = sum(r[1] for r in results)
-    p_dt = n_dt / reps
-    p_safe = n_safe / reps
-    if reps > 1:
-        se = max(np.sqrt(p * (1.0 - p) / reps) for p in (p_dt, p_safe))
-    else:
-        se = 0.0
-    return PowerResult(power_dt=p_dt, power_safe=p_safe, se=float(se),
-                       replications=reps, seed=scenario.seed)
+        counts = [one_chunk(job) for job in jobs]
+    n_dt, n_safe = [0] * len(plans), [0] * len(plans)
+    for index, dt, safe in counts:
+        n_dt[index] += dt
+        n_safe[index] += safe
+
+    results = []
+    for scenario, dt, safe in zip(scenarios, n_dt, n_safe):
+        reps = scenario.replications
+        p_dt = dt / reps
+        p_safe = safe / reps
+        if reps > 1:
+            se = max(np.sqrt(p * (1.0 - p) / reps) for p in (p_dt, p_safe))
+        else:
+            se = 0.0
+        results.append(PowerResult(power_dt=p_dt, power_safe=p_safe, se=float(se),
+                                   replications=reps, seed=scenario.seed))
+    return results
 
 
 def power_grid(replications: int = 100_000, seed: int = DEFAULT_SEED,
@@ -152,26 +190,31 @@ def power_grid(replications: int = 100_000, seed: int = DEFAULT_SEED,
     """Run the full power study grid and return one row per cell.
 
     Cell seeds are the 64-bit states generated from the root seed, so the
-    grid is reproducible as a whole while cells stay independent.
+    grid is reproducible as a whole while cells stay independent. The
+    critical values are solved once: c_alpha for the grid and c_gamma per
+    gamma. The chunks of every cell go through one pool of the given number
+    of worker threads, and each cell's counts are merged in chunk order, so
+    the rows equal those of run_power_scenario cell by cell at any worker
+    count.
     """
+    seed = _check_count("seed", seed, 0)
     means = simulation_means()
     labels = list(mean_labels)
     cells = [(lab, g, n) for lab in labels for g in gammas for n in ns]
     cell_seeds = np.random.SeedSequence(seed).generate_state(len(cells), np.uint64)
     sigma = Metric(np.eye(2))
-    rows = []
-    for (label, gamma, n), cell_seed in zip(cells, cell_seeds):
-        scenario = PowerScenario(
-            theta=means[label], sigma=sigma, n=n, alpha=alpha, gamma=gamma,
-            replications=replications, seed=int(cell_seed),
-        )
-        result = run_power_scenario(scenario, workers=workers)
-        rows.append({
-            "mean_label": label, "gamma": gamma, "n": n,
-            "power_dt": result.power_dt, "power_safe": result.power_safe,
-            "se": result.se, "replications": replications, "seed": int(cell_seed),
-        })
-    return rows
+    scenarios = [
+        PowerScenario(theta=means[label], sigma=sigma, n=n, alpha=alpha, gamma=gamma,
+                      replications=replications, seed=int(cell_seed))
+        for (label, gamma, n), cell_seed in zip(cells, cell_seeds)
+    ]
+    results = _run_scenarios(scenarios, workers)
+    return [
+        {"mean_label": label, "gamma": gamma, "n": n,
+         "power_dt": result.power_dt, "power_safe": result.power_safe,
+         "se": result.se, "replications": result.replications, "seed": result.seed}
+        for (label, gamma, n), result in zip(cells, results)
+    ]
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,17 @@ class TestMonteCarloWeights:
         c = weights_monte_carlo(np.eye(2), n_draws=70_000, seed=43)
         assert not np.array_equal(a.w, c.w)
 
+    @pytest.mark.parametrize("p, counts", [
+        (3, (10035, 18419, 9926, 1620)),
+        (5, (6664, 15174, 12627, 4663, 827, 45)),
+        (9, (4062, 11227, 12872, 8101, 2961, 665, 98, 14, 0, 0)),
+    ])
+    def test_pinned_face_counts(self, p, counts):
+        """Seeded face counts on simple-order R R' are fixed to the bit."""
+        r = ConeSpec.simple_order(p + 1).as_polyhedral()
+        w = weights_monte_carlo(r @ r.T, n_draws=40_000, seed=11)
+        assert w.w.tolist() == [c / 40_000 for c in counts]
+
     def test_three_dimensional_weights_sum_to_one(self, rng):
         sigma = random_spd(rng, 3)
         w = weights_monte_carlo(sigma, n_draws=50_000, seed=5)

@@ -204,6 +204,20 @@ class TestPowerCommand:
     def test_unknown_mean_label(self, tmp_path):
         assert run(["power", "--means", "theta9", "--reps", "10"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--ns", "0", "n must"),
+        ("--reps", "0", "replications must"),
+        ("--seed", "-1", "seed must"),
+        ("--workers", "0", "workers must"),
+        ("--workers", "-1", "workers must"),
+    ])
+    def test_invalid_counts_exit_2(self, capsys, option, value, message):
+        argv = ["power", "--means", "theta0", "--gammas", "0.1", "--ns", "10", "--reps", "10"]
+        assert run(argv + [option, value]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_deterministic_output_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["power", "--means", "theta5", "--gammas", "0.1", "--ns", "10",

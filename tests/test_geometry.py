@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordersafe.errors import (
+    CapabilityError,
     ContractViolationError,
     NotPositiveDefiniteError,
+    NumericError,
     SingularMatrixError,
 )
 from ordersafe.geometry import (
@@ -377,16 +379,59 @@ class TestFaceDimension:
 
 
 class TestBatchProjection:
+    @staticmethod
+    def _rows(rng, p):
+        """Random, inside, apex, exact-zero and 1e+-100-scaled points."""
+        random = rng.standard_normal((40, p)) * 2
+        inside = np.abs(rng.standard_normal((5, p)))
+        zeros = rng.standard_normal((10, p))
+        zeros[rng.random((10, p)) < 0.5] = 0.0
+        zeros[:, 0] = 0.0
+        return np.vstack([random, inside, np.zeros((1, p)), zeros,
+                          random[:5] * 1e100, random[5:10] * 1e-100, zeros[:3] * 1e100])
+
     def test_matches_single_point_path(self, rng):
-        for p in (1, 2, 3, 4):
+        """Every row equals project_cone and satisfies the orthant KKT system."""
+        for p in range(1, 9):
             sigma = random_spd(rng, p)
             metric = Metric(sigma)
-            pts = rng.standard_normal((200, p)) * 2
+            pts = self._rows(rng, p)
             batch = project_orthant_batch(pts, metric)
+            assert batch.shape == pts.shape
             cone = ConeSpec.orthant(p)
-            for i in range(0, 200, 17):
-                single = project_cone(pts[i], cone, metric)
-                np.testing.assert_allclose(batch[i], single, atol=1e-9)
+            for x, theta in zip(pts, batch):
+                tol = 1e-9 * (1.0 + np.linalg.norm(x))
+                np.testing.assert_allclose(theta, project_cone(x, cone, metric),
+                                           rtol=0, atol=tol)
+                mu = np.linalg.solve(sigma, theta - x)
+                assert np.all(theta >= -tol)
+                assert np.all(mu >= -tol)
+                assert abs(mu @ theta) <= tol * (1.0 + np.linalg.norm(x))
+
+    def test_feasibility_tolerance_scales_with_the_row(self):
+        """A row is kept as it is when no coordinate falls below
+        -1e-10 (1 + ||x||); further out it is projected."""
+        metric = Metric(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        rows = []
+        for scale in (1.0, 1e6):
+            x = np.array([0.0, 3.0 * scale])
+            tol = 1e-10 * (1.0 + np.linalg.norm(x))
+            rows += [x - [0.5 * tol, 0.0], x - [2.0 * tol, 0.0]]
+        pts = np.array(rows)
+        got = project_orthant_batch(pts, metric)
+        np.testing.assert_array_equal(got[[0, 2]], pts[[0, 2]])
+        assert got[1, 0] == 0.0 and got[3, 0] == 0.0
+        assert got[1, 1] != pts[1, 1] and got[3, 1] != pts[3, 1]
+
+    def test_nan_row_is_a_numeric_error(self, rng):
+        pts = rng.standard_normal((20, 3))
+        pts[7, 1] = np.nan
+        with pytest.raises(NumericError, match="no feasible candidate"):
+            project_orthant_batch(pts, Metric(np.eye(3)))
+
+    def test_dimension_cap(self):
+        with pytest.raises(CapabilityError):
+            project_orthant_batch(np.zeros((3, 17)), Metric(np.eye(17)))
 
     def test_face_dimension_batch_matches_scalar(self, rng):
         pts = np.abs(rng.standard_normal((50, 3)))

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ordersafe import studies
+from ordersafe.chibar import solve_critical
 from ordersafe.errors import ContractViolationError, DegenerateVarianceError
 from ordersafe.geometry import Metric
 from ordersafe.studies import (
@@ -235,3 +237,92 @@ class TestPowerHarness:
                           alpha=0.05, gamma=0.1, replications=10, seed=0)
         with pytest.raises(ContractViolationError):
             self.scenario([0.0, 0.0], reps=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("n", -3), ("n", True), ("n", 2.5),
+        ("reps", True), ("reps", 2.5), ("reps", -1),
+        ("seed", -1), ("seed", True), ("seed", 1.5),
+    ])
+    def test_invalid_counts_rejected(self, field, value):
+        with pytest.raises(ContractViolationError, match="integer"):
+            self.scenario([0.0, 0.0], **{field: value})
+
+    @pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+    def test_invalid_worker_counts_rejected(self, workers):
+        with pytest.raises(ContractViolationError, match="workers"):
+            run_power_scenario(self.scenario([0.0, 0.0], reps=10), workers=workers)
+        with pytest.raises(ContractViolationError, match="workers"):
+            power_grid(replications=10, mean_labels=("theta0",), workers=workers)
+
+    def test_grid_rejects_bad_seed_and_counts(self):
+        with pytest.raises(ContractViolationError, match="seed"):
+            power_grid(replications=10, seed=-1, mean_labels=("theta0",))
+        with pytest.raises(ContractViolationError, match="n must"):
+            power_grid(replications=10, ns=(0,), mean_labels=("theta0",))
+        with pytest.raises(ContractViolationError, match="replications"):
+            power_grid(replications=True, mean_labels=("theta0",))
+
+    def test_numpy_integer_counts_accepted(self):
+        scenario = self.scenario([0.0, 0.0], reps=np.int64(10), n=np.int32(20),
+                                 seed=np.uint64(3))
+        assert (scenario.n, scenario.replications, scenario.seed) == (20, 10, 3)
+        assert type(scenario.seed) is int
+
+    def test_grid_rows_equal_single_scenarios(self):
+        """The grid-wide pass gives each cell's run_power_scenario result."""
+        rows = power_grid(replications=20_000, seed=8, gammas=(0.1, 0.01), ns=(10,),
+                          mean_labels=("theta2", "theta6"), workers=2)
+        means = simulation_means()
+        for row in rows:
+            single = run_power_scenario(PowerScenario(
+                theta=means[row["mean_label"]], sigma=Metric(np.eye(2)), n=row["n"],
+                alpha=0.05, gamma=row["gamma"], replications=20_000, seed=row["seed"]))
+            assert (row["power_dt"], row["power_safe"], row["se"]) == (
+                single.power_dt, single.power_safe, single.se)
+
+    def test_grid_solves_each_critical_value_once(self, monkeypatch):
+        """One c_alpha for the grid and one c_gamma per gamma."""
+        calls = []
+
+        def counting(weights, level, mode):
+            calls.append(level)
+            return solve_critical(weights, level, mode)
+
+        monkeypatch.setattr(studies, "solve_critical", counting)
+        power_grid(replications=100, gammas=(0.1, 0.02, 0.01), ns=(10, 20))
+        assert sorted(calls) == [0.01, 0.02, 0.05, 0.1]
+
+
+#: Rejection counts of power_grid(replications=32768, seed=1729, gammas=(0.05,),
+#: ns=(10, 50), mean_labels=("theta0", "theta5")): (label, n, seed, n_dt, n_safe,
+#: se). Any change to them breaks the seeded-reproducibility contract.
+PINNED_GRID = (
+    ("theta0", 10, 17930590277277446772, 1641, 1619, 0.001204891722783149),
+    ("theta0", 50, 17731983305551247773, 1585, 1560, 0.001185219199891622),
+    ("theta5", 10, 11368073432349252414, 11595, 7504, 0.0026415064337348302),
+    ("theta5", 50, 473902745973894495, 31247, 1432, 0.0011622347818335845),
+)
+
+
+class TestPinnedPowerResults:
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_grid_rows(self, workers):
+        reps = 32768
+        rows = power_grid(replications=reps, seed=1729, gammas=(0.05,), ns=(10, 50),
+                          mean_labels=("theta0", "theta5"), workers=workers)
+        got = tuple((r["mean_label"], r["n"], r["seed"], r["power_dt"] * reps,
+                     r["power_safe"] * reps, r["se"]) for r in rows)
+        assert got == PINNED_GRID
+        assert all(r["gamma"] == 0.05 and r["replications"] == reps for r in rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_correlated_scenario(self, workers):
+        """Three chunks, the last one partial, under a non-identity sigma."""
+        scenario = PowerScenario(
+            theta=np.array([0.3, -0.1]), sigma=Metric(np.array([[1.0, 0.6], [0.6, 2.0]])),
+            n=20, alpha=0.05, gamma=0.05, replications=40_000, seed=7,
+        )
+        result = run_power_scenario(scenario, workers=workers)
+        assert (result.power_dt * 40_000, result.power_safe * 40_000) == (13729, 13112)
+        assert result.se == 0.002373929229015684
+        assert (result.replications, result.seed) == (40_000, 7)

@@ -18,7 +18,18 @@ def random_spd(rng, dim, lam_low=0.5, lam_high=2.0):
 
 def mp_chi2_sf(t, df):
     """Independent oracle: regularized upper incomplete gamma via mpmath."""
-    return float(mpmath.gammainc(df / 2.0, a=t / 2.0, regularized=True))
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(df / 2.0, a=t / 2.0, regularized=True))
+
+
+def mp_chi2_cdf(t, df):
+    """Independent oracle: regularized lower incomplete gamma via mpmath.
+
+    Evaluated directly on [0, t/2], never as 1 - mp_chi2_sf: that
+    difference loses every digit once the lower tail falls below 1e-40.
+    """
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(df / 2.0, 0, t / 2.0, regularized=True))
 
 
 def random_full_rank(rng, p, m):

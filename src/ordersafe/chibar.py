@@ -14,15 +14,25 @@ critical values.
 
 Conventions for the zero-degree-of-freedom component (point mass at 0):
 P(chi2_0 >= t) = 1 if t <= 0 else 0, and P(chi2_0 < t) = 1 if t > 0 else 0.
+
+The chi-square tails of integer df use only the standard library. With
+x = t/2 and a = df/2, the lower tail is the regularized lower incomplete
+gamma by its power series P(a, x) = x^a e^-x / Gamma(a + 1) *
+sum_n x^n / ((a + 1) ... (a + n)) where x <= a + 1, so that a small t does
+not cancel, and the upper tail is 1 - P(a, x) there. For x > a + 1 the
+upper tail is the finite series of Abramowitz & Stegun 26.4.4 (odd df,
+erfc(sqrt x) plus df // 2 terms) and 26.4.5 (even df, e^-x times df / 2
+terms), and the lower tail is its complement. Both tails are therefore
+complementary to the rounding of one subtraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, ndtr
 
 from .errors import (
     CapabilityError,
@@ -54,14 +64,51 @@ _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
 
 
-def chi2_sf(t, df: int):
-    """Upper tail P(chi2_df >= t) for df >= 1 (df = 0 handled by mixtures)."""
-    return chdtrc(df, t)
+def chi2_sf(t: float, df: int) -> float:
+    """Upper tail P(chi2_df >= t) for integer df >= 1 (df = 0 handled by mixtures)."""
+    x = 0.5 * t
+    if x <= 0.5 * df + 1.0:
+        return 1.0 - _lower_gamma_series(x, 0.5 * df)
+    return _upper_series(x, df)
 
 
-def chi2_cdf(t, df: int):
-    """Lower tail P(chi2_df < t) for df >= 1."""
-    return chdtr(df, t)
+def chi2_cdf(t: float, df: int) -> float:
+    """Lower tail P(chi2_df < t) for integer df >= 1."""
+    x = 0.5 * t
+    if x <= 0.5 * df + 1.0:
+        return _lower_gamma_series(x, 0.5 * df)
+    return 1.0 - _upper_series(x, df)
+
+
+def _lower_gamma_series(x: float, a: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) by its power series (x <= a + 1)."""
+    if x <= 0.0:
+        return 0.0
+    term = total = 1.0
+    n = a
+    while term > 1e-17 * total:
+        n += 1.0
+        term *= x / n
+        total += term
+    return total * x ** a * math.exp(-x) / math.gamma(a + 1.0)
+
+
+def _upper_series(x: float, df: int) -> float:
+    """P(chi2_df >= 2x) by Abramowitz & Stegun 26.4.4 (odd df) and 26.4.5 (even df)."""
+    if math.isinf(x):
+        return 0.0
+    if df % 2:
+        total = math.erfc(math.sqrt(x))
+        term = 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+        for r in range(1, (df + 1) // 2):
+            total += term
+            term *= x / (r + 0.5)
+        return total
+    total, term = 0.0, math.exp(-x)
+    for r in range(1, df // 2 + 1):
+        total += term
+        term *= x / r
+    return total
 
 
 @dataclass(frozen=True)
@@ -460,4 +507,6 @@ def safe_level_2d(alpha: float, gamma: float) -> float:
     wq = weights_closed_form_2d(0.0)
     c_alpha = solve_critical(wq, alpha)
     c_gamma = solve_critical(wq, gamma)
-    return float(alpha - 2.0 * ndtr(-c_alpha) * ndtr(-c_gamma))
+    # phi-bar(c) = erfc(c / sqrt 2) / 2
+    root2 = math.sqrt(2.0)
+    return float(alpha - 0.5 * math.erfc(c_alpha / root2) * math.erfc(c_gamma / root2))

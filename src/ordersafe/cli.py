@@ -79,10 +79,22 @@ def _require(doc, key, kind, path):
     return value
 
 
-def _matrix(value, key, path):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 2:
-        raise InputError(f"{path}: field {key!r} must be a matrix")
+def _numeric_array(value, key, path, ndim):
+    """A JSON vector (ndim 1) or matrix (ndim 2) of numbers as a float array.
+
+    Ragged rows, numbers too large for a float, and the strings, booleans
+    and nulls that numpy would convert are all input errors.
+    """
+    shape = "vector" if ndim == 1 else "matrix"
+    try:
+        arr = np.asarray(value, dtype=float)
+        numbers = all(type(v) in (int, float) for v in np.asarray(value, dtype=object).flat)
+    except (ValueError, TypeError, OverflowError):
+        numbers = False
+    if not numbers:
+        raise InputError(f"{path}: field {key!r} must be a {shape} of numbers")
+    if arr.ndim != ndim:
+        raise InputError(f"{path}: field {key!r} must be a {shape}")
     return arr
 
 
@@ -90,7 +102,7 @@ def _cone_and_subspace(doc, dim, path):
     if "restriction" in doc and "order" in doc:
         raise InputError(f"{path}: give either 'restriction' or 'order', not both")
     if "restriction" in doc:
-        r = _matrix(doc["restriction"], "restriction", path)
+        r = _numeric_array(doc["restriction"], "restriction", path, 2)
         if r.shape[1] != dim:
             raise InputError(
                 f"{path}: restriction has {r.shape[1]} columns, expected {dim}"
@@ -109,7 +121,10 @@ def _cone_and_subspace(doc, dim, path):
             elif order == "tree":
                 cone = ConeSpec.tree_order(dim)
             elif isinstance(order, dict) and set(order) == {"umbrella"}:
-                cone = ConeSpec.umbrella_order(dim, int(order["umbrella"]))
+                peak = order["umbrella"]
+                if not isinstance(peak, int) or isinstance(peak, bool):
+                    raise InputError(f"{path}: umbrella peak must be an integer, not {peak!r}")
+                cone = ConeSpec.umbrella_order(dim, peak)
             else:
                 raise InputError(
                     f"{path}: 'order' must be 'simple', 'tree', or {{'umbrella': peak}}"
@@ -126,7 +141,7 @@ def _load_problem(path, args):
     if "control" in doc or "treatment" in doc:
         control = _require(doc, "control", list, path)
         treatment = _require(doc, "treatment", list, path)
-        labels = doc.get("labels")
+        labels = _require(doc, "labels", list, path) if "labels" in doc else None
         try:
             table = ContingencyTable2xK(control, treatment, labels)
             problem = build_stochastic_order(table)
@@ -134,10 +149,8 @@ def _load_problem(path, args):
             raise InputError(f"{path}: {exc}") from exc
         stat, sub, cone = problem.statistic(), problem.subspace(), problem.cone()
     else:
-        s_n = np.asarray(_require(doc, "s_n", list, path), dtype=float)
-        if s_n.ndim != 1:
-            raise InputError(f"{path}: 's_n' must be a vector")
-        sigma = _matrix(_require(doc, "sigma_n", list, path), "sigma_n", path)
+        s_n = _numeric_array(_require(doc, "s_n", list, path), "s_n", path, 1)
+        sigma = _numeric_array(_require(doc, "sigma_n", list, path), "sigma_n", path, 2)
         if sigma.shape != (s_n.size, s_n.size):
             raise InputError(
                 f"{path}: 'sigma_n' must be {s_n.size} x {s_n.size} to match 's_n'"
@@ -364,7 +377,7 @@ def cmd_weights(args) -> int:
         sigma = np.eye(args.identity)
     elif args.input is not None:
         doc = _load_document(args.input)
-        sigma = _matrix(_require(doc, "sigma", list, args.input), "sigma", args.input)
+        sigma = _numeric_array(_require(doc, "sigma", list, args.input), "sigma", args.input, 2)
     else:
         raise InputError("provide --input FILE with a 'sigma' matrix or --identity DIM")
     n_draws = args.mc_n if args.mc_n is not None else DEFAULT_MC_DRAWS

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space
 
 from .errors import (
     CapabilityError,
@@ -79,11 +78,11 @@ class Metric:
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         try:
-            factor = cho_factor(sigma, lower=True)
+            chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"sigma is not positive definite: {exc}") from exc
-        object.__setattr__(self, "_factor", factor)
-        object.__setattr__(self, "_chol_lower", np.tril(factor[0]))
+        chol.setflags(write=False)
+        object.__setattr__(self, "_chol_lower", chol)
 
     @property
     def dim(self) -> int:
@@ -95,8 +94,9 @@ class Metric:
         return self._chol_lower
 
     def solve(self, v):
-        """Return sigma^{-1} v through the cached factorization."""
-        return cho_solve(self._factor, np.asarray(v, dtype=float))
+        """Return sigma^{-1} v through the cached factorization: L y = v, then L' x = y."""
+        chol = self._chol_lower
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, np.asarray(v, dtype=float)))
 
     def inverse(self) -> np.ndarray:
         """Dense sigma^{-1}, obtained by solving against the identity."""
@@ -108,8 +108,10 @@ class Metric:
         return float(u @ self.solve(v))
 
     def norm_sq(self, u) -> float:
+        """u' sigma^{-1} u as |y|^2 with L y = u: one triangular solve, never negative."""
         u = _as_vector(u, self.dim, "u")
-        return float(u @ self.solve(u))
+        y = np.linalg.solve(self._chol_lower, u)
+        return float(y @ y)
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.norm_sq(u), 0.0)))
@@ -138,6 +140,8 @@ class ConeSpec:
             r = np.asarray(self.restriction, dtype=float)
             if r.ndim != 2:
                 raise ContractViolationError("restriction must be a p x m matrix")
+            if not np.all(np.isfinite(r)):
+                raise ContractViolationError("restriction has non-finite entries")
             p, m = r.shape
             if p > m:
                 raise ContractViolationError(f"restriction has {p} rows > {m} columns")
@@ -239,7 +243,9 @@ class LinearSubspace:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2:
             raise ContractViolationError("constraint must be a q x m matrix")
-        b = null_space(a)
+        if not np.all(np.isfinite(a)):
+            raise ContractViolationError("constraint has non-finite entries")
+        b = _null_space(a)
         return cls._build(a, b)
 
     @classmethod
@@ -247,9 +253,11 @@ class LinearSubspace:
         b = np.asarray(b, dtype=float)
         if b.ndim != 2:
             raise ContractViolationError("basis must be an m x d matrix of columns")
+        if not np.all(np.isfinite(b)):
+            raise ContractViolationError("basis has non-finite entries")
         if b.shape[1] == 0:
             return cls.zero(b.shape[0])
-        a = null_space(b.T).T
+        a = _null_space(b.T).T
         if a.shape[0] == 0:
             a = np.zeros((0, b.shape[0]))
         return cls._build(a, b)
@@ -289,6 +297,16 @@ class LinearSubspace:
         if self.constraint.shape[0] == 0:
             return True
         return bool(np.max(np.abs(self.constraint @ x)) <= tol * (1.0 + np.linalg.norm(x)))
+
+
+def _null_space(a):
+    """Orthonormal columns spanning the kernel of a, from its full SVD.
+
+    Singular values at or below s_max * eps * max(q, m) count as zero.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.max(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return vh[int(np.sum(s > tol)):].T
 
 
 def project_subspace(x, sub: LinearSubspace, metric: Metric) -> np.ndarray:

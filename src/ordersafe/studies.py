@@ -226,12 +226,17 @@ class ContingencyTable2xK:
     labels: tuple[str, ...]
 
     def __init__(self, control, treatment, labels=None):
+        control, treatment = tuple(control), tuple(treatment)
+        if not all(_is_integer(c) for c in control + treatment):
+            raise ContractViolationError("counts must be integers")
         control = tuple(int(c) for c in control)
         treatment = tuple(int(c) for c in treatment)
         if len(control) != len(treatment) or len(control) < 2:
             raise ContractViolationError("rows must share a length of at least 2")
         if any(c < 0 for c in control + treatment):
             raise ContractViolationError("counts must be nonnegative")
+        if sum(control + treatment) > 2**53:
+            raise ContractViolationError("the total count must not exceed 2**53")
         if labels is None:
             labels = tuple(f"cat{i + 1}" for i in range(len(control)))
         else:

@@ -61,8 +61,9 @@ class Statistic:
 
     def __post_init__(self):
         s = _as_vector(self.s_n, self.sigma_n.dim, "s_n")
-        if isinstance(self.n, bool) or int(self.n) < 1:
-            raise ContractViolationError("n must be a positive integer")
+        # above 2**53 the float products n * distance would round n itself
+        if isinstance(self.n, bool) or not 1 <= int(self.n) <= 2**53:
+            raise ContractViolationError("n must be a positive integer no larger than 2**53")
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "s_n", s)

@@ -458,11 +458,10 @@ class TestCriterion5PropertySuites:
     def test_mixture_tail_value_cross_checked(self):
         """The quadrant mixture tail at the interclass critical value agrees
         with a direct Gaussian/exponential evaluation."""
-        from scipy.special import ndtr
-
         t = 4.915
         quadrant = weights_closed_form_2d(0.0)
-        direct = 0.5 * 2.0 * (1 - ndtr(np.sqrt(t))) + 0.25 * np.exp(-t / 2.0)
+        # P(chi2_1 >= t) = 2 phi-bar(sqrt t) = erfc(sqrt(t / 2))
+        direct = 0.5 * math.erfc(math.sqrt(t / 2.0)) + 0.25 * math.exp(-t / 2.0)
         got = mixture_upper_tail(quadrant, t)
         _report("5h", "mixture tail spot value",
                 [(f"tail(4.915) = {got:.6f} agrees with direct evaluation",

@@ -270,14 +270,13 @@ class TestJointTail:
         for the independent quadrant problem, by classifying the four sign
         quadrants of the underlying Gaussian directly.
         """
-        from scipy.special import ndtr
+        def phibar(z):
+            return 0.5 * math.erfc(z / math.sqrt(2.0))
 
         c1 = solve_critical(QUADRANT, 0.05)
         c2 = solve_critical(QUADRANT, 0.1)
         lhs = joint_tail(QUADRANT, c1, c2)
-        rhs = mixture_upper_tail(QUADRANT, c1) - 2.0 * (1 - ndtr(np.sqrt(c1))) * (
-            1 - ndtr(np.sqrt(c2))
-        )
+        rhs = mixture_upper_tail(QUADRANT, c1) - 2.0 * phibar(math.sqrt(c1)) * phibar(math.sqrt(c2))
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
 

@@ -1,10 +1,22 @@
+import copy
 import csv
+import functools
 import json
+import operator
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ordersafe
 from ordersafe.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, dumps_report, main
 from ordersafe.errors import NumericError
+
+_PROBLEM = {"s_n": [1.0, 2.0, 3.0], "sigma_n": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "n": 5}
 
 
 def run(argv, capsys=None):
@@ -114,6 +126,47 @@ class TestSafeTestCommand:
         out = tmp_path / "report.json"
         assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        dict(_PROBLEM, restriction=[["a", 1, 0], [0, -1, 1]]),
+        dict(_PROBLEM, restriction=[[1, 0], [0, -1, 1]]),
+        dict(_PROBLEM, restriction=[[float("nan"), 1, 0], [0, -1, 1]]),
+        dict(_PROBLEM, restriction=[[True, 1, 0], [0, -1, 1]]),
+        dict(_PROBLEM, restriction=[[10**400, 1, 0], [0, -1, 1]]),
+        dict(_PROBLEM, order="simple", s_n=[1.0, "2", 3.0]),
+        dict(_PROBLEM, order="simple", s_n=[1.0, None, 3.0]),
+        dict(_PROBLEM, order="simple", s_n=[1.0, [2.0], 3.0]),
+        dict(_PROBLEM, order="simple", sigma_n=[[1, 0, 0], [0, 1], [0, 0, 1]]),
+        dict(_PROBLEM, order="simple", sigma_n=[[1, 0, 0], [0, "x", 0], [0, 0, 1]]),
+        {"control": [5, "11", 1], "treatment": [3, 8, 4]},
+        {"control": [5, 11.5, 1], "treatment": [3, 8, 4]},
+        {"control": [5, 11, 1], "treatment": [3, 8, 4], "labels": 2},
+        dict(_PROBLEM, order="simple", n=10**400),
+        {"control": [5, 11, 1], "treatment": [3, 10**400, 4]},
+    ], ids=["string-in-restriction", "ragged-restriction", "nan-in-restriction",
+            "bool-in-restriction", "huge-int-in-restriction", "string-in-s_n", "null-in-s_n",
+            "nested-s_n", "ragged-sigma_n", "string-in-sigma_n", "string-count",
+            "fractional-count", "scalar-labels", "huge-n", "huge-count"])
+    def test_malformed_numeric_arrays_exit_2_without_output(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("peak", [1.7, True, "2", "x", None])
+    def test_umbrella_peak_must_be_an_integer(self, tmp_path, capsys, peak):
+        doc = dict(_PROBLEM, order={"umbrella": peak})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert "umbrella peak must be an integer" in capsys.readouterr().err
+        doc["order"] = {"umbrella": 1}
+        path.write_text(json.dumps(doc))
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_OK
 
     def test_overflowing_statistic_exits_3_without_output(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -256,6 +309,12 @@ class TestWeightsCommand:
         path.write_text(json.dumps({"sigma": [[1.0, 2.0], [2.0, 1.0]]}))
         assert run(["weights", "--input", str(path), "--mc-n", "1000"]) == EXIT_NUMERIC
 
+    def test_non_numeric_covariance_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"sigma": [["a", 0.0], [0.0, 1.0]]}))
+        assert run(["weights", "--input", str(path), "--mc-n", "100"]) == EXIT_INPUT
+        assert "'sigma' must be a matrix of numbers" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, capsys):
         assert run(["weights", "--identity", "3", "--mc-n", "100", "--seed", "-1"]) == EXIT_INPUT
         assert "seed must be nonnegative" in capsys.readouterr().err
@@ -265,3 +324,67 @@ class TestWeightsCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert float(rows[0]["weight"]) == pytest.approx(0.5, abs=0.01)
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI loads no scipy module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ordersafe.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import ordersafe.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+_VALID_DOCUMENTS = [
+    {"s_n": [-3.0, -2.0], "sigma_n": [[1.0, 0.9], [0.9, 1.0]], "n": 5,
+     "restriction": [[1.0, 0.0], [0.0, 1.0]], "alpha": 0.05, "gamma": 0.05},
+    dict(_PROBLEM, order="simple", mc={"N": 2000, "seed": 4}),
+    dict(_PROBLEM, order={"umbrella": 1}),
+    {"control": [5, 11, 1], "treatment": [3, 8, 4], "labels": ["Worse", "Same", "Better"]},
+]
+_ODD_VALUES = st.sampled_from([None, True, "x", "1", 1.5, -1, 0, 10**400, float("nan"),
+                               float("inf"), 1e308, [], {}, [1], [[1]]])
+
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with one to three entries replaced by odd values or removed."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_ODD_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mutated_documents())
+def test_mutated_documents_exit_cleanly(doc):
+    """Exit 0 writes a strict-JSON report; any other exit is 2, 3 or 4 and writes none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = main(["safe-test", "--input", path, "--out", out, "--mc-n", "500"])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                json.load(fh, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+        else:
+            assert not os.path.exists(out)

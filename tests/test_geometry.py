@@ -64,6 +64,18 @@ class TestMetric:
     def test_rejects_non_spd_without_repair(self):
         with pytest.raises(NotPositiveDefiniteError):
             Metric(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotPositiveDefiniteError):
+            Metric(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_factor_and_solve(self, rng):
+        sigma = random_spd(rng, 6, 0.1, 10.0)
+        m = Metric(sigma)
+        chol = m.chol_lower
+        np.testing.assert_array_equal(chol, np.tril(chol))
+        np.testing.assert_allclose(chol @ chol.T, sigma, rtol=0, atol=1e-13)
+        v = rng.standard_normal((6, 3))
+        np.testing.assert_allclose(sigma @ m.solve(v), v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.solve(v[:, 0]), m.solve(v)[:, 0], rtol=1e-14)
 
     def test_dimension_mismatch(self):
         m = Metric(np.eye(2))
@@ -104,6 +116,11 @@ class TestConeSpec:
         with pytest.raises(ContractViolationError):
             ConeSpec.polyhedral([[1.0, 0.0], [2.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_restriction_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            ConeSpec.polyhedral([[bad, 1.0, 0.0], [0.0, -1.0, 1.0]])
+
     def test_umbrella_peak_range(self):
         with pytest.raises(ContractViolationError):
             ConeSpec.umbrella_order(4, peak=4)
@@ -136,6 +153,23 @@ class TestLinearSubspace:
         a = random_full_rank(rng, 2, 5)
         sub = LinearSubspace.from_constraint(a)
         assert sub.dim + np.linalg.matrix_rank(a) == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrices_rejected(self, bad):
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            LinearSubspace.from_constraint([[1.0, bad, 0.0]])
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            LinearSubspace.from_basis([[1.0], [bad], [0.0]])
+
+    def test_null_space_rank_rule(self):
+        """Singular values at or below s_max * eps * max(q, m) count as zero."""
+        eps = np.finfo(float).eps
+        for tiny, dim in ((2.0 * eps, 1), (4.0 * eps, 0)):
+            sub = LinearSubspace.from_constraint(np.diag([1.0, tiny]))
+            assert sub.dim == dim, tiny
+        sub = LinearSubspace.from_basis(np.array([[1.0], [1.0], [1.0]]))
+        assert sub.constraint.shape == (2, 3)
+        np.testing.assert_allclose(sub.constraint @ sub.constraint.T, np.eye(2), atol=1e-15)
 
     def test_zero_subspace(self):
         sub = LinearSubspace.zero(3)

@@ -85,6 +85,16 @@ class TestStochasticOrderConstruction:
         np.testing.assert_allclose(sn[2:, :2], 0.0)
         np.testing.assert_allclose(sn[:2, :2] / (32.0 / 17.0), sn[2:, 2:] / (32.0 / 15.0))
 
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "3", None])
+    def test_counts_must_be_integers(self, count):
+        with pytest.raises(ContractViolationError, match="integers"):
+            ContingencyTable2xK(control=(count, 5, 5), treatment=(1, 3, 3))
+
+    def test_total_count_is_float_exact(self):
+        ContingencyTable2xK(control=(2**53 - 2, 1), treatment=(1, 0))
+        with pytest.raises(ContractViolationError, match=r"2\*\*53"):
+            ContingencyTable2xK(control=(2**53, 1), treatment=(1, 1))
+
     def test_degenerate_pooled_category_raises(self):
         table = ContingencyTable2xK(control=(0, 5, 5), treatment=(0, 3, 3))
         with pytest.raises(DegenerateVarianceError):

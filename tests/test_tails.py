@@ -1,8 +1,8 @@
 """Property suite for the chi-square and chi-bar-square tails.
 
 The tails feed every p-value, critical value and attained level, so they
-are checked as black boxes: monotone in t and equal to an independent
-mpmath evaluation to 1e-13 relative over df 1..12 and t in
+are checked as black boxes: monotone in t, complementary, and equal to an
+independent mpmath evaluation to 1e-13 relative over df 1..12 and t in
 [1e-8, 200].
 """
 
@@ -35,6 +35,12 @@ def test_chi2_tails_monotone(df, a, b):
     lo, hi = min(a, b), max(a, b)
     assert chi2_sf(lo, df) >= chi2_sf(hi, df)
     assert chi2_cdf(lo, df) <= chi2_cdf(hi, df)
+
+
+@SUITE
+@given(DFS, TS)
+def test_chi2_tails_complement(df, t):
+    assert abs(chi2_sf(t, df) + chi2_cdf(t, df) - 1.0) <= 1e-15
 
 
 @SUITE

@@ -37,6 +37,13 @@ def gaussian_stat(s, sigma, n):
 
 
 class TestDistanceStatistics:
+    @pytest.mark.parametrize("n", [0, True, 2**53 + 1, 10**400],
+                             ids=["zero", "bool", "above-2**53", "beyond-float"])
+    def test_sample_size_must_be_a_float_exact_positive_integer(self, n):
+        with pytest.raises(ContractViolationError, match="n must be"):
+            Statistic(s_n=np.zeros(2), sigma_n=Metric(np.eye(2)), n=n)
+        Statistic(s_n=np.zeros(2), sigma_n=Metric(np.eye(2)), n=2**53)
+
     def test_type_a_vanishes_on_null(self, rng):
         sigma = random_spd(rng, 3)
         sub = LinearSubspace.span_of_ones(3)

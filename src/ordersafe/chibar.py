@@ -41,7 +41,7 @@ from .errors import (
     InternalInvariantError,
     NumericError,
 )
-from .geometry import Metric, face_dimension_batch, project_orthant_batch
+from .geometry import Metric, _orthant_operators, _project_orthant_t, face_dimension_batch
 
 #: Documented default seed used by every stochastic entry point.
 DEFAULT_SEED = 1729
@@ -326,6 +326,9 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     spawned deterministically from the seed, and the face counts are merged
     in chunk order. The result is therefore reproducible bit-for-bit for a
     given (psi, n_draws, seed) regardless of how chunks might be scheduled.
+    The draws are projected by the KKT-certified pass of
+    geometry.project_orthant_batch, coordinate-major, with its table of
+    2^p support operators built once per call and shared by every chunk.
 
     Parameters
     ----------
@@ -343,6 +346,7 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
         raise ContractViolationError(f"seed must be nonnegative, not {seed}")
     p = metric.dim
     chol = metric.chol_lower
+    table = _orthant_operators(metric)
     counts = np.zeros(p + 1, dtype=np.int64)
     root = np.random.SeedSequence(seed)
     n_chunks = (n_draws + _MC_CHUNK - 1) // _MC_CHUNK
@@ -352,9 +356,8 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
         size = min(_MC_CHUNK, remaining)
         remaining -= size
         rng = np.random.default_rng(child)
-        draws = rng.standard_normal((size, p)) @ chol.T
-        proj = project_orthant_batch(draws, metric)
-        dims = face_dimension_batch(proj)
+        proj = _project_orthant_t(chol @ rng.standard_normal((size, p)).T, table)
+        dims = face_dimension_batch(proj.T)
         counts += np.bincount(dims, minlength=p + 1)
     return ChiBarWeights(
         w=counts / float(n_draws), source="monte_carlo", n_draws=n_draws, seed=seed
@@ -364,11 +367,14 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
 def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:
     """P(mixture >= t) = sum_j w_j P(chi2_j >= t) with the chi2_0 convention.
 
-    At t = 0 this equals 1 (total mass); just above 0 it drops to 1 - w_0.
+    At t = 0 this is the total mass, returned as exactly 1.0 rather than
+    a rounded sum of the weights; just above 0 it drops to 1 - w_0.
     """
     if t < 0:
         raise ContractViolationError("t must be nonnegative")
-    total = weights.w[0] * (1.0 if t <= 0 else 0.0)
+    if t == 0:
+        return 1.0
+    total = 0.0
     for j in range(1, weights.p + 1):
         total += weights.w[j] * chi2_sf(t, j)
     return float(total)

@@ -71,8 +71,10 @@ class Metric:
             raise ContractViolationError(f"sigma must be square, got shape {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
             raise ContractViolationError("sigma has non-finite entries")
-        scale = np.linalg.norm(sigma)
-        if scale == 0 or np.linalg.norm(sigma - sigma.T) > _SYMMETRY_RTOL * scale:
+        # scaled to max|sigma| = 1, the Frobenius norms can neither underflow nor overflow
+        scale = np.abs(sigma).max(initial=0.0)
+        unit = sigma / (scale or 1.0)
+        if scale == 0 or np.linalg.norm(unit - unit.T) > _SYMMETRY_RTOL * np.linalg.norm(unit):
             raise ContractViolationError("sigma is not symmetric within tolerance 1e-10")
         sigma = 0.5 * (sigma + sigma.T)
         sigma.setflags(write=False)
@@ -475,56 +477,100 @@ def face_dimension(x) -> int:
 def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     """Metric projection of each row of points onto the nonnegative orthant.
 
-    Vectorized active-set enumeration over all coordinate supports, smallest
-    support first; for each row the feasible candidate of least metric
-    distance is kept, ties going to the earlier support (strict <).
-    A candidate is feasible when no coordinate falls below
-    -ZERO_TOL * (1 + ||x||). Used by the Monte Carlo weight estimator and
-    the power harness, where millions of low-dimensional projections are
-    needed.
+    Each row leaves at the first coordinate support S whose KKT system it
+    satisfies. With M = sigma^{-1} and C the complement of S, the candidate
+    is theta_S = x_S + (M_SS)^{-1} M_SC x_C, theta_C = 0, and its dual
+    multipliers are mu_C = (M (theta - x))_C. One p x p operator K_S per
+    support gives theta_S in its S rows and mu_C / M_ii in its C rows, so
+    one matrix product per support prices every remaining row; a row is
+    certified when all p entries of K_S x are at least
+    -ZERO_TOL * (1 + ||x||). Primal and dual feasibility with
+    complementarity is sufficient for a convex problem, so no objective is
+    compared. The full support is visited first, so a row already inside
+    the orthant comes back unchanged, bit for bit; then the supports follow
+    by size, the apex first. A row that no support certifies (a NaN row,
+    for instance) raises NumericError.
 
-    The work is coordinate-major: the points are transposed once to a
-    (p, n) array, so each support costs one p x p matrix product for its
-    candidates A_S x and reductions run over the p rows, not along the
-    short rows of the (n, p) input. The result is the (n, p) transpose of
-    that array (Fortran-ordered); ``.T`` gives the coordinate-major layout
-    back without a copy.
+    Certified rows leave the working set at once, so a support costs one
+    p x p product over the rows still open, and the pass stops when none
+    are; the row order is restored by one inverse-permutation take. The
+    table holds 2^p operators, hence the cap p <= 16. The work is
+    coordinate-major: the points are transposed once to a (p, n) array,
+    and the (n, p) result is the transpose of the pass's (p, n) array
+    (Fortran-ordered); ``.T`` gives the coordinate-major layout back
+    without a copy. Used by the Monte Carlo weight estimator and the power
+    harness, where millions of low-dimensional projections are needed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ContractViolationError("points must be an (n, p) array")
-    n, p = pts.shape
+    p = pts.shape[1]
     if p != metric.dim:
         raise ContractViolationError("points and metric dimensions disagree")
+    return _project_orthant_t(np.ascontiguousarray(pts.T), _orthant_operators(metric)).T
+
+
+def _orthant_operators(metric: Metric) -> list:
+    """The (K_S, C) pairs of project_orthant_batch, in visit order.
+
+    The full support comes first with K = None: its certificate is x itself.
+    """
+    p = metric.dim
     if p > _EXACT_MAX_ROWS:
         raise CapabilityError(f"batch projection supports p <= {_EXACT_MAX_ROWS}")
     minv = metric.inverse()
-    xt = np.ascontiguousarray(pts.T)
-    neg_tol = -ZERO_TOL * (1.0 + np.sqrt((xt * xt).sum(axis=0)))
-    best_obj = np.full(n, np.inf)
-    best = np.zeros_like(xt)
-    for size in range(p + 1):
+    table = [(None, [])]
+    for size in range(p):
         for support in itertools.combinations(range(p), size):
             sup = list(support)
             comp = [i for i in range(p) if i not in support]
-            # theta_S = x_S + (Sinv_SS)^{-1} Sinv_SC x_C and theta_C = 0
-            a = np.zeros((p, p))
-            a[sup, sup] = 1.0
-            if sup and comp:
-                a[np.ix_(sup, comp)] = np.linalg.solve(minv[np.ix_(sup, sup)],
-                                                       minv[np.ix_(sup, comp)])
-            theta = a @ xt
-            feasible = theta.min(axis=0) >= neg_tol
-            if not feasible.any():
-                continue
-            diff = xt - theta
-            obj = (diff * (minv @ diff)).sum(axis=0)
-            take = feasible & (obj < best_obj)
-            best_obj = np.where(take, obj, best_obj)
-            best = np.where(take, theta, best)
-    if not np.all(np.isfinite(best_obj)):
+            k = np.zeros((p, p))
+            m_cc = minv[np.ix_(comp, comp)]
+            if sup:
+                k[sup, sup] = 1.0
+                # theta_S = x_S + (M_SS)^{-1} M_SC x_C
+                a = np.linalg.solve(minv[np.ix_(sup, sup)], minv[np.ix_(sup, comp)])
+                k[np.ix_(sup, comp)] = a
+                # mu_C = M_CS (theta_S - x_S) - M_CC x_C
+                m_cc = m_cc - minv[np.ix_(comp, sup)] @ a
+            k[np.ix_(comp, comp)] = -m_cc / np.diag(minv)[comp, None]
+            table.append((k, comp))
+    return table
+
+
+def _project_orthant_t(xt, table) -> np.ndarray:
+    """The pass of project_orthant_batch on a (p, n) array, returning (p, n)."""
+    n = xt.shape[1]
+    if n == 0:
+        return xt.copy()
+    rows = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
+        big = np.flatnonzero(np.isinf(norm))
+        if big.size:
+            # rows past 1e154 overflow the squares; scaled, an infinite row's norm is NaN
+            scale = np.abs(xt[:, big]).max(axis=0)
+            norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
+    neg_tol = -ZERO_TOL * (1.0 + norm)
+    blocks, order = [], []
+    for k, comp in table:
+        cand = xt if k is None else k @ xt
+        done = cand.min(axis=0) >= neg_tol
+        hit = np.flatnonzero(done)
+        if hit.size:
+            theta = cand.take(hit, axis=1)
+            theta[comp] = 0.0
+            blocks.append(theta)
+            order.append(rows.take(hit))
+            if hit.size == rows.size:
+                break
+            keep = np.flatnonzero(~done)
+            xt, rows, neg_tol = xt.take(keep, axis=1), rows.take(keep), neg_tol.take(keep)
+    else:
         raise NumericError("batch projection found rows with no feasible candidate")
-    return best.T
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[np.concatenate(order)] = np.arange(n)
+    return np.concatenate(blocks, axis=1).take(inverse, axis=1)
 
 
 def face_dimension_batch(points) -> np.ndarray:

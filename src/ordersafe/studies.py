@@ -22,7 +22,7 @@ from .chibar import (
     correlation_2x2,
 )
 from .errors import ContractViolationError, DegenerateVarianceError
-from .geometry import ConeSpec, LinearSubspace, Metric, project_orthant_batch
+from .geometry import ConeSpec, LinearSubspace, Metric, _orthant_operators, _project_orthant_t
 from .testing import Statistic, _is_integer
 
 _POWER_CHUNK = 1 << 14
@@ -121,7 +121,8 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
     """All chunks of all scenarios through one pool; one result per scenario.
 
     Critical values are solved once per distinct pair of mixture weights and
-    level. Each chunk works coordinate-major on (2, size) arrays.
+    level, and the orthant projector's operator table is built once per
+    scenario. Each chunk works coordinate-major on (2, size) arrays.
     """
     workers = _check_count("workers", workers, 1)
     critical = {}
@@ -139,6 +140,7 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
             scenario,
             scenario.sigma.chol_lower / np.sqrt(scenario.n),
             scenario.sigma.inverse(),
+            _orthant_operators(scenario.sigma),
             critical_value(w, scenario.alpha),
             critical_value(w.complement(), scenario.gamma),
         ))
@@ -150,11 +152,11 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
 
     def one_chunk(job):
         index, child, size = job
-        scenario, chol, minv, c_alpha, c_gamma = plans[index]
+        scenario, chol, minv, table, c_alpha, c_gamma = plans[index]
         rng = np.random.default_rng(child)
-        xbar = scenario.theta + rng.standard_normal((size, 2)) @ chol.T
-        proj = project_orthant_batch(xbar, scenario.sigma).T
-        diff = xbar.T - proj
+        xbar = scenario.theta[:, None] + chol @ rng.standard_normal((size, 2)).T
+        proj = _project_orthant_t(xbar, table)
+        diff = xbar - proj
         t = scenario.n * (proj * (minv @ proj)).sum(axis=0)
         t_aux = scenario.n * (diff * (minv @ diff)).sum(axis=0)
         reject_dt = t >= c_alpha

@@ -71,3 +71,38 @@ def enumerate_cone_oracle(x, r, metric):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def orthant_batch_oracle(points, metric):
+    """Independent oracle: the orthant batch projection by least objective.
+
+    Enumerates every coordinate support for every row, smallest support
+    first, and keeps the tolerance-feasible candidate (no coordinate below
+    -1e-10 (1 + ||x||)) of least metric distance, ties going to the earlier
+    support. Returns an (n, p) array; rows with no feasible candidate are
+    NaN.
+    """
+    xt = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    p, n = xt.shape
+    minv = metric.inverse()
+    neg_tol = -1e-10 * (1.0 + np.sqrt((xt * xt).sum(axis=0)))
+    best_obj = np.full(n, np.inf)
+    best = np.full_like(xt, np.nan)
+    for size in range(p + 1):
+        for support in itertools.combinations(range(p), size):
+            sup = list(support)
+            comp = [i for i in range(p) if i not in support]
+            # theta_S = x_S + (Sinv_SS)^{-1} Sinv_SC x_C and theta_C = 0
+            a = np.zeros((p, p))
+            a[sup, sup] = 1.0
+            if sup and comp:
+                a[np.ix_(sup, comp)] = np.linalg.solve(minv[np.ix_(sup, sup)],
+                                                       minv[np.ix_(sup, comp)])
+            theta = a @ xt
+            feasible = theta.min(axis=0) >= neg_tol
+            diff = xt - theta
+            obj = (diff * (minv @ diff)).sum(axis=0)
+            take = feasible & (obj < best_obj)
+            best_obj = np.where(take, obj, best_obj)
+            best = np.where(take, theta, best)
+    return best.T

@@ -94,11 +94,24 @@ class TestMonteCarloWeights:
         (3, (10035, 18419, 9926, 1620)),
         (5, (6664, 15174, 12627, 4663, 827, 45)),
         (9, (4062, 11227, 12872, 8101, 2961, 665, 98, 14, 0, 0)),
+        (7, (5026, 12921, 13059, 6747, 1926, 297, 23, 1)),
     ])
     def test_pinned_face_counts(self, p, counts):
         """Seeded face counts on simple-order R R' are fixed to the bit."""
         r = ConeSpec.simple_order(p + 1).as_polyhedral()
         w = weights_monte_carlo(r @ r.T, n_draws=40_000, seed=11)
+        assert w.w.tolist() == [c / 40_000 for c in counts]
+
+    @pytest.mark.parametrize("p, counts", [
+        (3, (5019, 14963, 15049, 4969)),
+        (5, (1283, 6183, 12497, 12428, 6328, 1281)),
+        (7, (308, 2242, 6407, 10928, 10968, 6592, 2214, 341)),
+        (9, (77, 692, 2841, 6534, 9759, 9821, 6658, 2881, 652, 85)),
+    ])
+    def test_pinned_identity_face_counts(self, p, counts):
+        """Seeded face counts under an identity psi are fixed to the bit,
+        the values of the least-objective projector this one replaced."""
+        w = weights_monte_carlo(np.eye(p), n_draws=40_000, seed=11)
         assert w.w.tolist() == [c / 40_000 for c in counts]
 
     def test_three_dimensional_weights_sum_to_one(self, rng):
@@ -210,6 +223,15 @@ def test_exact_weights_identities_and_polar_duality(psi):
 class TestMixtureTails:
     def test_total_mass_at_zero(self):
         assert mixture_upper_tail(QUADRANT, 0.0) == pytest.approx(1.0)
+
+    def test_total_mass_is_exactly_one(self):
+        """At t = 0 the tail is 1.0 even where the exact weights sum above 1."""
+        r = ConeSpec.simple_order(6).as_polyhedral()
+        w = weights_exact(r @ r.T)
+        assert w.w.sum() > 1.0
+        assert mixture_upper_tail(w, 0.0) == 1.0
+        assert mixture_upper_tail(w, -0.0) == 1.0
+        assert mixture_upper_tail(w, 1e-300) == pytest.approx(1.0 - w.w[0], abs=1e-15)
 
     def test_value_against_mpmath(self):
         t = 4.915

@@ -23,10 +23,12 @@ from ordersafe.geometry import (
     project_cone,
     project_orthant_batch,
     project_subspace,
+    _orthant_operators,
+    _project_orthant_t,
 )
 from ordersafe.isotonic import WeightedSeries, pava
 
-from conftest import enumerate_cone_oracle, random_full_rank, random_spd
+from conftest import enumerate_cone_oracle, orthant_batch_oracle, random_full_rank, random_spd
 
 
 def interclass(rho):
@@ -60,6 +62,15 @@ class TestMetric:
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractViolationError):
             Metric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e150])
+    def test_symmetry_test_is_scale_free(self, scale):
+        """Tiny and huge symmetric matrices factor; asymmetric ones are still out."""
+        m = Metric(scale * interclass(0.5))
+        np.testing.assert_allclose(m.chol_lower @ m.chol_lower.T, scale * interclass(0.5),
+                                   rtol=1e-15, atol=0)
+        with pytest.raises(ContractViolationError, match="not symmetric"):
+            Metric(scale * np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_rejects_non_spd_without_repair(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -463,6 +474,58 @@ class TestBatchProjection:
         with pytest.raises(NumericError, match="no feasible candidate"):
             project_orthant_batch(pts, Metric(np.eye(3)))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_row_is_a_numeric_error(self, rng, value):
+        pts = np.abs(rng.standard_normal((20, 3)))
+        pts[4, 2] = value
+        with pytest.raises(NumericError, match="no feasible candidate"):
+            project_orthant_batch(pts, Metric(np.eye(3)))
+
+    def test_rows_past_1e154_match_single_point_path(self, rng):
+        """The squares of such rows overflow; their tolerance must not become inf."""
+        sigma = random_spd(rng, 3)
+        metric = Metric(sigma)
+        pts = rng.standard_normal((30, 3)) * 1e200
+        batch = project_orthant_batch(pts, metric)
+        assert np.all(np.isfinite(batch))
+        cone = ConeSpec.orthant(3)
+        for x, theta in zip(pts, batch):
+            np.testing.assert_allclose(theta, project_cone(x, cone, metric),
+                                       rtol=0, atol=1e-9 * np.abs(x).max())
+
+    def test_uncertified_row_raises_rather_than_returning_zeros(self):
+        """With the apex left out of the table, (-1, -1) has no certified support."""
+        metric = Metric(np.eye(2))
+        table = [(k, comp) for k, comp in _orthant_operators(metric) if len(comp) < 2]
+        xt = np.array([[1.0, -1.0], [2.0, -1.0]])
+        with pytest.raises(NumericError, match="no feasible candidate"):
+            _project_orthant_t(xt, table)
+        np.testing.assert_array_equal(_project_orthant_t(xt[:, :1], table), xt[:, :1])
+
+    def test_bitwise_equal_to_least_objective_oracle(self, rng):
+        """On well-conditioned sigma every row lands on the oracle's support,
+        and the theta of that support is computed to the same bits."""
+        for p in range(1, 10):
+            for sigma in (np.eye(p), random_spd(rng, p, 0.1, 10.0)):
+                metric = Metric(sigma)
+                pts = rng.standard_normal((4000, p)) @ metric.chol_lower.T
+                pts += 0.5 * rng.standard_normal(p)
+                got = project_orthant_batch(pts, metric)
+                np.testing.assert_array_equal(got, orthant_batch_oracle(pts, metric))
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_near_singular_sigma_agrees_with_oracle(self, rng, p, eps):
+        """Under equicorrelation 1 - eps another in-tolerance support can
+        certify first; such rows are rare and within tolerance of the oracle."""
+        metric = Metric((1.0 - eps) * np.ones((p, p)) + eps * np.eye(p))
+        pts = rng.standard_normal((10_000, p)) @ metric.chol_lower.T
+        got = project_orthant_batch(pts, metric)
+        want = orthant_batch_oracle(pts, metric)
+        assert np.mean(np.any(got != want, axis=1)) <= 1e-3
+        scale = 1.0 + np.linalg.norm(pts, axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-7 * scale)
+
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):
             project_orthant_batch(np.zeros((3, 17)), Metric(np.eye(17)))
@@ -507,3 +570,42 @@ def test_projection_satisfies_kkt(problem):
     lam = np.linalg.solve(r @ sigma @ r.T, r @ (theta - x))
     np.testing.assert_allclose(sigma @ r.T @ lam, theta - x, rtol=0, atol=tol)
     assert np.all(lam >= -tol)
+
+
+@st.composite
+def _orthant_batches(draw):
+    """A random SPD sigma and a few rows of hypothesis floats at one scale.
+
+    The floats include zeros, repeats and the ends of their range; the
+    scale 1e-100 or 1e100 moves whole rows far from unit size.
+    """
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = random_spd(rng, p, 0.1, 10.0)
+    x = draw(st.lists(st.floats(-100.0, 100.0), min_size=n * p, max_size=n * p))
+    scale = draw(st.sampled_from([1.0, 1e-100, 1e100]))
+    return sigma, scale * np.array(x).reshape(n, p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_orthant_batches())
+def test_batch_projection_satisfies_kkt(problem):
+    """theta >= 0 and mu = sigma^{-1} (theta - x) >= 0 with mu' theta = 0,
+    all to tolerance; idempotence; rows inside come back bit for bit."""
+    sigma, pts = problem
+    metric = Metric(sigma)
+    batch = project_orthant_batch(pts, metric)
+    assert batch.shape == pts.shape
+    again = project_orthant_batch(batch, metric)
+    for x, theta, twice in zip(pts, batch, again):
+        tol = 1e-9 * (1.0 + np.linalg.norm(x))
+        assert np.all(theta >= -tol)
+        mu = np.linalg.solve(sigma, theta - x)
+        assert np.all(mu >= -tol)
+        assert abs(mu @ theta) <= tol * (1.0 + np.linalg.norm(x))
+        np.testing.assert_allclose(twice, theta, rtol=0, atol=10 * tol)
+    inside = np.abs(pts)
+    assert project_orthant_batch(inside, metric).tobytes() == np.asfortranarray(inside).tobytes()
+    with pytest.raises(NumericError, match="no feasible candidate"):
+        project_orthant_batch(np.vstack([pts, np.full(pts.shape[1], np.nan)]), metric)

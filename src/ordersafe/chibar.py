@@ -485,9 +485,10 @@ def solve_nominal_level(weights: ChiBarWeights, target_level: float, c2: float) 
     lo, hi = target_level, 1.0 - 1e-12
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if abs(attained(mid) - target_level) <= 1e-9:
+        level = attained(mid)
+        if abs(level - target_level) <= 1e-9:
             return mid
-        if attained(mid) < target_level:
+        if level < target_level:
             lo = mid
         else:
             hi = mid

@@ -121,10 +121,7 @@ def _cone_and_subspace(doc, dim, path):
             elif order == "tree":
                 cone = ConeSpec.tree_order(dim)
             elif isinstance(order, dict) and set(order) == {"umbrella"}:
-                peak = order["umbrella"]
-                if not isinstance(peak, int) or isinstance(peak, bool):
-                    raise InputError(f"{path}: umbrella peak must be an integer, not {peak!r}")
-                cone = ConeSpec.umbrella_order(dim, peak)
+                cone = ConeSpec.umbrella_order(dim, order["umbrella"])
             else:
                 raise InputError(
                     f"{path}: 'order' must be 'simple', 'tree', or {{'umbrella': peak}}"
@@ -135,8 +132,8 @@ def _cone_and_subspace(doc, dim, path):
     raise InputError(f"{path}: need a 'restriction' matrix or an 'order' name")
 
 
-def _load_problem(path, args):
-    """Parse an input document into (statistic, sub, cone, alpha, gamma, cfg)."""
+def _load_problem(path):
+    """Parse an input document into (statistic, sub, cone, document)."""
     doc = _load_document(path)
     if "control" in doc or "treatment" in doc:
         control = _require(doc, "control", list, path)
@@ -162,29 +159,31 @@ def _load_problem(path, args):
         except OrderSafeError as exc:
             raise InputError(f"{path}: {exc}") from exc
         cone, sub = _cone_and_subspace(doc, s_n.size, path)
+    return stat, sub, cone, doc
 
+
+def _levels_and_config(doc, args, where):
+    """alpha, gamma and WeightConfig: each option over its document field over its default."""
     alpha = args.alpha if args.alpha is not None else doc.get("alpha", 0.05)
     gamma = args.gamma if args.gamma is not None else doc.get("gamma", 0.05)
     if not (isinstance(alpha, (int, float)) and 0 < alpha < 1):
-        raise InputError(f"{path}: alpha must lie in (0, 1)")
+        raise InputError(f"{where}: alpha must lie in (0, 1)")
     if not (isinstance(gamma, (int, float)) and 0 < gamma < 1):
-        raise InputError(f"{path}: gamma must lie in (0, 1)")
-    cfg = _weight_config(doc.get("mc", {}), args, path)
-    return stat, sub, cone, float(alpha), float(gamma), cfg, doc
-
-
-def _weight_config(mc_doc, args, path):
+        raise InputError(f"{where}: gamma must lie in (0, 1)")
+    mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):
-        raise InputError(f"{path}: 'mc' must be an object with N and seed")
+        raise InputError(f"{where}: 'mc' must be an object with N and seed")
     n_draws = args.mc_n if args.mc_n is not None else mc_doc.get("N", DEFAULT_MC_DRAWS)
     seed = args.seed if args.seed is not None else mc_doc.get("seed", DEFAULT_SEED)
     try:
-        return WeightConfig(n_draws=n_draws, seed=seed)
+        cfg = WeightConfig(n_draws=n_draws, seed=seed)
     except OrderSafeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(f"{where}: {exc}") from exc
+    return float(alpha), float(gamma), cfg
 
 
-def _case_problem(name, args):
+def _case_problem(name):
+    """Parse a built-in case into (statistic, sub, cone, inputs echo)."""
     if name == "silvapulle":
         stat, _ = silvapulle_case()
         sub = LinearSubspace.zero(2)
@@ -198,13 +197,7 @@ def _case_problem(name, args):
         stat, sub, cone = problem.statistic(), problem.subspace(), problem.cone()
         echo = {"case": name, "control": list(table.control),
                 "treatment": list(table.treatment), "labels": list(table.labels)}
-    alpha = args.alpha if args.alpha is not None else 0.05
-    gamma = args.gamma if args.gamma is not None else 0.05
-    cfg = WeightConfig(
-        n_draws=args.mc_n if args.mc_n is not None else DEFAULT_MC_DRAWS,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-    )
-    return stat, sub, cone, float(alpha), float(gamma), cfg, echo
+    return stat, sub, cone, echo
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +288,17 @@ def _print_summary(outcome):
 
 def _run_composite(args):
     _check_out_path(args.out)
+    if args.case is not None and args.input is not None:
+        raise InputError("give either --input FILE or --case NAME, not both")
     if args.case is not None:
-        payload = _case_problem(args.case, args)
+        stat, sub, cone, echo = _case_problem(args.case)
+        doc, where = {}, args.case
     elif args.input is not None:
-        payload = _load_problem(args.input, args)
+        stat, sub, cone, doc = _load_problem(args.input)
+        echo, where = doc, args.input
     else:
         raise InputError("provide --input FILE or --case NAME")
-    stat, sub, cone, alpha, gamma, cfg, echo = payload
+    alpha, gamma, cfg = _levels_and_config(doc, args, where)
     outcome = safe_test(stat, sub, cone, alpha, gamma, cfg)
     return outcome, echo, cfg
 
@@ -373,7 +370,11 @@ def _rows_to_csv(rows, columns) -> str:
 
 def cmd_weights(args) -> int:
     _check_out_path(args.out)
+    if args.identity is not None and args.input is not None:
+        raise InputError("give either --input FILE or --identity DIM, not both")
     if args.identity is not None:
+        if args.identity < 1:
+            raise InputError(f"--identity must be at least 1, not {args.identity}")
         sigma = np.eye(args.identity)
     elif args.input is not None:
         doc = _load_document(args.input)
@@ -411,49 +412,49 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
-def cmd_case(args) -> int:
-    return cmd_safe_test(args)
-
-
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser, with_case=False):
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="level of the original test (default 0.05)")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="level of the certificate pre-test (default 0.05)")
-    parser.add_argument("--mc-n", type=int, default=None, dest="mc_n",
-                        help=f"Monte Carlo draws for weights (default {DEFAULT_MC_DRAWS})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"seed for stochastic steps (default {DEFAULT_SEED})")
-    parser.add_argument("--out", type=str, default=None, help="output report path")
-    if with_case:
-        parser.add_argument("--input", type=str, default=None,
-                            help="JSON problem or contingency-table document")
-        parser.add_argument("--case", type=str, default=None, choices=_CASES,
-                            help="run a built-in case instead of an input file")
+#: The options several subcommands share; each subcommand declares only those it reads.
+_OPTIONS = {
+    "--input": dict(help="JSON problem or contingency-table document"),
+    "--case": dict(choices=_CASES, help="run a built-in case instead of an input file"),
+    "--alpha": dict(type=float, help="level of the original test (default 0.05)"),
+    "--gamma": dict(type=float, help="level of the certificate pre-test (default 0.05)"),
+    "--mc-n": dict(type=int, help=f"Monte Carlo draws for weights (default {DEFAULT_MC_DRAWS})"),
+    "--seed": dict(type=int, help=f"seed for stochastic steps (default {DEFAULT_SEED})"),
+    "--out": dict(help="output report path"),
+    "--format": dict(choices=("json", "csv"), default="csv"),
+}
+
+
+def _add_options(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordersafe",
         description="Order-restricted tests with certificates against Type III errors",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_safe = sub.add_parser("safe-test", help="run the composite safe test")
-    _add_common(p_safe, with_case=True)
-    p_safe.set_defaults(func=cmd_safe_test)
+    def subcommand(name, help_text, func, *options):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        _add_options(p, *options)
+        p.set_defaults(func=func)
+        return p
 
-    p_dt = sub.add_parser("dt", help="run the two base distance tests only")
-    _add_common(p_dt, with_case=True)
-    p_dt.set_defaults(func=cmd_dt)
+    composite = ("--input", "--case", "--alpha", "--gamma", "--mc-n", "--seed", "--out")
+    subcommand("safe-test", "run the composite safe test", cmd_safe_test, *composite)
+    subcommand("dt", "run the two base distance tests only", cmd_dt, *composite)
 
-    p_power = sub.add_parser("power", help="reproduce the power comparison table")
-    _add_common(p_power)
+    p_power = subcommand("power", "reproduce the power comparison table", cmd_power,
+                         "--alpha", "--seed", "--out", "--format")
     p_power.add_argument("--reps", type=int, default=100_000,
                          help="replications per cell (default 1e5)")
     p_power.add_argument("--means", type=str, default=None,
@@ -461,30 +462,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_power.add_argument("--gammas", type=str, default="0.1,0.05,0.01")
     p_power.add_argument("--ns", type=str, default="10,20,50")
     p_power.add_argument("--workers", type=int, default=1)
-    p_power.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_power.set_defaults(func=cmd_power)
 
-    p_weights = sub.add_parser("weights", help="estimate mixture weights by Monte Carlo")
-    _add_common(p_weights)
+    p_weights = subcommand("weights", "estimate mixture weights by Monte Carlo", cmd_weights,
+                           "--mc-n", "--seed", "--out", "--format")
     p_weights.add_argument("--input", type=str, default=None,
                            help="JSON document with a 'sigma' matrix")
     p_weights.add_argument("--identity", type=int, default=None,
-                           help="use an identity covariance of this dimension")
-    p_weights.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_weights.set_defaults(func=cmd_weights)
+                           help="use an identity covariance of this dimension (at least 1)")
 
-    p_case = sub.add_parser("case", help="reproduce a built-in case study")
-    p_case.add_argument("name", choices=_CASES)
-    _add_common(p_case)
-    p_case.set_defaults(func=cmd_case, input=None)
+    p_case = subcommand("case", "reproduce a built-in case study", cmd_safe_test,
+                        "--alpha", "--gamma", "--mc-n", "--seed", "--out")
+    p_case.add_argument("case", choices=_CASES)
+    p_case.set_defaults(input=None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "case":
-        args.case = args.name
     try:
         return args.func(args)
     except InputError as exc:

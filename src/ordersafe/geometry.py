@@ -45,6 +45,23 @@ def _as_vector(x, dim=None, name="x"):
     return v
 
 
+def _read_only_matrix(value, name, shape):
+    """A read-only, C-ordered float copy of value, checked to be 2-d and finite."""
+    m = np.array(value, dtype=float, order="C")
+    if m.ndim != 2:
+        raise ContractViolationError(f"{name} must be a {shape} matrix")
+    if not np.all(np.isfinite(m)):
+        raise ContractViolationError(f"{name} has non-finite entries")
+    m.setflags(write=False)
+    return m
+
+
+def _full_row_rank(m) -> bool:
+    """No more rows than columns, and smallest singular value > _RANK_RTOL * largest."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return m.shape[0] <= m.shape[1] and bool(sv[-1] > _RANK_RTOL * sv[0])
+
+
 def _activity_tol(x):
     # the norm of x / max|x| cannot overflow where the norm of x can (|x| > 1e154)
     scale = float(np.max(np.abs(x), initial=0.0))
@@ -66,17 +83,18 @@ class Metric:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        sigma = _read_only_matrix(self.sigma, "sigma", "square")
+        if sigma.shape[0] != sigma.shape[1]:
             raise ContractViolationError(f"sigma must be square, got shape {sigma.shape}")
-        if not np.all(np.isfinite(sigma)):
-            raise ContractViolationError("sigma has non-finite entries")
+        if sigma.size == 0:
+            raise ContractViolationError("sigma must be non-empty")
         # scaled to max|sigma| = 1, the Frobenius norms can neither underflow nor overflow
-        scale = np.abs(sigma).max(initial=0.0)
-        unit = sigma / (scale or 1.0)
-        if scale == 0 or np.linalg.norm(unit - unit.T) > _SYMMETRY_RTOL * np.linalg.norm(unit):
+        scale = np.abs(sigma).max()
+        unit = sigma / (scale or 1.0)  # a zero sigma fails the Cholesky factorization below
+        if np.linalg.norm(unit - unit.T) > _SYMMETRY_RTOL * np.linalg.norm(unit):
             raise ContractViolationError("sigma is not symmetric within tolerance 1e-10")
-        sigma = 0.5 * (sigma + sigma.T)
+        # halving first is exact and cannot overflow where sigma + sigma.T can
+        sigma = 0.5 * sigma + 0.5 * sigma.T
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         try:
@@ -112,179 +130,117 @@ class Metric:
     def norm_sq(self, u) -> float:
         """u' sigma^{-1} u as |y|^2 with L y = u: one triangular solve, never negative."""
         u = _as_vector(u, self.dim, "u")
-        y = np.linalg.solve(self._chol_lower, u)
-        return float(y @ y)
+        # past about 1e154 the square overflows to inf, which callers reject as non-finite
+        with np.errstate(over="ignore"):
+            y = np.linalg.solve(self._chol_lower, u)
+            return float(y @ y)
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.norm_sq(u), 0.0)))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _order_identity(dim, least, name):
+    """np.eye(dim) for a named order, after checking dim is an integer >= least."""
+    if not _is_integer(dim) or dim < least:
+        raise ContractViolationError(f"{name} needs an integer dimension >= {least}, not {dim!r}")
+    return np.eye(dim)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
-    """A closed convex cone: polyhedral {theta : R theta >= 0} or a named order.
+    """A closed convex cone {theta : R theta >= 0}, stored as its restriction matrix R.
 
-    Named orders (simple, tree, umbrella) compile to an equivalent
-    restriction matrix so a single projection code path serves all
-    variants.
+    R is the one stored matrix for every kind of cone: a finite, non-empty,
+    read-only p x m matrix of full row rank (p <= m), checked once at
+    construction. The named orders build their R from identity rows, so a
+    single projection code path serves all of them.
     """
 
-    kind: str
-    restriction: np.ndarray | None = None
-    dim: int | None = None
-    peak: int | None = None
-
-    _KINDS = ("polyhedral", "orthant", "simple", "tree", "umbrella")
+    restriction: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ContractViolationError(f"unknown cone kind {self.kind!r}")
-        if self.kind == "polyhedral":
-            r = np.asarray(self.restriction, dtype=float)
-            if r.ndim != 2:
-                raise ContractViolationError("restriction must be a p x m matrix")
-            if not np.all(np.isfinite(r)):
-                raise ContractViolationError("restriction has non-finite entries")
-            p, m = r.shape
-            if p > m:
-                raise ContractViolationError(f"restriction has {p} rows > {m} columns")
-            sv = np.linalg.svd(r, compute_uv=False)
-            if sv[-1] <= _RANK_RTOL * sv[0]:
-                raise ContractViolationError("restriction matrix is not of full row rank")
-            r = r.copy()
-            r.setflags(write=False)
-            object.__setattr__(self, "restriction", r)
-        else:
-            if self.dim is None or int(self.dim) < 1:
-                raise ContractViolationError("named cones need a positive dimension")
-            object.__setattr__(self, "dim", int(self.dim))
-            if self.kind == "umbrella":
-                if self.peak is None or not 0 <= int(self.peak) < self.dim:
-                    raise ContractViolationError(
-                        f"umbrella peak {self.peak} outside 0..{self.dim - 1}"
-                    )
-                object.__setattr__(self, "peak", int(self.peak))
-            if self.kind in ("simple", "tree", "umbrella") and self.dim < 2:
-                raise ContractViolationError(f"{self.kind} order needs dimension >= 2")
+        r = _read_only_matrix(self.restriction, "restriction", "p x m")
+        if r.size == 0 or not _full_row_rank(r):
+            raise ContractViolationError(
+                f"restriction must be non-empty and of full row rank, got shape {r.shape}")
+        object.__setattr__(self, "restriction", r)
 
     @classmethod
     def polyhedral(cls, restriction) -> "ConeSpec":
-        return cls(kind="polyhedral", restriction=restriction)
+        return cls(restriction)
 
     @classmethod
     def orthant(cls, dim: int) -> "ConeSpec":
-        return cls(kind="orthant", dim=dim)
+        """Nonnegative coordinates: theta_i >= 0."""
+        return cls(_order_identity(dim, 1, "orthant"))
 
     @classmethod
     def simple_order(cls, dim: int) -> "ConeSpec":
         """Nondecreasing means: theta_1 <= ... <= theta_K."""
-        return cls(kind="simple", dim=dim)
+        e = _order_identity(dim, 2, "simple order")
+        return cls(e[1:] - e[:-1])
 
     @classmethod
     def tree_order(cls, dim: int) -> "ConeSpec":
         """Control smallest: theta_1 <= theta_i for i >= 2."""
-        return cls(kind="tree", dim=dim)
+        e = _order_identity(dim, 2, "tree order")
+        return cls(e[1:] - e[0])
 
     @classmethod
     def umbrella_order(cls, dim: int, peak: int) -> "ConeSpec":
         """Up to the 0-based peak index, then down."""
-        return cls(kind="umbrella", dim=dim, peak=peak)
-
-    @property
-    def ambient_dim(self) -> int:
-        if self.kind == "polyhedral":
-            return self.restriction.shape[1]
-        return self.dim
-
-    @property
-    def n_restrictions(self) -> int:
-        return self.as_polyhedral().shape[0]
+        e = _order_identity(dim, 2, "umbrella order")
+        if not _is_integer(peak) or not 0 <= peak < dim:
+            raise ContractViolationError(
+                f"umbrella peak must be an integer in 0..{dim - 1}, not {peak!r}")
+        return cls(np.concatenate([e[1:peak + 1] - e[:peak], e[peak:-1] - e[peak + 1:]]))
 
     def as_polyhedral(self) -> np.ndarray:
-        """The p x m matrix R with cone = {theta : R theta >= 0}."""
-        if self.kind == "polyhedral":
-            return self.restriction
-        k = self.dim
-        if self.kind == "orthant":
-            return np.eye(k)
-        rows = []
-        if self.kind == "simple":
-            for i in range(k - 1):
-                rows.append(_diff_row(k, i + 1, i))
-        elif self.kind == "tree":
-            for i in range(1, k):
-                rows.append(_diff_row(k, i, 0))
-        else:  # umbrella
-            for i in range(self.peak):
-                rows.append(_diff_row(k, i + 1, i))
-            for i in range(self.peak, k - 1):
-                rows.append(_diff_row(k, i, i + 1))
-        return np.array(rows)
-
-
-def _diff_row(k, plus, minus):
-    row = np.zeros(k)
-    row[plus] = 1.0
-    row[minus] = -1.0
-    return row
+        """The p x m matrix R with cone = {theta : R theta >= 0} (read-only)."""
+        return self.restriction
 
 
 @dataclass(frozen=True)
 class LinearSubspace:
-    """A linear subspace, stored as a constraint matrix and a spanning basis.
+    """A linear subspace of R^m, stored as an m x d basis.
 
-    Exactly one representation is supplied; the other is derived through an
-    SVD null-space computation, so A b = 0 holds for every basis column and
-    dim(L) + rank(A) equals the ambient dimension by construction.
+    The basis is the one stored matrix: finite, read-only and of full column
+    rank (the rule ConeSpec applies to R), checked once at construction, so
+    dim is its number of columns. from_constraint derives an orthonormal
+    basis of a kernel through an SVD; from_basis and zero store their basis.
     """
 
-    constraint: np.ndarray
     basis: np.ndarray
+
+    def __post_init__(self):
+        b = _read_only_matrix(self.basis, "basis", "m x d")
+        if b.shape[1] and not _full_row_rank(b.T):
+            raise ContractViolationError(f"basis of shape {b.shape} is not of full column rank")
+        object.__setattr__(self, "basis", b)
 
     @classmethod
     def from_constraint(cls, a) -> "LinearSubspace":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ContractViolationError("constraint must be a q x m matrix")
-        if not np.all(np.isfinite(a)):
-            raise ContractViolationError("constraint has non-finite entries")
-        b = _null_space(a)
-        return cls._build(a, b)
+        """The kernel {x : A x = 0} of a q x m constraint matrix."""
+        return cls(_null_space(_read_only_matrix(a, "constraint", "q x m")))
 
     @classmethod
     def from_basis(cls, b) -> "LinearSubspace":
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 2:
-            raise ContractViolationError("basis must be an m x d matrix of columns")
-        if not np.all(np.isfinite(b)):
-            raise ContractViolationError("basis has non-finite entries")
-        if b.shape[1] == 0:
-            return cls.zero(b.shape[0])
-        a = _null_space(b.T).T
-        if a.shape[0] == 0:
-            a = np.zeros((0, b.shape[0]))
-        return cls._build(a, b)
+        """The span of the columns of b, which must be linearly independent."""
+        return cls(b)
 
     @classmethod
     def zero(cls, m: int) -> "LinearSubspace":
         """The trivial subspace {0} of dimension m."""
-        return cls._build(np.eye(m), np.zeros((m, 0)))
+        return cls(np.zeros((m, 0)))
 
     @classmethod
     def span_of_ones(cls, m: int) -> "LinearSubspace":
         """The diagonal span{(1, ..., 1)}, the equal-means null space."""
         return cls.from_basis(np.ones((m, 1)))
-
-    @classmethod
-    def _build(cls, a, b) -> "LinearSubspace":
-        a = np.asarray(a, dtype=float).copy()
-        b = np.asarray(b, dtype=float).copy()
-        if a.shape[1] != b.shape[0]:
-            raise ContractViolationError("constraint and basis dimensions disagree")
-        if b.size and np.max(np.abs(a @ b)) > 1e-10 * (1.0 + np.abs(a).max()):
-            raise ContractViolationError("constraint does not annihilate basis")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return cls(constraint=a, basis=b)
 
     @property
     def ambient_dim(self) -> int:
@@ -293,12 +249,6 @@ class LinearSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def contains(self, x, tol=1e-8) -> bool:
-        x = _as_vector(x, self.ambient_dim)
-        if self.constraint.shape[0] == 0:
-            return True
-        return bool(np.max(np.abs(self.constraint @ x)) <= tol * (1.0 + np.linalg.norm(x)))
 
 
 def _null_space(a):
@@ -349,7 +299,7 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     x : array_like
         Point to project.
     cone : ConeSpec
-        Target cone; named orders are compiled to restriction matrices.
+        Target cone, read through its restriction matrix.
     metric : Metric
         SPD matrix defining the geometry.
     """
@@ -551,23 +501,23 @@ def _project_orthant_t(xt, table) -> np.ndarray:
             # rows past 1e154 overflow the squares; scaled, an infinite row's norm is NaN
             scale = np.abs(xt[:, big]).max(axis=0)
             norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
-    neg_tol = -ZERO_TOL * (1.0 + norm)
-    blocks, order = [], []
-    for k, comp in table:
-        cand = xt if k is None else k @ xt
-        done = cand.min(axis=0) >= neg_tol
-        hit = np.flatnonzero(done)
-        if hit.size:
-            theta = cand.take(hit, axis=1)
-            theta[comp] = 0.0
-            blocks.append(theta)
-            order.append(rows.take(hit))
-            if hit.size == rows.size:
-                break
-            keep = np.flatnonzero(~done)
-            xt, rows, neg_tol = xt.take(keep, axis=1), rows.take(keep), neg_tol.take(keep)
-    else:
-        raise NumericError("batch projection found rows with no feasible candidate")
+        neg_tol = -ZERO_TOL * (1.0 + norm)
+        blocks, order = [], []
+        for k, comp in table:
+            cand = xt if k is None else k @ xt
+            done = cand.min(axis=0) >= neg_tol
+            hit = np.flatnonzero(done)
+            if hit.size:
+                theta = cand.take(hit, axis=1)
+                theta[comp] = 0.0
+                blocks.append(theta)
+                order.append(rows.take(hit))
+                if hit.size == rows.size:
+                    break
+                keep = np.flatnonzero(~done)
+                xt, rows, neg_tol = xt.take(keep, axis=1), rows.take(keep), neg_tol.take(keep)
+        else:
+            raise NumericError("batch projection found rows with no feasible candidate")
     inverse = np.empty(n, dtype=np.intp)
     inverse[np.concatenate(order)] = np.arange(n)
     return np.concatenate(blocks, axis=1).take(inverse, axis=1)

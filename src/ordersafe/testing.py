@@ -36,6 +36,7 @@ from .geometry import (
     LinearSubspace,
     Metric,
     _as_vector,
+    _is_integer,
     project_cone,
     project_subspace,
 )
@@ -74,10 +75,6 @@ class Statistic:
         return self.s_n.shape[0]
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class WeightConfig:
     """How mixture weights are obtained for p-values and critical values.
@@ -86,8 +83,8 @@ class WeightConfig:
     orthant reductions, Kudô's exact face decomposition (weights_exact) for
     3 <= p <= EXACT_MAX_DIM (8), and Monte Carlo face counting beyond and
     wherever the exact quadrature fails (correlations very near +-1);
-    n_draws and seed matter only where Monte Carlo runs. "closed_form" allows
-    p <= 2 only; "monte_carlo" estimates the weights at every p.
+    n_draws and seed matter only where Monte Carlo runs. "monte_carlo"
+    estimates the weights at every p.
     """
 
     n_draws: int = DEFAULT_MC_DRAWS
@@ -101,7 +98,7 @@ class WeightConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ContractViolationError(
                 f"seed must be a nonnegative integer, not {self.seed!r}")
-        if self.method not in ("auto", "closed_form", "monte_carlo"):
+        if self.method not in ("auto", "monte_carlo"):
             raise ContractViolationError(f"unknown weight method {self.method!r}")
 
 
@@ -194,21 +191,16 @@ def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
     """Mixture weights of the orthant-reduced problem under the given config."""
     psi = _reduced_psi(stat, sub, cone)
     p = psi.shape[0]
-    if cfg.method == "monte_carlo" or (cfg.method == "auto" and p > EXACT_MAX_DIM):
+    if cfg.method == "monte_carlo" or p > EXACT_MAX_DIM:
         return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
-    if cfg.method == "auto" and p > 2:
+    if p > 2:
         try:
             return weights_exact(psi)
         except NumericError:
             return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
     if p == 1:
         return weights_closed_form_1d()
-    if p == 2:
-        return weights_closed_form_2d(correlation_2x2(psi))
-    raise ContractViolationError(
-        f"closed-form weights exist only for p <= 2 (got p = {p}); "
-        "use method='monte_carlo'"
-    )
+    return weights_closed_form_2d(correlation_2x2(psi))
 
 
 def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:

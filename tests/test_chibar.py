@@ -365,3 +365,14 @@ class TestNominalLevelAdjustment:
         attained = joint_tail(QUADRANT, solve_critical(QUADRANT, nominal), c2)
         assert attained == pytest.approx(0.05, abs=1e-8)
         assert nominal >= 0.05
+
+    @pytest.mark.parametrize("rho, gamma, target, expected", [
+        (0.0, 0.1, 0.05, 0.051768578588960695),
+        (0.0, 0.05, 0.05, 0.050802026409654984),
+        (0.9, 0.05, 0.01, 0.010061492491513429),
+        (-0.5, 0.1, 0.05, 0.05291480533778361),
+    ])
+    def test_frozen_values(self, rho, gamma, target, expected):
+        """Bit-identical to the bisection that evaluated the attained level twice per step."""
+        w = weights_closed_form_2d(rho)
+        assert solve_nominal_level(w, target, solve_critical(w, gamma)) == expected

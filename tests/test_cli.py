@@ -326,6 +326,62 @@ class TestWeightsCommand:
         assert float(rows[0]["weight"]) == pytest.approx(0.5, abs=0.01)
 
 
+class TestOptionsAreDeclaredWhereRead:
+    @pytest.mark.parametrize("argv", [
+        ["power", "--gamma", "0.3", "--reps", "10"],
+        ["power", "--mc-n", "5", "--reps", "10"],
+        ["weights", "--identity", "2", "--alpha", "0.9"],
+        ["weights", "--identity", "2", "--gamma", "0.1"],
+    ])
+    def test_unread_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["safe-test"], ["dt"]])
+    def test_case_with_input_exits_2_without_output(self, command, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(dict(_PROBLEM, order="simple")))
+        out = tmp_path / "report.json"
+        argv = command + ["--case", "silvapulle", "--input", str(path), "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert not out.exists()
+        assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["-1", "0"])
+    def test_identity_must_be_positive(self, dim, capsys):
+        assert run(["weights", "--identity", dim, "--mc-n", "100"]) == EXIT_INPUT
+        assert f"--identity must be at least 1, not {dim}" in capsys.readouterr().err
+
+    def test_identity_with_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"sigma": [[1.0, 0.0], [0.0, 1.0]]}))
+        assert run(["weights", "--identity", "2", "--input", str(path)]) == EXIT_INPUT
+        assert "not both" in capsys.readouterr().err
+
+    def test_case_subcommand_reads_levels_like_safe_test(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        options = ["--alpha", "0.1", "--gamma", "0.2", "--seed", "5"]
+        assert run(["case", "cs-table5", *options, "--out", str(a)]) == EXIT_OK
+        assert run(["safe-test", "--case", "cs-table5", *options, "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        report = json.loads(a.read_text())
+        assert (report["alpha"], report["gamma"], report["seed"]) == (0.1, 0.2, 5)
+
+    @pytest.mark.parametrize("option", ["--alpha", "--gamma"])
+    def test_case_levels_are_checked_like_documents(self, option, capsys):
+        assert run(["case", "silvapulle", option, "1.5"]) == EXIT_INPUT
+        assert "must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["safe-test", "--cas", "silvapulle"],
+                                      ["power", "--rep", "10"]])
+    def test_abbreviated_options_are_not_expanded(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+
+
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy only: importing the CLI loads no scipy module."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ordersafe.__file__)))

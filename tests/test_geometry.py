@@ -78,6 +78,20 @@ class TestMetric:
         with pytest.raises(NotPositiveDefiniteError):
             Metric(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_huge_entries_symmetrize_without_overflow(self):
+        sigma = 1e308 * interclass(0.5)
+        m = Metric(sigma)
+        np.testing.assert_array_equal(m.sigma, sigma)
+        assert np.all(np.isfinite(m.chol_lower))
+
+    def test_zero_sigma_is_not_positive_definite(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            Metric(np.zeros((2, 2)))
+
+    def test_empty_sigma_rejected(self):
+        with pytest.raises(ContractViolationError, match="sigma must be non-empty"):
+            Metric(np.zeros((0, 0)))
+
     def test_factor_and_solve(self, rng):
         sigma = random_spd(rng, 6, 0.1, 10.0)
         m = Metric(sigma)
@@ -136,6 +150,45 @@ class TestConeSpec:
         with pytest.raises(ContractViolationError):
             ConeSpec.umbrella_order(4, peak=4)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConeSpec.simple_order(3.7),
+        lambda: ConeSpec.tree_order(4.0),
+        lambda: ConeSpec.orthant(True),
+        lambda: ConeSpec.simple_order(1),
+        lambda: ConeSpec.orthant(0),
+        lambda: ConeSpec.umbrella_order(4, True),
+        lambda: ConeSpec.umbrella_order(4, 1.0),
+        lambda: ConeSpec.umbrella_order(4, -1),
+    ])
+    def test_named_orders_take_integers_only(self, make):
+        with pytest.raises(ContractViolationError):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        np.testing.assert_array_equal(ConeSpec.simple_order(np.int64(3)).as_polyhedral(),
+                                      ConeSpec.simple_order(3).as_polyhedral())
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (2, 0)])
+    def test_empty_restriction_rejected(self, shape):
+        with pytest.raises(ContractViolationError):
+            ConeSpec.polyhedral(np.zeros(shape))
+
+    def test_restriction_is_read_only_for_every_kind(self):
+        r = np.array([[1.0, -1.0, 0.0]])
+        cones = [ConeSpec.polyhedral(r), ConeSpec.orthant(3), ConeSpec.simple_order(3),
+                 ConeSpec.tree_order(3), ConeSpec.umbrella_order(3, 1)]
+        for cone in cones:
+            assert cone.as_polyhedral() is cone.restriction
+            assert not cone.restriction.flags.writeable
+        r[0, 0] = 7.0
+        assert cones[0].restriction[0, 0] == 1.0
+
+    def test_umbrella_rows_carry_no_negative_zero(self):
+        for k in range(2, 7):
+            for peak in range(k):
+                r = ConeSpec.umbrella_order(k, peak).as_polyhedral()
+                assert not np.any(np.signbit(r) & (r == 0)), (k, peak)
+
     def test_named_and_polyhedral_projections_agree(self, rng):
         """Projection through the compiled restriction matches the named cone."""
         for kind in ("simple", "tree", "umbrella"):
@@ -156,9 +209,10 @@ class TestConeSpec:
 
 class TestLinearSubspace:
     def test_constraint_annihilates_basis(self):
-        sub = LinearSubspace.from_constraint(np.array([[1.0, -1.0, 0.0]]))
+        a = np.array([[1.0, -1.0, 0.0]])
+        sub = LinearSubspace.from_constraint(a)
         assert sub.dim == 2
-        assert np.max(np.abs(sub.constraint @ sub.basis)) < 1e-12
+        assert np.max(np.abs(a @ sub.basis)) < 1e-12
 
     def test_dim_plus_rank_is_ambient(self, rng):
         a = random_full_rank(rng, 2, 5)
@@ -176,17 +230,39 @@ class TestLinearSubspace:
         """Singular values at or below s_max * eps * max(q, m) count as zero."""
         eps = np.finfo(float).eps
         for tiny, dim in ((2.0 * eps, 1), (4.0 * eps, 0)):
-            sub = LinearSubspace.from_constraint(np.diag([1.0, tiny]))
+            a = np.diag([1.0, tiny])
+            sub = LinearSubspace.from_constraint(a)
             assert sub.dim == dim, tiny
-        sub = LinearSubspace.from_basis(np.array([[1.0], [1.0], [1.0]]))
-        assert sub.constraint.shape == (2, 3)
-        np.testing.assert_allclose(sub.constraint @ sub.constraint.T, np.eye(2), atol=1e-15)
+            assert np.max(np.abs(a @ sub.basis), initial=0.0) <= tiny
+        a = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        sub = LinearSubspace.from_constraint(a)
+        assert sub.dim == 3 - np.linalg.matrix_rank(a) == 1
+        np.testing.assert_allclose(a @ sub.basis, 0.0, atol=1e-15)
+        np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(1), atol=1e-15)
 
     def test_zero_subspace(self):
         sub = LinearSubspace.zero(3)
         assert sub.dim == 0
         m = Metric(np.eye(3))
         np.testing.assert_allclose(project_subspace([1.0, 2.0, 3.0], sub, m), 0.0)
+
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+        [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-12]],
+    ])
+    def test_basis_without_full_column_rank_rejected(self, basis):
+        """The rank rule of ConeSpec: smallest singular value <= 1e-10 * largest."""
+        with pytest.raises(ContractViolationError, match="full column rank"):
+            LinearSubspace.from_basis(basis)
+
+    def test_basis_is_stored_read_only(self):
+        b = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+        sub = LinearSubspace.from_basis(b)
+        np.testing.assert_array_equal(sub.basis, b)
+        assert not sub.basis.flags.writeable
+        b[0, 0] = 5.0
+        assert sub.basis[0, 0] == 1.0
 
 
 class TestProjectSubspace:

@@ -146,6 +146,11 @@ class TestWeightResolution:
         with pytest.raises(ContractViolationError):
             WeightConfig(**kwargs)
 
+    @pytest.mark.parametrize("method", ["closed_form", "exact", ""])
+    def test_config_takes_auto_or_monte_carlo_only(self, method):
+        with pytest.raises(ContractViolationError, match="unknown weight method"):
+            WeightConfig(method=method)
+
     def test_subspace_must_be_restriction_kernel(self):
         # one equality direction too few: dim L = 0 but kernel has dim 1
         stat = gaussian_stat([1.0, 1.0, 1.0], np.eye(3), 5)

@@ -5,7 +5,7 @@ is distributed as a mixture of chi-square laws whose weights are the
 probabilities of landing on a face of each dimension. This module provides
 the closed-form weights for one- and two-dimensional orthants, exact
 weights up to p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with
-Plackett's orthant reduction (weights_exact, deterministic, the "auto"
+Plackett's orthant reduction (weights_exact, deterministic, the
 weights of the safe test for 3 <= p <= 8), Monte Carlo weight
 estimation by face counting (the estimator beyond p = 8, where the exact
 quadrature fails, on request at any p, and the oracle the exact weights are
@@ -41,7 +41,7 @@ from .errors import (
     InternalInvariantError,
     NumericError,
 )
-from .geometry import Metric, _orthant_operators, _project_orthant_t, face_dimension_batch
+from .geometry import Metric, _orthant_operators, _project_orthant_t
 
 #: Documented default seed used by every stochastic entry point.
 DEFAULT_SEED = 1729
@@ -157,6 +157,8 @@ def correlation_2x2(psi) -> float:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (2, 2):
         raise ContractViolationError("expected a 2 x 2 covariance")
+    # dividing by a power of two is exact and keeps psi_00 psi_11 in range
+    psi = np.ldexp(psi, -np.frexp(np.abs(psi).max())[1])
     return float(psi[0, 1] / np.sqrt(psi[0, 0] * psi[1, 1]))
 
 
@@ -296,14 +298,14 @@ def weights_exact(psi) -> ChiBarWeights:
         if not np.isfinite(residual):
             raise NumericError(
                 f"exact weights are not finite at {n_nodes} quadrature nodes; "
-                "use method=\"monte_carlo\""
+                "use weights_monte_carlo"
             )
         if residual <= _EXACT_TOL:
             break
         if n_nodes >= _EXACT_MAX_NODES:
             raise NumericError(
                 f"exact weights missed the sum and parity identities by {residual:.3g} "
-                f"at {n_nodes} quadrature nodes; use method=\"monte_carlo\""
+                f"at {n_nodes} quadrature nodes; use weights_monte_carlo"
             )
         n_nodes *= 2
     if residual > 1e-12:
@@ -323,12 +325,12 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     """Estimate orthant weights by projecting Gaussian draws and counting faces.
 
     Draws are generated in fixed-size chunks, each from its own stream
-    spawned deterministically from the seed, and the face counts are merged
-    in chunk order. The result is therefore reproducible bit-for-bit for a
-    given (psi, n_draws, seed) regardless of how chunks might be scheduled.
-    The draws are projected by the KKT-certified pass of
-    geometry.project_orthant_batch, coordinate-major, with its table of
-    2^p support operators built once per call and shared by every chunk.
+    spawned from the seed by _seeded_chunks (which seeds the power harness
+    too), and the face counts are merged in chunk order, so the result is
+    reproducible bit-for-bit for a given (psi, n_draws, seed). The draws
+    are projected by the KKT-certified pass of project_orthant_batch, with
+    its 2^p support operators built once per call; the certificate decides
+    each face, counting a draw towards w_j when a support of size j does.
 
     Parameters
     ----------
@@ -348,20 +350,20 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     chol = metric.chol_lower
     table = _orthant_operators(metric)
     counts = np.zeros(p + 1, dtype=np.int64)
-    root = np.random.SeedSequence(seed)
-    n_chunks = (n_draws + _MC_CHUNK - 1) // _MC_CHUNK
-    children = root.spawn(n_chunks)
-    remaining = n_draws
-    for child in children:
-        size = min(_MC_CHUNK, remaining)
-        remaining -= size
+    for child, size in _seeded_chunks(seed, n_draws, _MC_CHUNK):
         rng = np.random.default_rng(child)
-        proj = _project_orthant_t(chol @ rng.standard_normal((size, p)).T, table)
-        dims = face_dimension_batch(proj.T)
-        counts += np.bincount(dims, minlength=p + 1)
+        counts += _project_orthant_t(chol @ rng.standard_normal((size, p)).T, table)[1]
     return ChiBarWeights(
         w=counts / float(n_draws), source="monte_carlo", n_draws=n_draws, seed=seed
     )
+
+
+def _seeded_chunks(seed: int, total: int, chunk: int):
+    """(SeedSequence child, size) of each fixed-size chunk of total draws, in
+    order; child i is the i-th spawn of SeedSequence(seed), whoever draws it."""
+    n_chunks = (total + chunk - 1) // chunk
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        yield child, min(chunk, total - i * chunk)
 
 
 def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:

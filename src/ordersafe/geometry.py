@@ -12,6 +12,7 @@ function of its inputs, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,15 @@ def _full_row_rank(m) -> bool:
     return m.shape[0] <= m.shape[1] and bool(sv[-1] > _RANK_RTOL * sv[0])
 
 
-def _activity_tol(x):
-    # the norm of x / max|x| cannot overflow where the norm of x can (|x| > 1e154)
-    scale = float(np.max(np.abs(x), initial=0.0))
-    norm = scale * float(np.linalg.norm(x / scale)) if scale > 0.0 else 0.0
+def _activity_tol(xt) -> np.ndarray:
+    """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array; only columns whose
+    squares overflow (past about 1e154) are rescaled by max|x|, inf giving NaN."""
+    norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
+    big = np.flatnonzero(np.isinf(norm))
+    if big.size:
+        scale = np.abs(xt[:, big]).max(axis=0)
+        with np.errstate(invalid="ignore"):
+            norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
     return ZERO_TOL * (1.0 + norm)
 
 
@@ -143,11 +149,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _order_identity(dim, least, name):
-    """np.eye(dim) for a named order, after checking dim is an integer >= least."""
+def _check_dimension(dim, least, name):
+    """dim itself, after checking it is an integer >= least."""
     if not _is_integer(dim) or dim < least:
         raise ContractViolationError(f"{name} needs an integer dimension >= {least}, not {dim!r}")
-    return np.eye(dim)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -176,24 +182,24 @@ class ConeSpec:
     @classmethod
     def orthant(cls, dim: int) -> "ConeSpec":
         """Nonnegative coordinates: theta_i >= 0."""
-        return cls(_order_identity(dim, 1, "orthant"))
+        return cls(np.eye(_check_dimension(dim, 1, "orthant")))
 
     @classmethod
     def simple_order(cls, dim: int) -> "ConeSpec":
         """Nondecreasing means: theta_1 <= ... <= theta_K."""
-        e = _order_identity(dim, 2, "simple order")
+        e = np.eye(_check_dimension(dim, 2, "simple order"))
         return cls(e[1:] - e[:-1])
 
     @classmethod
     def tree_order(cls, dim: int) -> "ConeSpec":
         """Control smallest: theta_1 <= theta_i for i >= 2."""
-        e = _order_identity(dim, 2, "tree order")
+        e = np.eye(_check_dimension(dim, 2, "tree order"))
         return cls(e[1:] - e[0])
 
     @classmethod
     def umbrella_order(cls, dim: int, peak: int) -> "ConeSpec":
         """Up to the 0-based peak index, then down."""
-        e = _order_identity(dim, 2, "umbrella order")
+        e = np.eye(_check_dimension(dim, 2, "umbrella order"))
         if not _is_integer(peak) or not 0 <= peak < dim:
             raise ContractViolationError(
                 f"umbrella peak must be an integer in 0..{dim - 1}, not {peak!r}")
@@ -235,12 +241,12 @@ class LinearSubspace:
     @classmethod
     def zero(cls, m: int) -> "LinearSubspace":
         """The trivial subspace {0} of dimension m."""
-        return cls(np.zeros((m, 0)))
+        return cls(np.zeros((_check_dimension(m, 1, "zero subspace"), 0)))
 
     @classmethod
     def span_of_ones(cls, m: int) -> "LinearSubspace":
         """The diagonal span{(1, ..., 1)}, the equal-means null space."""
-        return cls.from_basis(np.ones((m, 1)))
+        return cls.from_basis(np.ones((_check_dimension(m, 1, "span of ones"), 1)))
 
     @property
     def ambient_dim(self) -> int:
@@ -313,7 +319,7 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
 
 
 def _dual_active_set(x, r, metric):
-    tol = _activity_tol(x)
+    tol = _activity_tol(x[:, None])[0]
     rx = r @ x
     if np.all(rx >= -tol):
         return x.copy()
@@ -421,7 +427,7 @@ def face_dimension(x) -> int:
     1e-10 * (1 + ||x||).
     """
     x = np.asarray(x, dtype=float)
-    return int(np.sum(x > _activity_tol(x)))
+    return int(np.sum(x > _activity_tol(x[:, None])[0]))
 
 
 def project_orthant_batch(points, metric: Metric) -> np.ndarray:
@@ -449,7 +455,8 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     and the (n, p) result is the transpose of the pass's (p, n) array
     (Fortran-ordered); ``.T`` gives the coordinate-major layout back
     without a copy. Used by the Monte Carlo weight estimator and the power
-    harness, where millions of low-dimensional projections are needed.
+    harness, where millions of low-dimensional projections are needed. The
+    certificate also decides each row's face, the size of its support.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -457,7 +464,7 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     p = pts.shape[1]
     if p != metric.dim:
         raise ContractViolationError("points and metric dimensions disagree")
-    return _project_orthant_t(np.ascontiguousarray(pts.T), _orthant_operators(metric)).T
+    return _project_orthant_t(np.ascontiguousarray(pts.T), _orthant_operators(metric))[0].T
 
 
 def _orthant_operators(metric: Metric) -> list:
@@ -468,7 +475,10 @@ def _orthant_operators(metric: Metric) -> list:
     p = metric.dim
     if p > _EXACT_MAX_ROWS:
         raise CapabilityError(f"batch projection supports p <= {_EXACT_MAX_ROWS}")
-    minv = metric.inverse()
+    # K_S is unchanged when the Cholesky factor is scaled by a power of two,
+    # which is exact; at unit scale no entry of sigma^{-1} is subnormal
+    chol = metric.chol_lower * 2.0 ** -math.frexp(np.abs(metric.chol_lower).max())[1]
+    minv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(p)))
     table = [(None, [])]
     for size in range(p):
         for support in itertools.combinations(range(p), size):
@@ -488,21 +498,17 @@ def _orthant_operators(metric: Metric) -> list:
     return table
 
 
-def _project_orthant_t(xt, table) -> np.ndarray:
-    """The pass of project_orthant_batch on a (p, n) array, returning (p, n)."""
-    n = xt.shape[1]
+def _project_orthant_t(xt, table):
+    """The pass of project_orthant_batch on a (p, n) array: the (p, n)
+    projections and counts[j], the number of rows certified at support size j."""
+    p, n = xt.shape
+    counts = np.zeros(p + 1, dtype=np.int64)
     if n == 0:
-        return xt.copy()
+        return xt.copy(), counts
     rows = np.arange(n)
+    neg_tol = -_activity_tol(xt)
+    blocks, order = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
-        big = np.flatnonzero(np.isinf(norm))
-        if big.size:
-            # rows past 1e154 overflow the squares; scaled, an infinite row's norm is NaN
-            scale = np.abs(xt[:, big]).max(axis=0)
-            norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
-        neg_tol = -ZERO_TOL * (1.0 + norm)
-        blocks, order = [], []
         for k, comp in table:
             cand = xt if k is None else k @ xt
             done = cand.min(axis=0) >= neg_tol
@@ -512,6 +518,7 @@ def _project_orthant_t(xt, table) -> np.ndarray:
                 theta[comp] = 0.0
                 blocks.append(theta)
                 order.append(rows.take(hit))
+                counts[p - len(comp)] += hit.size
                 if hit.size == rows.size:
                     break
                 keep = np.flatnonzero(~done)
@@ -520,11 +527,4 @@ def _project_orthant_t(xt, table) -> np.ndarray:
             raise NumericError("batch projection found rows with no feasible candidate")
     inverse = np.empty(n, dtype=np.intp)
     inverse[np.concatenate(order)] = np.arange(n)
-    return np.concatenate(blocks, axis=1).take(inverse, axis=1)
-
-
-def face_dimension_batch(points) -> np.ndarray:
-    """Vectorized face_dimension over rows."""
-    pts = np.asarray(points, dtype=float)
-    tol = ZERO_TOL * (1.0 + np.linalg.norm(pts, axis=1))
-    return (pts > tol[:, None]).sum(axis=1)
+    return np.concatenate(blocks, axis=1).take(inverse, axis=1), counts

@@ -16,10 +16,10 @@ import numpy as np
 
 from .chibar import (
     DEFAULT_SEED,
-    joint_tail,
+    _seeded_chunks,
+    correlation_2x2,
     solve_critical,
     weights_closed_form_2d,
-    correlation_2x2,
 )
 from .errors import ContractViolationError, DegenerateVarianceError
 from .geometry import ConeSpec, LinearSubspace, Metric, _orthant_operators, _project_orthant_t
@@ -144,18 +144,15 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
             critical_value(w, scenario.alpha),
             critical_value(w.complement(), scenario.gamma),
         ))
-        reps = scenario.replications
-        n_chunks = (reps + _POWER_CHUNK - 1) // _POWER_CHUNK
-        children = np.random.SeedSequence(scenario.seed).spawn(n_chunks)
-        jobs += [(index, child, min(_POWER_CHUNK, reps - i * _POWER_CHUNK))
-                 for i, child in enumerate(children)]
+        jobs += [(index, child, size) for child, size
+                 in _seeded_chunks(scenario.seed, scenario.replications, _POWER_CHUNK)]
 
     def one_chunk(job):
         index, child, size = job
         scenario, chol, minv, table, c_alpha, c_gamma = plans[index]
         rng = np.random.default_rng(child)
         xbar = scenario.theta[:, None] + chol @ rng.standard_normal((size, 2)).T
-        proj = _project_orthant_t(xbar, table)
+        proj = _project_orthant_t(xbar, table)[0]
         diff = xbar - proj
         t = scenario.n * (proj * (minv @ proj)).sum(axis=0)
         t_aux = scenario.n * (diff * (minv @ diff)).sum(axis=0)

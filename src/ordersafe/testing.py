@@ -77,19 +77,20 @@ class Statistic:
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """How mixture weights are obtained for p-values and critical values.
+    """The Monte Carlo settings of resolve_weights.
 
-    method "auto" uses the closed forms for one- and two-dimensional
+    resolve_weights uses the closed forms for one- and two-dimensional
     orthant reductions, Kudô's exact face decomposition (weights_exact) for
     3 <= p <= EXACT_MAX_DIM (8), and Monte Carlo face counting beyond and
     wherever the exact quadrature fails (correlations very near +-1);
-    n_draws and seed matter only where Monte Carlo runs. "monte_carlo"
-    estimates the weights at every p.
+    n_draws and seed matter only where Monte Carlo runs, whose KKT
+    certificate decides each draw's face and whose chunk streams come from
+    the one seeding helper it shares with the power harness. Monte Carlo
+    weights at any p come from calling weights_monte_carlo.
     """
 
     n_draws: int = DEFAULT_MC_DRAWS
     seed: int = DEFAULT_SEED
-    method: str = "auto"
 
     def __post_init__(self):
         if not _is_integer(self.n_draws) or self.n_draws < 1:
@@ -98,8 +99,6 @@ class WeightConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ContractViolationError(
                 f"seed must be a nonnegative integer, not {self.seed!r}")
-        if self.method not in ("auto", "monte_carlo"):
-            raise ContractViolationError(f"unknown weight method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
     """Mixture weights of the orthant-reduced problem under the given config."""
     psi = _reduced_psi(stat, sub, cone)
     p = psi.shape[0]
-    if cfg.method == "monte_carlo" or p > EXACT_MAX_DIM:
+    if p > EXACT_MAX_DIM:
         return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
     if p > 2:
         try:

@@ -61,6 +61,12 @@ class TestClosedFormWeights:
             assert np.all(w.w >= 0)
             assert w.w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0**1023, 2.0**-565, 2.0**-1020])
+    def test_correlation_is_scale_free(self, scale):
+        """psi_00 psi_11 would leave double range; the correlation must not."""
+        psi = np.array([[1.0, 0.9], [0.9, 0.5]])
+        assert correlation_2x2(scale * psi) == correlation_2x2(psi)
+
     def test_complement_reverses(self):
         w = weights_closed_form_2d(0.3)
         np.testing.assert_allclose(w.complement().w, w.w[::-1])
@@ -113,6 +119,18 @@ class TestMonteCarloWeights:
         the values of the least-objective projector this one replaced."""
         w = weights_monte_carlo(np.eye(p), n_draws=40_000, seed=11)
         assert w.w.tolist() == [c / 40_000 for c in counts]
+
+    @pytest.mark.parametrize("scale", [2.0**1000, 1e308])
+    @pytest.mark.parametrize("p", [2, 5])
+    @pytest.mark.parametrize("order", ["identity", "simple"])
+    def test_face_counts_do_not_depend_on_scale(self, order, p, scale):
+        """Draws of scale * psi square past double range; their faces are
+        those of psi (simple-order R R' / 2 keeps the scaled diagonal finite)."""
+        r = ConeSpec.simple_order(p + 1).as_polyhedral()
+        psi = np.eye(p) if order == "identity" else 0.5 * (r @ r.T)
+        want = weights_monte_carlo(psi, n_draws=40_000, seed=11).w
+        np.testing.assert_array_equal(
+            weights_monte_carlo(scale * psi, n_draws=40_000, seed=11).w, want)
 
     def test_three_dimensional_weights_sum_to_one(self, rng):
         sigma = random_spd(rng, 3)

@@ -304,6 +304,16 @@ class TestWeightsCommand:
         assert payload["weights"][2] == pytest.approx(0.4282, abs=0.006)
         assert payload["closed_form"][2] == pytest.approx(0.4282, abs=5e-5)
 
+    def test_scaled_identity_prints_the_identity_bytes(self, tmp_path, capsys):
+        """The squares of 1e308 I leave double range; its weights are those of I."""
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"sigma": [[1e308, 0.0], [0.0, 1e308]]}))
+        options = ["--mc-n", "20000", "--seed", "3"]
+        assert run(["weights", "--identity", "2"] + options) == EXIT_OK
+        want = capsys.readouterr().out
+        assert run(["weights", "--input", str(path)] + options) == EXIT_OK
+        assert capsys.readouterr().out == want
+
     def test_non_spd_exits_3(self, tmp_path):
         path = tmp_path / "sigma.json"
         path.write_text(json.dumps({"sigma": [[1.0, 2.0], [2.0, 1.0]]}))

@@ -17,7 +17,6 @@ from ordersafe.geometry import (
     acceptance_member_type_a,
     acceptance_member_type_b,
     face_dimension,
-    face_dimension_batch,
     in_polar_orthant,
     polar_complement,
     project_cone,
@@ -245,6 +244,13 @@ class TestLinearSubspace:
         assert sub.dim == 0
         m = Metric(np.eye(3))
         np.testing.assert_allclose(project_subspace([1.0, 2.0, 3.0], sub, m), 0.0)
+
+    @pytest.mark.parametrize("make", [LinearSubspace.zero, LinearSubspace.span_of_ones])
+    @pytest.mark.parametrize("m", [-1, 0, 2.5, True, "3"])
+    def test_ambient_dimension_is_a_positive_integer(self, make, m):
+        """The dimension rule of the named ConeSpec orders."""
+        with pytest.raises(ContractViolationError, match="integer dimension >= 1"):
+            make(m)
 
     @pytest.mark.parametrize("basis", [
         [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
@@ -576,7 +582,7 @@ class TestBatchProjection:
         xt = np.array([[1.0, -1.0], [2.0, -1.0]])
         with pytest.raises(NumericError, match="no feasible candidate"):
             _project_orthant_t(xt, table)
-        np.testing.assert_array_equal(_project_orthant_t(xt[:, :1], table), xt[:, :1])
+        np.testing.assert_array_equal(_project_orthant_t(xt[:, :1], table)[0], xt[:, :1])
 
     def test_bitwise_equal_to_least_objective_oracle(self, rng):
         """On well-conditioned sigma every row lands on the oracle's support,
@@ -606,12 +612,17 @@ class TestBatchProjection:
         with pytest.raises(CapabilityError):
             project_orthant_batch(np.zeros((3, 17)), Metric(np.eye(17)))
 
-    def test_face_dimension_batch_matches_scalar(self, rng):
-        pts = np.abs(rng.standard_normal((50, 3)))
-        pts[::3, 0] = 0.0
-        np.testing.assert_array_equal(
-            face_dimension_batch(pts), [face_dimension(r) for r in pts]
-        )
+    def test_certified_face_counts_match_scalar_face_dimension(self, rng):
+        """The pass counts each row at the size of the support that certified
+        it; those counts equal face_dimension over the projected rows."""
+        for p in range(1, 10):
+            for sigma in (np.eye(p), random_spd(rng, p, 0.1, 10.0)):
+                metric = Metric(sigma)
+                xt = metric.chol_lower @ rng.standard_normal((p, 4000))
+                theta, counts = _project_orthant_t(xt, _orthant_operators(metric))
+                want = np.bincount([face_dimension(t) for t in theta.T], minlength=p + 1)
+                np.testing.assert_array_equal(counts, want)
+                assert counts.sum() == 4000
 
 
 @st.composite

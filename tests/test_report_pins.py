@@ -15,9 +15,12 @@ import json
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 
 from ordersafe.cli import EXIT_OK, main
+from ordersafe.geometry import ConeSpec, LinearSubspace, Metric
+from ordersafe.testing import Statistic, resolve_weights
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -66,6 +69,39 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert code == EXIT_OK
     assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert summary == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_scaled_document_reproduces_golden_report(name, tmp_path):
+    """s_n * 2^510 and sigma_n * 2^1020 are exact rescalings near the top of
+    double range; every field but the echoed inputs stays as at unit scale."""
+    doc = dict(DOCUMENTS[name])
+    doc["s_n"] = [x * 2.0**510 for x in doc["s_n"]]
+    doc["sigma_n"] = [[x * 2.0**1020 for x in row] for row in doc["sigma_n"]]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_OK
+    got = json.loads(out.read_text(encoding="utf-8"))
+    want = json.loads((GOLDEN / f"input-{name}.json").read_text(encoding="utf-8"))
+    assert got.pop("inputs") != want.pop("inputs")
+    assert got == want
+
+
+def test_restriction_weights_at_tiny_scale():
+    """At s_n * 2^-500 and sigma_n * 2^-1000 the product psi_00 psi_11 of
+    the reduced covariance underflows; the weights are those at unit scale."""
+    doc = DOCUMENTS["restriction"]
+    r = np.array(doc["restriction"])
+    sub, cone = LinearSubspace.from_constraint(r), ConeSpec.polyhedral(r)
+
+    def weights(scale):
+        stat = Statistic(s_n=np.array(doc["s_n"]) * scale,
+                         sigma_n=Metric(np.array(doc["sigma_n"]) * scale**2), n=doc["n"])
+        return resolve_weights(stat, sub, cone).w
+
+    np.testing.assert_array_equal(weights(2.0**-500), weights(1.0))
 
 
 def _regenerate():

@@ -23,11 +23,14 @@ not cancel, and the upper tail is 1 - P(a, x) there. For x > a + 1 the
 upper tail is the finite series of Abramowitz & Stegun 26.4.4 (odd df,
 erfc(sqrt x) plus df // 2 terms) and 26.4.5 (even df, e^-x times df / 2
 terms), and the lower tail is its complement. Both tails are therefore
-complementary to the rounding of one subtraction.
+complementary to the rounding of one subtraction. The series of df is a
+prefix of that of df + 2, so one pass per parity gives the upper series of
+every df a mixture needs, and every tail reads from that one evaluator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from .errors import (
     InternalInvariantError,
     NumericError,
 )
-from .geometry import Metric, _orthant_operators, _project_orthant_t
+from .geometry import Metric, _is_integer, _orthant_operators, _project_orthant_t
 
 #: Documented default seed used by every stochastic entry point.
 DEFAULT_SEED = 1729
@@ -49,7 +52,7 @@ DEFAULT_SEED = 1729
 #: Default number of Monte Carlo replications for weight estimation.
 DEFAULT_MC_DRAWS = 1_000_000
 
-#: Largest dimension weights_exact accepts; one 16-node pass takes 0.15 s at p = 8.
+#: Largest dimension weights_exact accepts; one 16-node pass takes 75 ms at p = 8.
 EXACT_MAX_DIM = 8
 
 #: Gauss-Legendre nodes per Plackett integral on the first pass of weights_exact.
@@ -66,18 +69,48 @@ _BISECT_MAX_ITER = 200
 
 def chi2_sf(t: float, df: int) -> float:
     """Upper tail P(chi2_df >= t) for integer df >= 1 (df = 0 handled by mixtures)."""
-    x = 0.5 * t
-    if x <= 0.5 * df + 1.0:
-        return 1.0 - _lower_gamma_series(x, 0.5 * df)
-    return _upper_series(x, df)
+    _check_chi2_args(t, df)
+    return _chi2_tails(t, df)[0][df]
 
 
 def chi2_cdf(t: float, df: int) -> float:
     """Lower tail P(chi2_df < t) for integer df >= 1."""
+    _check_chi2_args(t, df)
+    return _chi2_tails(t, df)[1][df]
+
+
+def _check_chi2_args(t: float, df: int) -> None:
+    if not _is_integer(df) or df < 1:
+        raise ContractViolationError(f"df must be an integer >= 1, not {df!r}")
+    if t != t:
+        raise ContractViolationError("t must be a number, not nan")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not value >= 0:  # NaN fails too
+        raise ContractViolationError(f"{name} must be a nonnegative number, not {value!r}")
+
+
+def _chi2_tails(t: float, p: int) -> tuple[list[float], list[float]]:
+    """(sf, cdf) with sf[df] = P(chi2_df >= t) and cdf[df] = P(chi2_df < t) for
+    df = 0..p, df = 0 by the point-mass convention; the one tail evaluator.
+
+    The df with x = t/2 > df/2 + 1 form a prefix 1..m, read from one pass of
+    the upper series; every other df runs its own lower-gamma series.
+    """
     x = 0.5 * t
-    if x <= 0.5 * df + 1.0:
-        return _lower_gamma_series(x, 0.5 * df)
-    return 1.0 - _upper_series(x, df)
+    m = 0
+    while m < p and x > 0.5 * (m + 1) + 1.0:
+        m += 1
+    upper = _upper_series(x, m)
+    sf, cdf = [1.0 if t <= 0 else 0.0, *upper], [1.0 if t > 0 else 0.0]
+    for v in upper:
+        cdf.append(1.0 - v)
+    for df in range(m + 1, p + 1):
+        v = _lower_gamma_series(x, 0.5 * df)
+        sf.append(1.0 - v)
+        cdf.append(v)
+    return sf, cdf
 
 
 def _lower_gamma_series(x: float, a: float) -> float:
@@ -93,22 +126,25 @@ def _lower_gamma_series(x: float, a: float) -> float:
     return total * x ** a * math.exp(-x) / math.gamma(a + 1.0)
 
 
-def _upper_series(x: float, df: int) -> float:
-    """P(chi2_df >= 2x) by Abramowitz & Stegun 26.4.4 (odd df) and 26.4.5 (even df)."""
-    if math.isinf(x):
-        return 0.0
-    if df % 2:
-        total = math.erfc(math.sqrt(x))
-        term = 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
-        for r in range(1, (df + 1) // 2):
-            total += term
-            term *= x / (r + 0.5)
-        return total
+def _upper_series(x: float, m: int) -> list[float]:
+    """P(chi2_df >= 2x) for df = 1..m, at index df - 1, by Abramowitz & Stegun
+    26.4.4 (odd df) and 26.4.5 (even df). The series of df is a prefix of that
+    of df + 2, so each parity is summed once and read off after each term."""
+    out = [0.0] * m
+    if m == 0 or math.isinf(x):
+        return out
+    total = out[0] = math.erfc(math.sqrt(x))
+    term = 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+    for r in range(1, (m + 1) // 2):
+        total += term
+        term *= x / (r + 0.5)
+        out[2 * r] = total
     total, term = 0.0, math.exp(-x)
-    for r in range(1, df // 2 + 1):
+    for r in range(1, m // 2 + 1):
         total += term
         term *= x / r
-    return total
+        out[2 * r - 1] = total
+    return out
 
 
 @dataclass(frozen=True)
@@ -130,7 +166,7 @@ class ChiBarWeights:
             raise ContractViolationError("weights must be a 1-d vector of length p+1")
         if np.any(w < -1e-12):
             raise ContractViolationError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # a NaN weight fails here too
             raise ContractViolationError(f"weights sum to {w.sum()}, not 1")
         if self.source not in ("closed_form", "exact", "monte_carlo"):
             raise ContractViolationError(f"unknown weight source {self.source!r}")
@@ -179,6 +215,43 @@ def weights_closed_form_1d() -> ChiBarWeights:
     return ChiBarWeights(w=np.array([0.5, 0.5]))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+# Index and node tables of the exact weights, built on first use and shared
+# read-only; importing the module builds none of them. Their keys are bounded
+# (n <= _EXACT_MAX_NODES, p <= EXACT_MAX_DIM), so the caches are too.
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) of the n-node Gauss-Legendre rule on [-1, 1]."""
+    return tuple(map(_frozen, np.polynomial.legendre.leggauss(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(p: int, d: int) -> np.ndarray:
+    """(C(p, d), d) array of the d-subsets of range(p) in itertools.combinations
+    order. Reversed, its rows are the complements of the (p - d)-subsets in
+    that order."""
+    rows = list(itertools.combinations(range(p), d))
+    return _frozen(np.array(rows, dtype=np.intp).reshape(len(rows), d))
+
+
+@functools.lru_cache(maxsize=None)
+def _triu_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a d x d matrix."""
+    return tuple(map(_frozen, np.triu_indices(d, 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _rest(d: int) -> np.ndarray:
+    """(d - 1, d - 2) array whose row k - 1 lists the variables other than X_0 and X_k."""
+    return _frozen(np.array([[i for i in range(1, d) if i != k] for k in range(1, d)]))
+
+
 def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
     """P(X >= 0) for X ~ N(0, C), for each correlation matrix C of an (m, d, d) stack.
 
@@ -194,7 +267,7 @@ def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
     """
     m, d = corr.shape[0], corr.shape[1]
     if d <= 3:
-        i, j = np.triu_indices(d, 1)
+        i, j = _triu_pairs(d)
         return _orthant_small(corr[:, i, j], d)
     x, g = nodes
     step = max(1, _ORTHANT_CHUNK // ((d - 1) * x.size))
@@ -202,8 +275,7 @@ def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
         return np.concatenate([_orthant_probabilities(corr[i:i + step], nodes)
                                for i in range(0, m, step)])
     r = d - 2
-    # row k - 1 of rest lists the variables other than X_0 and X_k
-    rest = np.array([[i for i in range(1, d) if i != k] for k in range(1, d)])
+    rest = _rest(d)
     c0 = corr[:, 0, 1:]                                      # (m, d-1): c_0k
     ck = corr[:, 1:][:, np.arange(d - 1)[:, None], rest]     # (m, d-1, r): c_kR
     # Given X_k, then X_0 under C(t): the first step leaves base, the second
@@ -217,7 +289,7 @@ def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
     q = (t * t / (1.0 - s * s))[:, :, None, :]
     diag = np.diagonal(base, axis1=-2, axis2=-1)[..., None] - q * (f * f)[..., None]
     if r <= 3:
-        i, j = np.triu_indices(r, 1)
+        i, j = _triu_pairs(r)
         off = base[..., i, j][..., None] - q * (f[..., i] * f[..., j])[..., None]
         inner = _orthant_small(off / np.sqrt(diag[:, :, i] * diag[:, :, j]), r, axis=2)
     else:
@@ -244,20 +316,18 @@ def _kudo_weights(corr: np.ndarray, prec: np.ndarray, nodes) -> np.ndarray:
     dimension d, from either factor, is evaluated in one batch.
     """
     p = corr.shape[0]
-    subsets = [list(itertools.combinations(range(p), j)) for j in range(p + 1)]
     first, second = {}, {}
     for d in range(p + 1):
-        blocks = [prec[np.ix_(s, s)] for s in subsets[d]]
-        for s in subsets[p - d]:
-            c = [i for i in range(p) if i not in s]
-            blocks.append(corr[np.ix_(c, c)])
-        blocks = np.array(blocks, dtype=float).reshape(len(blocks), d, d)
+        sub = _subsets(p, d)
+        comp = sub[::-1]                     # complements of the (p - d)-subsets
+        blocks = np.concatenate([prec[sub[:, :, None], sub[:, None, :]],
+                                 corr[comp[:, :, None], comp[:, None, :]]])
         if d >= 2:
             inv = np.linalg.inv(blocks)
             sd = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
             blocks = inv / (sd[:, :, None] * sd[:, None, :])
         probs = _orthant_probabilities(blocks, nodes)
-        first[d], second[p - d] = np.split(probs, [len(subsets[d])])
+        first[d], second[p - d] = np.split(probs, [len(sub)])
     return np.array([first[j] @ second[j] for j in range(p + 1)])
 
 
@@ -273,11 +343,14 @@ def weights_exact(psi) -> ChiBarWeights:
     whose weights are not finite, raises NumericError, and its weights are
     left to Monte Carlo. A breach of the identities by more than 1e-12 in
     the weights returned raises InternalInvariantError. p above
-    EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes 1.2 s at
-    p = 9 and 18 s at p = 10, and each doubling multiplies that by about 12.
+    EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes 1.0 s at
+    p = 9 and 15 s at p = 10, nearly all of it in the Plackett recursion,
+    and each doubling multiplies that by about 12.
 
-    One pass costs about 2 ms at p = 3, 4 ms at p = 5, 20 ms at p = 7 and
-    0.15 s at p = 8 with 16 nodes.
+    One pass costs about 0.2 ms at p = 3, 0.6 ms at p = 5, 9 ms at p = 7
+    and 75 ms at p = 8 with 16 nodes. The node rules and the subset and
+    index tables are built once per size, on first use, and shared
+    read-only; each face dimension gathers all its blocks in one step.
 
     Parameters
     ----------
@@ -292,7 +365,7 @@ def weights_exact(psi) -> ChiBarWeights:
     prec = np.linalg.inv(corr)
     n_nodes = EXACT_NODES
     while True:
-        nodes = np.polynomial.legendre.leggauss(n_nodes)
+        nodes = _gauss_legendre(n_nodes)
         w = _kudo_weights(corr, prec, nodes)
         residual = _identity_residual(w)
         if not np.isfinite(residual):
@@ -342,10 +415,7 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
         Root seed for the chunk streams.
     """
     metric = psi if isinstance(psi, Metric) else Metric(np.asarray(psi, dtype=float))
-    if n_draws < 1:
-        raise ContractViolationError("n_draws must be at least 1")
-    if seed < 0:
-        raise ContractViolationError(f"seed must be nonnegative, not {seed}")
+    _check_draws_and_seed(n_draws, seed)
     p = metric.dim
     chol = metric.chol_lower
     table = _orthant_operators(metric)
@@ -356,6 +426,15 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     return ChiBarWeights(
         w=counts / float(n_draws), source="monte_carlo", n_draws=n_draws, seed=seed
     )
+
+
+def _check_draws_and_seed(n_draws, seed) -> None:
+    """The Monte Carlo settings rule: integers (not bool), n_draws >= 1, seed >= 0."""
+    if not _is_integer(n_draws) or n_draws < 1:
+        raise ContractViolationError(
+            f"Monte Carlo size n_draws must be a positive integer, not {n_draws!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ContractViolationError(f"seed must be nonnegative and an integer, not {seed!r}")
 
 
 def _seeded_chunks(seed: int, total: int, chunk: int):
@@ -372,23 +451,25 @@ def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:
     At t = 0 this is the total mass, returned as exactly 1.0 rather than
     a rounded sum of the weights; just above 0 it drops to 1 - w_0.
     """
-    if t < 0:
-        raise ContractViolationError("t must be nonnegative")
+    _check_nonnegative("t", t)
     if t == 0:
         return 1.0
+    w = weights.w
+    sf = _chi2_tails(t, w.size - 1)[0]
     total = 0.0
-    for j in range(1, weights.p + 1):
-        total += weights.w[j] * chi2_sf(t, j)
+    for j in range(1, w.size):
+        total += w[j] * sf[j]
     return float(total)
 
 
 def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
     """P(mixture < t); complements mixture_upper_tail including the atom at 0."""
-    if t < 0:
-        raise ContractViolationError("t must be nonnegative")
-    total = weights.w[0] * (1.0 if t > 0 else 0.0)
-    for j in range(1, weights.p + 1):
-        total += weights.w[j] * chi2_cdf(t, j)
+    _check_nonnegative("t", t)
+    w = weights.w
+    cdf = _chi2_tails(t, w.size - 1)[1]
+    total = w[0] * cdf[0]
+    for j in range(1, w.size):
+        total += w[j] * cdf[j]
     return float(total)
 
 
@@ -399,15 +480,18 @@ def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
     the polar residual; under the apex null the pair factorizes over the
     face dimension j, giving sum_j w_j P(chi2_j >= c1) P(chi2_{p-j} < c2).
     """
-    if c1 < 0 or c2 < 0:
-        raise ContractViolationError("c1 and c2 must be nonnegative")
-    p = weights.p
+    _check_nonnegative("c1", c1)
+    _check_nonnegative("c2", c2)
+    return _joint_sum(weights, _chi2_tails(c1, weights.p)[0], _chi2_tails(c2, weights.p)[1])
+
+
+def _joint_sum(weights: ChiBarWeights, sf: list[float], cdf: list[float]) -> float:
+    """joint_tail from its tails: sum_j w_j sf[j] cdf[p - j] with sf at c1 and cdf at c2."""
+    w = weights.w
+    p = w.size - 1
     total = 0.0
     for j in range(p + 1):
-        sf = (1.0 if c1 <= 0 else 0.0) if j == 0 else chi2_sf(c1, j)
-        k = p - j
-        cdf = (1.0 if c2 > 0 else 0.0) if k == 0 else chi2_cdf(c2, k)
-        total += weights.w[j] * sf * cdf
+        total += w[j] * sf[j] * cdf[p - j]
     return float(total)
 
 
@@ -428,9 +512,11 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
             return 0.0
         func = lambda c: mixture_upper_tail(weights, c)
     elif mode == "joint":
-        if c2 is None or c2 < 0:
-            raise ContractViolationError("joint mode needs a nonnegative c2")
-        sup = joint_tail(weights, 0.0, c2)
+        if c2 is None or not c2 >= 0:
+            raise ContractViolationError(f"joint mode needs a nonnegative c2, not {c2!r}")
+        # the tails at c2 are fixed for the whole solve
+        cdf2 = _chi2_tails(c2, weights.p)[1]
+        sup = _joint_sum(weights, _chi2_tails(0.0, weights.p)[0], cdf2)
         # c2 itself usually comes from a bisection accurate to _BISECT_TOL, so
         # requests within that residual of the supremum count as feasible
         if alpha > sup + 1e-9:
@@ -438,12 +524,10 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
                 f"requested level {alpha} exceeds the attainable supremum {sup:.12g}",
                 attainable=sup,
             )
-        limit_above_zero = sup - weights.w[0] * (
-            1.0 if weights.p == 0 else chi2_cdf(c2, weights.p)
-        )
+        limit_above_zero = sup - weights.w[0] * (1.0 if weights.p == 0 else cdf2[weights.p])
         if alpha >= limit_above_zero:
             return 0.0
-        func = lambda c: joint_tail(weights, c, c2)
+        func = lambda c: _joint_sum(weights, _chi2_tails(c, weights.p)[0], cdf2)
     else:
         raise ContractViolationError(f"unknown mode {mode!r}")
 

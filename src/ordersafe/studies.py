@@ -22,8 +22,9 @@ from .chibar import (
     weights_closed_form_2d,
 )
 from .errors import ContractViolationError, DegenerateVarianceError
-from .geometry import ConeSpec, LinearSubspace, Metric, _orthant_operators, _project_orthant_t
-from .testing import Statistic, _is_integer
+from .geometry import (ConeSpec, LinearSubspace, Metric, _is_integer, _orthant_operators,
+                       _project_orthant_t)
+from .testing import Statistic
 
 _POWER_CHUNK = 1 << 14
 

@@ -21,6 +21,7 @@ from .chibar import (
     DEFAULT_SEED,
     EXACT_MAX_DIM,
     ChiBarWeights,
+    _check_draws_and_seed,
     correlation_2x2,
     joint_tail,
     mixture_upper_tail,
@@ -36,7 +37,6 @@ from .geometry import (
     LinearSubspace,
     Metric,
     _as_vector,
-    _is_integer,
     project_cone,
     project_subspace,
 )
@@ -93,12 +93,7 @@ class WeightConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not _is_integer(self.n_draws) or self.n_draws < 1:
-            raise ContractViolationError(
-                f"Monte Carlo size n_draws must be a positive integer, not {self.n_draws!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ContractViolationError(
-                f"seed must be a nonnegative integer, not {self.seed!r}")
+        _check_draws_and_seed(self.n_draws, self.seed)
 
 
 @dataclass(frozen=True)

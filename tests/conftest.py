@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -106,3 +107,162 @@ def orthant_batch_oracle(points, metric):
             best_obj = np.where(take, obj, best_obj)
             best = np.where(take, theta, best)
     return best.T
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the exact weights and the tails. These are the
+# implementations the table-driven engine in ordersafe.chibar replaced: a
+# fresh Gauss-Legendre rule and fresh index lists on every call, one np.ix_
+# gather per subset, and one series per df. The engine must reproduce them
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def orthant_probabilities_oracle(corr, nodes):
+    """P(X >= 0) for X ~ N(0, C) over an (m, d, d) stack, by Sheppard's forms
+    up to d = 3 and Plackett's reduction above, building every index list."""
+    m, d = corr.shape[0], corr.shape[1]
+    if d <= 3:
+        i, j = np.triu_indices(d, 1)
+        return 0.5 ** d + np.arcsin(corr[:, i, j]).sum(axis=-1) / (2.0 ** (d - 1) * np.pi)
+    x, g = nodes
+    step = max(1, (1 << 14) // ((d - 1) * x.size))
+    if m > step:
+        return np.concatenate([orthant_probabilities_oracle(corr[i:i + step], nodes)
+                               for i in range(0, m, step)])
+    r = d - 2
+    rest = np.array([[i for i in range(1, d) if i != k] for k in range(1, d)])
+    c0 = corr[:, 0, 1:]
+    ck = corr[:, 1:][:, np.arange(d - 1)[:, None], rest]
+    base = corr[:, rest[:, :, None], rest[:, None, :]] - ck[..., :, None] * ck[..., None, :]
+    f = corr[:, 0, rest] - c0[..., None] * ck
+    top = np.arcsin(c0)
+    s = np.sin(0.5 * top[..., None] * (x + 1.0))
+    t = np.divide(s, c0[..., None], out=np.zeros_like(s), where=c0[..., None] != 0.0)
+    q = (t * t / (1.0 - s * s))[:, :, None, :]
+    diag = np.diagonal(base, axis1=-2, axis2=-1)[..., None] - q * (f * f)[..., None]
+    if r <= 3:
+        i, j = np.triu_indices(r, 1)
+        off = base[..., i, j][..., None] - q * (f[..., i] * f[..., j])[..., None]
+        rho = off / np.sqrt(diag[:, :, i] * diag[:, :, j])
+        inner = 0.5 ** r + np.arcsin(rho).sum(axis=2) / (2.0 ** (r - 1) * np.pi)
+    else:
+        cond = base[..., None] - q[:, :, None] * (f[..., :, None] * f[..., None, :])[..., None]
+        sd = np.sqrt(diag)
+        cond /= sd[:, :, :, None] * sd[:, :, None, :]
+        cond = np.moveaxis(cond, -1, 2).reshape(-1, r, r)
+        inner = orthant_probabilities_oracle(cond, nodes).reshape(m, d - 1, x.size)
+    integral = 0.5 * top * (inner @ g)
+    return (0.5 * orthant_probabilities_oracle(corr[:, 1:, 1:], nodes)
+            + integral.sum(axis=1) / (2.0 * np.pi))
+
+
+def kudo_weights_oracle(corr, prec, nodes):
+    """Kudô's face decomposition with one np.ix_ gather per subset."""
+    p = corr.shape[0]
+    subsets = [list(itertools.combinations(range(p), j)) for j in range(p + 1)]
+    first, second = {}, {}
+    for d in range(p + 1):
+        blocks = [prec[np.ix_(s, s)] for s in subsets[d]]
+        for s in subsets[p - d]:
+            c = [i for i in range(p) if i not in s]
+            blocks.append(corr[np.ix_(c, c)])
+        blocks = np.array(blocks, dtype=float).reshape(len(blocks), d, d)
+        if d >= 2:
+            inv = np.linalg.inv(blocks)
+            sd = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
+            blocks = inv / (sd[:, :, None] * sd[:, None, :])
+        probs = orthant_probabilities_oracle(blocks, nodes)
+        first[d], second[p - d] = np.split(probs, [len(subsets[d])])
+    return np.array([first[j] @ second[j] for j in range(p + 1)])
+
+
+def weights_exact_oracle(psi):
+    """The weights weights_exact returns for an SPD psi (p <= 8), by the
+    same node doubling with a fresh leggauss rule per pass; None where the
+    identities still fail at 128 nodes or the weights are not finite."""
+    psi = 0.5 * psi + 0.5 * psi.T  # as Metric stores it
+    sd = np.sqrt(np.diag(psi))
+    corr = psi / np.outer(sd, sd)
+    prec = np.linalg.inv(corr)
+    signs = np.where(np.arange(psi.shape[0] + 1) % 2 == 0, 1.0, -1.0)
+    n_nodes = 16
+    while n_nodes <= 128:
+        w = kudo_weights_oracle(corr, prec, np.polynomial.legendre.leggauss(n_nodes))
+        residual = float(np.max(np.abs([w.sum() - 1.0, signs @ w])))
+        if not np.isfinite(residual):
+            return None
+        if residual <= 1e-13:
+            return w
+        n_nodes *= 2
+    return None
+
+
+def lower_gamma_series_oracle(x, a):
+    if x <= 0.0:
+        return 0.0
+    term = total = 1.0
+    n = a
+    while term > 1e-17 * total:
+        n += 1.0
+        term *= x / n
+        total += term
+    return total * x ** a * math.exp(-x) / math.gamma(a + 1.0)
+
+
+def upper_series_oracle(x, df):
+    """P(chi2_df >= 2x) by A&S 26.4.4 / 26.4.5, summed afresh for this df."""
+    if math.isinf(x):
+        return 0.0
+    if df % 2:
+        total = math.erfc(math.sqrt(x))
+        term = 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
+        for r in range(1, (df + 1) // 2):
+            total += term
+            term *= x / (r + 0.5)
+        return total
+    total, term = 0.0, math.exp(-x)
+    for r in range(1, df // 2 + 1):
+        total += term
+        term *= x / r
+    return total
+
+
+def chi2_sf_oracle(t, df):
+    x = 0.5 * t
+    if x <= 0.5 * df + 1.0:
+        return 1.0 - lower_gamma_series_oracle(x, 0.5 * df)
+    return upper_series_oracle(x, df)
+
+
+def chi2_cdf_oracle(t, df):
+    x = 0.5 * t
+    if x <= 0.5 * df + 1.0:
+        return lower_gamma_series_oracle(x, 0.5 * df)
+    return 1.0 - upper_series_oracle(x, df)
+
+
+def mixture_upper_tail_oracle(w, t):
+    if t == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, w.size):
+        total += w[j] * chi2_sf_oracle(t, j)
+    return float(total)
+
+
+def mixture_lower_tail_oracle(w, t):
+    total = w[0] * (1.0 if t > 0 else 0.0)
+    for j in range(1, w.size):
+        total += w[j] * chi2_cdf_oracle(t, j)
+    return float(total)
+
+
+def joint_tail_oracle(w, c1, c2):
+    p = w.size - 1
+    total = 0.0
+    for j in range(p + 1):
+        sf = (1.0 if c1 <= 0 else 0.0) if j == 0 else chi2_sf_oracle(c1, j)
+        k = p - j
+        cdf = (1.0 if c2 > 0 else 0.0) if k == 0 else chi2_cdf_oracle(c2, k)
+        total += w[j] * sf * cdf
+    return float(total)

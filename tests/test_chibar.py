@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -31,7 +36,7 @@ from ordersafe.errors import (
 )
 from ordersafe.geometry import ConeSpec
 
-from conftest import mp_chi2_sf, random_spd
+from conftest import mp_chi2_sf, random_spd, weights_exact_oracle
 
 QUADRANT = weights_closed_form_2d(0.0)
 
@@ -74,6 +79,16 @@ class TestClosedFormWeights:
 
 
 class TestMonteCarloWeights:
+    @pytest.mark.parametrize("setting", [{"n_draws": True}, {"n_draws": 2.5},
+                                         {"seed": True}, {"seed": 1.5}])
+    def test_sizes_and_seeds_must_be_integers(self, setting):
+        with pytest.raises(ContractViolationError):
+            weights_monte_carlo(np.eye(2), **{"n_draws": 100, **setting})
+
+    def test_numpy_integers_are_accepted(self):
+        w = weights_monte_carlo(np.eye(2), n_draws=np.int64(100), seed=np.int64(3))
+        assert np.array_equal(w.w, weights_monte_carlo(np.eye(2), n_draws=100, seed=3).w)
+
     def test_identity_2d(self):
         w = weights_monte_carlo(np.eye(2), n_draws=200_000, seed=7)
         np.testing.assert_allclose(w.w, [0.25, 0.5, 0.25], atol=0.005)
@@ -238,7 +253,87 @@ def test_exact_weights_identities_and_polar_duality(psi):
     np.testing.assert_allclose(weights_exact(np.linalg.inv(psi)).w, w[::-1], rtol=0, atol=1e-12)
 
 
+@st.composite
+def _spd_up_to_eight(draw):
+    p = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_spd(rng, p, draw(st.sampled_from([0.5, 0.05])), 2.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_spd_up_to_eight())
+def test_exact_weights_match_the_reference_bit_for_bit(psi):
+    """The cached tables and one gather per level change no bit of the weights."""
+    want = weights_exact_oracle(psi)
+    if want is None:
+        with pytest.raises(NumericError):
+            weights_exact(psi)
+    else:
+        assert np.array_equal(weights_exact(psi).w, want)
+
+
+def test_near_singular_weights_match_the_reference_bit_for_bit():
+    """Equicorrelation 0.99 at p = 5 doubles the nodes, reading more cached rules."""
+    assert np.array_equal(weights_exact(equicorrelation(5, 0.99)).w,
+                          weights_exact_oracle(equicorrelation(5, 0.99)))
+
+
+def _table_caches(module):
+    return {name: f for name, f in vars(module).items() if hasattr(f, "cache_info")}
+
+
+class TestExactTables:
+    def test_tables_are_read_only(self):
+        x, g = chibar._gauss_legendre(16)
+        i, j = chibar._triu_pairs(4)
+        for table in (x, g, chibar._subsets(6, 3), chibar._subsets(6, 3)[::-1],
+                      chibar._rest(5), i, j):
+            with pytest.raises(ValueError):
+                table[0] = table[-1]
+
+    def test_threads_building_the_tables_agree_with_a_serial_run(self):
+        """Four threads race to build every table from empty caches."""
+        psi = random_spd(np.random.default_rng(7), 7)
+        serial = weights_exact(psi).w
+        for cache in _table_caches(chibar).values():
+            cache.cache_clear()
+        start, results = threading.Barrier(4), [None] * 4
+
+        def run(k):
+            start.wait(timeout=60)
+            results[k] = weights_exact(psi).w
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(np.array_equal(w, serial) for w in results)
+
+    def test_import_builds_no_table(self):
+        """Tables cost nothing until a weight is computed, so CLI start-up stays lean."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chibar.__file__)))
+        code = ("import json, sys, ordersafe.cli\n"
+                "print(json.dumps({f'{m}.{n}': f.cache_info().currsize"
+                " for m in sorted(sys.modules) if m.startswith('ordersafe')"
+                " for n, f in vars(sys.modules[m]).items() if hasattr(f, 'cache_info')}))")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60, check=True)
+        sizes = json.loads(proc.stdout)
+        assert len(sizes) >= 4 and set(sizes.values()) == {0}, sizes
+
+
 class TestMixtureTails:
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ContractViolationError, match="sum to nan"):
+            ChiBarWeights(w=np.array([np.nan, 0.5, 0.5]))
+
     def test_total_mass_at_zero(self):
         assert mixture_upper_tail(QUADRANT, 0.0) == pytest.approx(1.0)
 
@@ -356,6 +451,16 @@ class TestSolveCritical:
     def test_alpha_range_validated(self):
         with pytest.raises(ContractViolationError):
             solve_critical(QUADRANT, 0.0)
+
+    def test_nan_c2_rejected(self):
+        with pytest.raises(ContractViolationError, match="nonnegative c2"):
+            solve_critical(QUADRANT, 0.05, "joint", c2=math.nan)
+        with pytest.raises(ContractViolationError, match="c2 must be a nonnegative number"):
+            solve_nominal_level(QUADRANT, 0.05, math.nan)
+
+    def test_infinite_c2_is_the_marginal_solution(self):
+        assert (solve_critical(QUADRANT, 0.05, "joint", c2=math.inf)
+                == solve_critical(QUADRANT, 0.05, "marginal"))
 
 
 class TestSafeLevel2d:

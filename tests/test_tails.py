@@ -6,7 +6,10 @@ independent mpmath evaluation to 1e-13 relative over df 1..12 and t in
 [1e-8, 200].
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,11 +17,21 @@ from ordersafe.chibar import (
     ChiBarWeights,
     chi2_cdf,
     chi2_sf,
+    joint_tail,
     mixture_lower_tail,
     mixture_upper_tail,
 )
+from ordersafe.errors import ContractViolationError
 
-from conftest import mp_chi2_cdf, mp_chi2_sf
+from conftest import (
+    chi2_cdf_oracle,
+    chi2_sf_oracle,
+    joint_tail_oracle,
+    mixture_lower_tail_oracle,
+    mixture_upper_tail_oracle,
+    mp_chi2_cdf,
+    mp_chi2_sf,
+)
 
 DFS = st.integers(1, 12)
 TS = st.floats(1e-8, 200.0)
@@ -76,3 +89,69 @@ def test_mixture_tails_monotone_and_complementary(weights, a, b):
     for t in (lo, hi):
         total = mixture_upper_tail(weights, t) + mixture_lower_tail(weights, t)
         assert abs(total - 1.0) <= 1e-14
+
+
+#: Edge points of the tails: zero, subnormals, x = t/2 exactly at the series
+#: switch df/2 + 1 (t = df + 2) for every df, huge and infinite arguments.
+EDGE_TS = [0.0, 5e-324, 1e-310, 2.2e-308] + [float(df + 2) for df in range(1, 13)] + [
+    1e300, math.inf]
+ANY_TS = st.one_of(st.sampled_from(EDGE_TS), st.floats(0.0, 1e3), st.floats(0.0, 1e308))
+
+
+def _same(got, want):
+    return np.array_equal(np.float64(got), np.float64(want))
+
+
+@SUITE
+@given(DFS, ANY_TS)
+def test_chi2_tails_match_the_per_df_reference_bit_for_bit(df, t):
+    assert _same(chi2_sf(t, df), chi2_sf_oracle(t, df))
+    assert _same(chi2_cdf(t, df), chi2_cdf_oracle(t, df))
+
+
+def test_chi2_tails_match_the_per_df_reference_at_the_edges():
+    for df in range(1, 13):
+        for t in EDGE_TS:
+            assert _same(chi2_sf(t, df), chi2_sf_oracle(t, df)), (df, t)
+            assert _same(chi2_cdf(t, df), chi2_cdf_oracle(t, df)), (df, t)
+
+
+@SUITE
+@given(_mixtures(), ANY_TS, ANY_TS)
+def test_mixture_tails_match_the_per_df_reference_bit_for_bit(weights, a, b):
+    w = weights.w
+    assert _same(mixture_upper_tail(weights, a), mixture_upper_tail_oracle(w, a))
+    assert _same(mixture_lower_tail(weights, a), mixture_lower_tail_oracle(w, a))
+    assert _same(joint_tail(weights, a, b), joint_tail_oracle(w, a, b))
+
+
+QUARTER = ChiBarWeights(w=np.array([0.25, 0.5, 0.25]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chi2_sf(math.nan, 3),
+    lambda: chi2_cdf(math.nan, 3),
+    lambda: mixture_upper_tail(QUARTER, math.nan),
+    lambda: mixture_lower_tail(QUARTER, math.nan),
+    lambda: joint_tail(QUARTER, math.nan, 1.0),
+    lambda: joint_tail(QUARTER, 1.0, math.nan),
+], ids=["chi2_sf", "chi2_cdf", "upper", "lower", "joint_c1", "joint_c2"])
+def test_nan_arguments_are_rejected(call):
+    with pytest.raises(ContractViolationError, match="number, not nan"):
+        call()
+
+
+@pytest.mark.parametrize("df", [0, -1, 2.5, True])
+def test_degrees_of_freedom_must_be_positive_integers(df):
+    with pytest.raises(ContractViolationError, match="df must be an integer"):
+        chi2_sf(1.0, df)
+    with pytest.raises(ContractViolationError, match="df must be an integer"):
+        chi2_cdf(1.0, df)
+
+
+def test_infinite_arguments_stay_valid():
+    assert mixture_upper_tail(QUARTER, math.inf) == 0.0
+    assert mixture_lower_tail(QUARTER, math.inf) == 1.0
+    assert joint_tail(QUARTER, 0.0, math.inf) == 1.0
+    assert joint_tail(QUARTER, math.inf, 1.0) == 0.0
+    assert chi2_sf(math.inf, 4) == 0.0 and chi2_cdf(math.inf, 4) == 1.0

@@ -9,8 +9,16 @@ Plackett's orthant reduction (weights_exact, deterministic, the
 weights of the safe test for 3 <= p <= 8), Monte Carlo weight
 estimation by face counting (the estimator beyond p = 8, where the exact
 quadrature fails, on request at any p, and the oracle the exact weights are
-tested against), upper/joint tail evaluation, and bisection solvers for
-critical values.
+tested against), upper/joint tail evaluation, and critical values.
+
+A critical value is the point a plain bisection returns: bracket doubling
+from 1, then halving from 0 until a midpoint's tail is within
+min(1e-10, 1e-8 alpha) of the level. solve_critical replays that bisection
+without evaluating most of its steps: Newton steps on the mixture density
+find the two edges of the stopping band, one tail evaluation just outside
+each edge certifies it, and since the true tail is monotone a certified
+point decides the branch of every step beyond it. So the value is the
+bisection's bit for bit, from about a fifth of its tail passes.
 
 Conventions for the zero-degree-of-freedom component (point mass at 0):
 P(chi2_0 >= t) = 1 if t <= 0 else 0, and P(chi2_0 < t) = 1 if t > 0 else 0.
@@ -64,7 +72,13 @@ _EXACT_TOL = 1e-13
 _ORTHANT_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 15
 _BISECT_TOL = 1e-10
+_BISECT_REL_TOL = 1e-8
 _BISECT_MAX_ITER = 200
+# the certificates of solve_critical's replay; see _solve_band
+_CERT_MARGIN = 1e-12
+_CERT_MAX_DIM = 100
+_CERT_MIN_LEVEL = 1e-200
+_NEWTON_MAX_ITER = 40
 
 
 def chi2_sf(t: float, df: int) -> float:
@@ -454,23 +468,26 @@ def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:
     _check_nonnegative("t", t)
     if t == 0:
         return 1.0
-    w = weights.w
-    sf = _chi2_tails(t, w.size - 1)[0]
+    return _upper_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[0])
+
+
+def _upper_sum(w: list[float], sf: list[float]) -> float:
+    """mixture_upper_tail at t > 0 from its tails: sum_j w[j] sf[j] over j >= 1."""
     total = 0.0
-    for j in range(1, w.size):
+    for j in range(1, len(w)):
         total += w[j] * sf[j]
-    return float(total)
+    return total
 
 
 def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
     """P(mixture < t); complements mixture_upper_tail including the atom at 0."""
     _check_nonnegative("t", t)
-    w = weights.w
-    cdf = _chi2_tails(t, w.size - 1)[1]
+    w = weights.w.tolist()
+    cdf = _chi2_tails(t, weights.p)[1]
     total = w[0] * cdf[0]
-    for j in range(1, w.size):
+    for j in range(1, len(w)):
         total += w[j] * cdf[j]
-    return float(total)
+    return total
 
 
 def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
@@ -482,41 +499,66 @@ def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
     """
     _check_nonnegative("c1", c1)
     _check_nonnegative("c2", c2)
-    return _joint_sum(weights, _chi2_tails(c1, weights.p)[0], _chi2_tails(c2, weights.p)[1])
+    return _joint_sum(weights.w.tolist(), _chi2_tails(c1, weights.p)[0],
+                      _chi2_tails(c2, weights.p)[1])
 
 
-def _joint_sum(weights: ChiBarWeights, sf: list[float], cdf: list[float]) -> float:
-    """joint_tail from its tails: sum_j w_j sf[j] cdf[p - j] with sf at c1 and cdf at c2."""
-    w = weights.w
-    p = w.size - 1
+def _joint_sum(w: list[float], sf: list[float], cdf: list[float]) -> float:
+    """joint_tail from its tails: sum_j w[j] sf[j] cdf[p - j] with sf at c1 and cdf at c2."""
+    p = len(w) - 1
     total = 0.0
     for j in range(p + 1):
         total += w[j] * sf[j] * cdf[p - j]
-    return float(total)
+    return total
+
+
+def _chi2_densities(t: float, p: int) -> list[float]:
+    """Densities of chi2_df at t > 0 for df = 0..p, with 0 at df = 0; each is
+    the one two df below times t / (df - 2)."""
+    e = math.exp(-0.5 * t)
+    dens = [0.0, e / math.sqrt(2.0 * math.pi * t), 0.5 * e]
+    for df in range(3, p + 1):
+        dens.append(dens[df - 2] * t / (df - 2))
+    return dens[:p + 1]
 
 
 def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
                    c2: float | None = None) -> float:
-    """Critical value by bisection.
+    """Critical value: the bisection for tail(c) = alpha, replayed from certified band edges.
 
     mode="marginal" returns c with mixture_upper_tail(c) = alpha; when alpha
     is at or above the tail's limit from the right at zero (1 - w_0) the
     solution region collapses and 0 is returned. mode="joint" returns c with
     joint_tail(c, c2) = alpha and raises InfeasibleLevelError, naming the
     attainable supremum, when alpha exceeds joint_tail(0, c2).
+
+    The value returned is defined by a plain bisection: double hi from 1
+    while tail(hi) > alpha, then halve [0, hi] until a midpoint's tail is
+    within tol = min(1e-10, 1e-8 alpha) of alpha, and return that midpoint.
+    The band is relative below alpha = 0.01, where 1e-8 alpha equals 1e-10,
+    so small levels get a tail within 1e-8 of alpha relative, not only
+    within 1e-10. Each step's branch depends only on where its point lies
+    against the band [alpha - tol, alpha + tol] of computed tails, so
+    _solve_band finds the band edges by safeguarded Newton steps on the
+    mixture density first, certifies them, and then replays the doubling
+    and the bisection step by step, evaluating the tail only at points its
+    certificates do not decide. The result equals the plain bisection's bit
+    for bit, from about six tail evaluations instead of about 33.
     """
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError("alpha must lie in (0, 1)")
+    w = weights.w.tolist()
+    p = weights.p
     if mode == "marginal":
-        if alpha >= 1.0 - weights.w[0]:
+        if alpha >= 1.0 - w[0]:
             return 0.0
-        func = lambda c: mixture_upper_tail(weights, c)
+        func, coef = (lambda c: _upper_sum(w, _chi2_tails(c, p)[0])), w
     elif mode == "joint":
         if c2 is None or not c2 >= 0:
             raise ContractViolationError(f"joint mode needs a nonnegative c2, not {c2!r}")
         # the tails at c2 are fixed for the whole solve
-        cdf2 = _chi2_tails(c2, weights.p)[1]
-        sup = _joint_sum(weights, _chi2_tails(0.0, weights.p)[0], cdf2)
+        cdf2 = _chi2_tails(c2, p)[1]
+        sup = _joint_sum(w, _chi2_tails(0.0, p)[0], cdf2)
         # c2 itself usually comes from a bisection accurate to _BISECT_TOL, so
         # requests within that residual of the supremum count as feasible
         if alpha > sup + 1e-9:
@@ -524,29 +566,136 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
                 f"requested level {alpha} exceeds the attainable supremum {sup:.12g}",
                 attainable=sup,
             )
-        limit_above_zero = sup - weights.w[0] * (1.0 if weights.p == 0 else cdf2[weights.p])
+        limit_above_zero = sup - w[0] * (1.0 if p == 0 else cdf2[p])
         if alpha >= limit_above_zero:
             return 0.0
-        func = lambda c: _joint_sum(weights, _chi2_tails(c, weights.p)[0], cdf2)
+        func = lambda c: _joint_sum(w, _chi2_tails(c, p)[0], cdf2)
+        coef = [w[j] * cdf2[p - j] for j in range(p + 1)]
     else:
         raise ContractViolationError(f"unknown mode {mode!r}")
+    return _solve_band(func, coef, alpha)
 
+
+def _solve_band(tail, coef: list[float], alpha: float) -> float:
+    """The bisection of solve_critical, replayed: tail(c) is the computed
+    mixture tail sum_j coef[j] P(chi2_j >= c) at c > 0, decreasing from above
+    alpha, and the result equals the plain bisection's for every input.
+
+    Certificate. Where the coefficients are nonnegative, p <= _CERT_MAX_DIM
+    and alpha >= _CERT_MIN_LEVEL, each computed tail is within a relative
+    1e-13 of the true tail with the same coefficients, up to underflow below
+    1e-240: it sums at most p + 1 positive terms, each a series of positive
+    terms or one minus a series below 0.92. The true tail is nonincreasing.
+    So a point c whose computed tail reaches alpha + tol + m, with the margin
+    m = _CERT_MARGIN alpha, shows that every point at or left of c would
+    compute a tail above alpha + tol, even after the rounding of val - alpha;
+    a point whose tail is at most alpha - tol - m shows the same below the
+    band for every point at or right of it. Every tail evaluated updates
+    left and right, the nearest such points; the replay evaluates only the
+    points strictly between them. Elsewhere nothing is certified and every
+    point is evaluated, which is the plain bisection itself.
+
+    The edges. _locate_band takes safeguarded Newton steps on log tail with
+    the mixture density sum_j coef[j] f_j, from a Wilson-Hilferty start,
+    until a step lands within about tol / 20 of the root of tail = alpha:
+    measured, with the tail within tol / 16 of alpha, or predicted from the
+    quadratic convergence of the last two steps. The band edges lie about
+    tol / density either side of that root, and one evaluation a quarter
+    band beyond each edge certifies it. A step that leaves the bracket, or a
+    density of 0 or inf, falls back to halving; a Newton solve or a
+    certificate that fails leaves fewer points certified, never a wrong
+    branch.
+    """
+    tol = min(_BISECT_TOL, _BISECT_REL_TOL * alpha)
+    left, right = -math.inf, math.inf
+    certify = min(coef) >= 0.0 and len(coef) - 1 <= _CERT_MAX_DIM and alpha >= _CERT_MIN_LEVEL
+    margin = _CERT_MARGIN * alpha
+    above, below = (alpha + tol + margin, alpha - tol - margin) if certify else (math.inf, -math.inf)
+
+    def evaluate(c):
+        nonlocal left, right
+        val = tail(c)
+        if val >= above:
+            left = max(left, c)
+        elif val <= below:
+            right = min(right, c)
+        return val
+
+    if certify:
+        _locate_band(evaluate, coef, alpha, tol)
     hi = 1.0
-    while func(hi) > alpha:
+    while hi <= left or (hi < right and evaluate(hi) > alpha):
         hi *= 2.0
         if hi > 1e12:
             raise NumericError("bisection bracket grew without bound")
     lo = 0.0
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        val = func(mid)
-        if abs(val - alpha) <= _BISECT_TOL:
-            return mid
-        if val > alpha:
+        if mid <= left:
             lo = mid
-        else:
+        elif mid >= right:
             hi = mid
+        else:
+            val = evaluate(mid)
+            if abs(val - alpha) <= tol:
+                return mid
+            if val > alpha:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
+
+
+def _locate_band(evaluate, coef: list[float], alpha: float, tol: float) -> None:
+    """Newton steps on log tail towards tail = alpha, then one evaluation a
+    quarter band beyond each band edge; evaluate records what each value
+    certifies (see _solve_band)."""
+    p = len(coef) - 1
+    lo, hi = 0.0, math.inf                  # tail(lo) > alpha >= tail(hi)
+    c, last = _newton_start(coef, alpha), 0.0
+    for _ in range(_NEWTON_MAX_ITER):
+        val = evaluate(c)
+        dens = 0.0
+        for a, f in zip(coef, _chi2_densities(c, p)):
+            dens += a * f
+        if val > alpha:
+            lo = c
+        else:
+            hi = c
+        if val > 0.0 and 0.0 < dens < math.inf:
+            step = math.log(val / alpha) * val / dens
+            root = c + step
+            # root is near the band's centre when c is, or when the quadratic
+            # convergence of the last two steps predicts it to a twentieth of tol
+            if abs(val - alpha) <= tol / 16.0 or (
+                    lo < root < hi and step * step * abs(step) <= 0.05 * tol / dens * last * last):
+                half = 1.25 * tol / dens
+                if root - half > 0.0:
+                    evaluate(root - half)
+                evaluate(root + half)
+                return
+            if lo < root < hi:
+                c, last = root, abs(step)
+                continue
+        # no usable step: grow, shrink towards 0, or halve the bracket
+        c, last = (2.0 * lo if hi == math.inf else 0.125 * hi if lo == 0.0
+                   else 0.5 * (lo + hi)), 0.0
+
+
+def _newton_start(coef: list[float], alpha: float) -> float:
+    """Wilson-Hilferty's upper alpha / s quantile of chi2_m, where s and m are
+    the total and mean df of coef over df >= 1, with the normal quantile of
+    Abramowitz & Stegun 26.2.23 (absolute error below 4.5e-4)."""
+    s = sum(coef) - coef[0]
+    if not alpha < s:
+        return 1.0
+    q = alpha / s
+    m = sum(j * a for j, a in enumerate(coef)) / s
+    u = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = u - (2.515517 + u * (0.802853 + u * 0.010328)) / (
+        1.0 + u * (1.432788 + u * (0.189269 + u * 0.001308)))
+    k = 2.0 / (9.0 * m)
+    return m * max(1.0 - k + math.copysign(z, 0.5 - q) * math.sqrt(k), 0.1) ** 3
 
 
 def solve_nominal_level(weights: ChiBarWeights, target_level: float, c2: float) -> float:

@@ -123,16 +123,23 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
 
     Critical values are solved once per distinct pair of mixture weights and
     level, and the orthant projector's operator table is built once per
-    scenario. Each chunk works coordinate-major on (2, size) arrays.
+    metric, keyed by the bytes of its matrix. Each chunk works
+    coordinate-major on (2, size) arrays.
     """
     workers = _check_count("workers", workers, 1)
-    critical = {}
+    critical, tables = {}, {}
 
     def critical_value(weights, level):
         key = (tuple(weights.w), level)
         if key not in critical:
             critical[key] = solve_critical(weights, level, "marginal")
         return critical[key]
+
+    def operators(metric):
+        key = metric.sigma.tobytes()
+        if key not in tables:
+            tables[key] = _orthant_operators(metric)
+        return tables[key]
 
     plans, jobs = [], []
     for index, scenario in enumerate(scenarios):
@@ -141,7 +148,7 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
             scenario,
             scenario.sigma.chol_lower / np.sqrt(scenario.n),
             scenario.sigma.inverse(),
-            _orthant_operators(scenario.sigma),
+            operators(scenario.sigma),
             critical_value(w, scenario.alpha),
             critical_value(w.complement(), scenario.gamma),
         ))

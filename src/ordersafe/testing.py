@@ -205,22 +205,37 @@ def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
     against roundoff.
     """
     _validate_pairing(stat, sub, cone)
+    return _type_a_value(stat, sub, _cone_distance_sq(stat, cone))
+
+
+def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
+    """Distance test for a cone null: n times squared distance to the cone."""
+    if cone.as_polyhedral().shape[1] != stat.dim:
+        raise ContractViolationError("cone and statistic dimensions disagree")
+    return _type_b_value(stat, _cone_distance_sq(stat, cone))
+
+
+def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
+    """Squared metric distance from s_n to the cone: the one projection that
+    both distance tests need."""
+    metric = stat.sigma_n
+    return metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
+
+
+def _type_a_value(stat: Statistic, sub: LinearSubspace, d_cone: float) -> float:
+    """dt_type_a from the squared distance to the cone."""
     metric = stat.sigma_n
     d_null = metric.norm_sq(stat.s_n - project_subspace(stat.s_n, sub, metric))
-    d_alt = metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
-    value = stat.n * (d_null - d_alt)
+    value = stat.n * (d_null - d_cone)
     _require_finite(value, "type A")
     if value < -1e-10:
         raise InternalInvariantError(f"distance drop is negative beyond tolerance: {value}")
     return max(value, 0.0)
 
 
-def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
-    """Distance test for a cone null: n times squared distance to the cone."""
-    metric = stat.sigma_n
-    if cone.as_polyhedral().shape[1] != stat.dim:
-        raise ContractViolationError("cone and statistic dimensions disagree")
-    value = stat.n * metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
+def _type_b_value(stat: Statistic, d_cone: float) -> float:
+    """dt_type_b from the squared distance to the cone."""
+    value = stat.n * d_cone
     _require_finite(value, "type B")
     return max(value, 0.0)
 
@@ -262,12 +277,15 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     if not (0.0 < alpha < 1.0 and 0.0 < gamma < 1.0):
         raise ContractViolationError("alpha and gamma must lie in (0, 1)")
     weights = resolve_weights(stat, sub, cone, weight_cfg)
-    t_orig = dt_type_a(stat, sub, cone)
-    t_aux = dt_type_b(stat, cone)
-    alpha_star = p_value(t_orig, weights, "type_a")
-    gamma_star = p_value(t_aux, weights, "type_b")
+    polar = weights.complement()
+    # resolve_weights has checked the pairing that dt_type_a and dt_type_b check
+    d_cone = _cone_distance_sq(stat, cone)
+    t_orig = _type_a_value(stat, sub, d_cone)
+    t_aux = _type_b_value(stat, d_cone)
+    alpha_star = mixture_upper_tail(weights, t_orig)
+    gamma_star = mixture_upper_tail(polar, t_aux)
     c_alpha = solve_critical(weights, alpha, "marginal")
-    c_gamma = solve_critical(weights.complement(), gamma, "marginal")
+    c_gamma = solve_critical(polar, gamma, "marginal")
     t_safe = t_orig if t_aux < c_gamma else 0.0
     c_alpha_safe = solve_critical(weights, alpha, "joint", c2=c_gamma)
     alpha_safe = joint_tail(weights, c_alpha, c_gamma)
@@ -286,7 +304,7 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     )
     auxiliary = TestResult(
         statistic=t_aux, p_value=gamma_star, critical_value=c_gamma,
-        weights_used=weights.complement(), alpha=gamma,
+        weights_used=polar, alpha=gamma,
     )
     return SafeOutcome(
         original=original, auxiliary=auxiliary, d1=d1, d2=d2,

@@ -5,6 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from ordersafe import chibar
+from ordersafe.errors import InfeasibleLevelError, NumericError
+
 
 def random_spd(rng, dim, lam_low=0.5, lam_high=2.0):
     """Random SPD matrix with eigenvalues in [lam_low, lam_high].
@@ -266,3 +269,67 @@ def joint_tail_oracle(w, c1, c2):
         cdf = (1.0 if c2 > 0 else 0.0) if k == 0 else chi2_cdf_oracle(c2, k)
         total += w[j] * sf * cdf
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Reference form of the critical-value solver: the plain bisection that
+# ordersafe.chibar.solve_critical replays from certified band edges. Every
+# tail it tries goes through the library's evaluator, so the two solvers
+# compare the same computed tails and must return the same floats.
+# ---------------------------------------------------------------------------
+
+def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
+    """Double the bracket from 1 while the tail exceeds alpha, then bisect
+    from 0 until the tail is within min(1e-10, 1e-8 alpha) of alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if mode == "marginal":
+        if alpha >= 1.0 - weights.w[0]:
+            return 0.0
+        func = lambda c: chibar.mixture_upper_tail(weights, c)
+    else:
+        w = weights.w.tolist()
+        cdf2 = chibar._chi2_tails(c2, weights.p)[1]
+        sup = chibar._joint_sum(w, chibar._chi2_tails(0.0, weights.p)[0], cdf2)
+        if alpha > sup + 1e-9:
+            raise InfeasibleLevelError("infeasible", attainable=sup)
+        limit_above_zero = sup - weights.w[0] * (1.0 if weights.p == 0 else cdf2[weights.p])
+        if alpha >= limit_above_zero:
+            return 0.0
+        func = lambda c: chibar._joint_sum(w, chibar._chi2_tails(c, weights.p)[0], cdf2)
+
+    tol = min(1e-10, 1e-8 * alpha)
+    hi = 1.0
+    while func(hi) > alpha:
+        hi *= 2.0
+        if hi > 1e12:
+            raise NumericError("bisection bracket grew without bound")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = func(mid)
+        if abs(val - alpha) <= tol:
+            return mid
+        if val > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def solve_nominal_level_oracle(weights, target_level, c2):
+    """solve_nominal_level's nested bisection over solve_critical_oracle."""
+    def attained(alpha):
+        return chibar.joint_tail(weights, solve_critical_oracle(weights, alpha), c2)
+
+    lo, hi = target_level, 1.0 - 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        level = attained(mid)
+        if abs(level - target_level) <= 1e-9:
+            return mid
+        if level < target_level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

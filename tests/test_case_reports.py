@@ -64,7 +64,9 @@ def _joint(w, c1, c2):
 
 
 def _bisect(func, level):
-    """The library's solve_critical loop: double the bracket from 1, then halve."""
+    """The library's solve_critical loop: double the bracket from 1, then halve
+    to within min(1e-10, 1e-8 level) of the level."""
+    tol = min(_BISECT_TOL, 1e-8 * level)
     hi = mpmath.mpf(1)
     while func(hi) > level:
         hi *= 2
@@ -72,7 +74,7 @@ def _bisect(func, level):
     for _ in range(200):
         mid = (lo + hi) / 2
         val = func(mid)
-        if abs(val - level) <= _BISECT_TOL:
+        if abs(val - level) <= tol:
             return mid
         if val > level:
             lo = mid

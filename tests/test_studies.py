@@ -302,6 +302,26 @@ class TestPowerHarness:
         power_grid(replications=100, gammas=(0.1, 0.02, 0.01), ns=(10, 20))
         assert sorted(calls) == [0.01, 0.02, 0.05, 0.1]
 
+    def test_operator_table_built_once_per_metric(self, monkeypatch):
+        """The 63 cells of the grid share one metric, so one table; two
+        scenarios under different metrics get one table each."""
+        built = []
+
+        def counting(metric):
+            built.append(metric.sigma.tolist())
+            return orthant_operators(metric)
+
+        orthant_operators = studies._orthant_operators
+        monkeypatch.setattr(studies, "_orthant_operators", counting)
+        rows = power_grid(replications=10)
+        assert len(rows) == 63 and built == [[[1.0, 0.0], [0.0, 1.0]]]
+        built.clear()
+        scenarios = [PowerScenario(theta=np.zeros(2), sigma=Metric(sigma), n=10, alpha=0.05,
+                                   gamma=0.05, replications=10, seed=1)
+                     for sigma in (np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2))]
+        studies._run_scenarios(scenarios, 1)
+        assert built == [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]]
+
 
 #: Rejection counts of power_grid(replications=32768, seed=1729, gammas=(0.05,),
 #: ns=(10, 50), mean_labels=("theta0", "theta5")): (label, n, seed, n_dt, n_safe,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ordersafe.chibar import EXACT_MAX_DIM, solve_critical, weights_closed_form_2d, weights_exact
+import ordersafe.testing as testing_module
+from ordersafe.chibar import EXACT_MAX_DIM, ChiBarWeights, solve_critical, weights_closed_form_2d, weights_exact
 from ordersafe.errors import ContractViolationError, InfeasibleLevelError, NumericError
 from ordersafe.geometry import (
     ConeSpec,
@@ -210,6 +211,33 @@ class TestSafeTest:
                     continue
                 assert res.reject == (res.statistic >= res.critical_value)
                 assert res.reject == (res.p_value <= res.alpha + 1e-9)
+
+    def test_one_projection_and_one_complement(self, monkeypatch, rng):
+        """t and t' share one cone projection, and the polar weights are built
+        once; dt_type_a and dt_type_b alone still project once each and
+        give the same bits."""
+        calls = {"project_cone": 0, "complement": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(testing_module, "project_cone",
+                            counted("project_cone", testing_module.project_cone))
+        monkeypatch.setattr(ChiBarWeights, "complement",
+                            counted("complement", ChiBarWeights.complement))
+        sub, cone = LinearSubspace.span_of_ones(4), ConeSpec.simple_order(4)
+        stat = gaussian_stat([0.3, -0.2, 0.1, 0.4], random_spd(rng, 4), 50)
+        out = safe_test(stat, sub, cone, alpha=0.05, gamma=0.05)
+        assert calls == {"project_cone": 1, "complement": 1}
+        weights = out.original.weights_used
+        for statistic, kind, result in ((dt_type_a(stat, sub, cone), "type_a", out.original),
+                                        (dt_type_b(stat, cone), "type_b", out.auxiliary)):
+            assert result.statistic == statistic
+            assert result.p_value == p_value(statistic, weights, kind)
+        assert calls["project_cone"] == 3
 
     def test_infeasible_level_propagates(self):
         stat = gaussian_stat([1.0, 1.0], np.eye(2), 5)

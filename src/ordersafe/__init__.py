@@ -33,31 +33,14 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericError,
     OrderSafeError,
-    SingularMatrixError,
 )
 from .geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    acceptance_member_type_a,
-    acceptance_member_type_b,
-    face_dimension,
-    in_polar_orthant,
     polar_complement,
     project_cone,
     project_subspace,
-)
-from .isotonic import (
-    IsotonicFit,
-    SplitCheck,
-    UmbrellaCheck,
-    WeightedSeries,
-    av,
-    minmax_project,
-    pava,
-    simple_order_consistency,
-    tree_order_consistency,
-    umbrella_consistency,
 )
 from .studies import (
     CS_TABLE5,

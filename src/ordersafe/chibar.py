@@ -530,7 +530,8 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
     is at or above the tail's limit from the right at zero (1 - w_0) the
     solution region collapses and 0 is returned. mode="joint" returns c with
     joint_tail(c, c2) = alpha and raises InfeasibleLevelError, naming the
-    attainable supremum, when alpha exceeds joint_tail(0, c2).
+    attainable supremum, when alpha exceeds joint_tail(0, c2) by more than
+    min(1e-9, 1e-7 alpha).
 
     The value returned is defined by a plain bisection: double hi from 1
     while tail(hi) > alpha, then halve [0, hi] until a midpoint's tail is
@@ -559,9 +560,10 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
         # the tails at c2 are fixed for the whole solve
         cdf2 = _chi2_tails(c2, p)[1]
         sup = _joint_sum(w, _chi2_tails(0.0, p)[0], cdf2)
-        # c2 itself usually comes from a bisection accurate to _BISECT_TOL, so
-        # requests within that residual of the supremum count as feasible
-        if alpha > sup + 1e-9:
+        # c2 usually comes from a bisection, so a request above the supremum
+        # by at most ten bisection bands at alpha, min(1e-9, 1e-7 alpha), counts
+        # as feasible; an absolute slack would admit 100x a supremum of 1e-12
+        if alpha > sup + 10.0 * min(_BISECT_TOL, _BISECT_REL_TOL * alpha):
             raise InfeasibleLevelError(
                 f"requested level {alpha} exceeds the attainable supremum {sup:.12g}",
                 attainable=sup,

@@ -21,10 +21,6 @@ class NotPositiveDefiniteError(NumericError):
     """A matrix required to be SPD has a non-positive pivot."""
 
 
-class SingularMatrixError(NumericError):
-    """A linear system is singular or ill-conditioned beyond use."""
-
-
 class InfeasibleLevelError(NumericError):
     """A requested significance level is not attainable.
 

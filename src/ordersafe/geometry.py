@@ -1,9 +1,9 @@
 """Geometry under an SPD-matrix metric.
 
 Inner products and norms of the form <u, v> = u' S^{-1} v for an SPD
-covariance S, projections onto linear subspaces and polyhedral cones,
-Moreau decompositions, polar-cone membership, and the open-ball
-acceptance regions built from those projections.
+covariance S, projections onto linear subspaces and polyhedral cones, the
+polar residual of a cone projection, and the batched orthant projector
+whose KKT certificate decides each row's face.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -23,7 +23,6 @@ from .errors import (
     InternalInvariantError,
     NotPositiveDefiniteError,
     NumericError,
-    SingularMatrixError,
 )
 
 #: Scale for "this coordinate/constraint is active" decisions. A value x is
@@ -371,63 +370,6 @@ def _dual_active_set(x, r, metric):
 def polar_complement(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     """Residual x - proj(x | cone), i.e. the projection onto the polar cone."""
     return _as_vector(x, metric.dim) - project_cone(x, cone, metric)
-
-
-def in_polar_orthant(theta, restriction, metric: Metric) -> bool:
-    """Membership of theta in the polar of {R theta >= 0}.
-
-    Checks that every component of theta' R' (R sigma R')^{-1} is
-    nonpositive (tolerance 1e-10), which characterizes the region where the
-    order-restricted distance test has no asymptotic power.
-    """
-    theta = _as_vector(theta, metric.dim)
-    r = np.asarray(restriction, dtype=float)
-    if r.ndim != 2 or r.shape[1] != metric.dim:
-        raise ContractViolationError("restriction must be p x m with m = metric.dim")
-    gram = r @ metric.sigma @ r.T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularMatrixError(
-            f"R sigma R' is singular or near-singular (condition number {cond:.3e})"
-        )
-    v = np.linalg.solve(gram, r @ theta)
-    return bool(np.all(v <= ZERO_TOL))
-
-
-def acceptance_member_type_a(s, sub: LinearSubspace, cone: ConeSpec, c, n, metric: Metric) -> bool:
-    """Membership of s in the type A acceptance region at critical value c.
-
-    The region is the polar of (cone intersect L-perp) fattened by an open
-    metric ball of squared radius c/n; membership is evaluated through
-    projections as dist^2(s, L) - dist^2(s, cone) < c/n, never by forming
-    the fattened set itself. The ball is open, so boundary points are out.
-    """
-    if c < 0:
-        raise ContractViolationError("critical value must be nonnegative")
-    s = _as_vector(s, metric.dim)
-    d_sub = metric.norm_sq(s - project_subspace(s, sub, metric))
-    d_cone = metric.norm_sq(s - project_cone(s, cone, metric))
-    val = max(d_sub - d_cone, 0.0)
-    return bool(val < c / n)
-
-
-def acceptance_member_type_b(s, cone: ConeSpec, c, n, metric: Metric) -> bool:
-    """Membership of s in the type B acceptance region: dist^2(s, cone) < c/n."""
-    if c < 0:
-        raise ContractViolationError("critical value must be nonnegative")
-    s = _as_vector(s, metric.dim)
-    val = metric.norm_sq(s - project_cone(s, cone, metric))
-    return bool(val < c / n)
-
-
-def face_dimension(x) -> int:
-    """Dimension of the orthant face containing a projection result.
-
-    Counts coordinates strictly above the activity tolerance
-    1e-10 * (1 + ||x||).
-    """
-    x = np.asarray(x, dtype=float)
-    return int(np.sum(x > _activity_tol(x[:, None])[0]))
 
 
 def project_orthant_batch(points, metric: Metric) -> np.ndarray:

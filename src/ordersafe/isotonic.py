@@ -1,10 +1,10 @@
-"""Weighted isotonic regression and order-consistency checkers.
+"""Weighted isotonic regression and the simple-order split check.
 
 Provides the pool-adjacent-violators projection onto the nondecreasing
-cone, the equivalent min-max block-average formula (kept as an independent
-reference implementation), and the split conditions that characterize when
-a distance test against the simple, tree, or umbrella order separates the
-null from the fitted alternative. All indices in this module are 0-based.
+cone and the split condition that characterizes when the distance test
+against the simple order separates the null from the fitted alternative.
+Whether a test separates under any other cone is decided by
+testing.consistency_region. All indices in this module are 0-based.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class WeightedSeries:
             weights = np.asarray(weights, dtype=float)
         if weights.shape != values.shape:
             raise ContractViolationError("weights must match values in length")
-        if not np.all(weights > 0):
-            raise ContractViolationError("weights must be strictly positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ContractViolationError("weights must be finite and strictly positive")
         values = values.copy()
         weights = weights.copy()
         values.setflags(write=False)
@@ -74,9 +74,8 @@ def av(series: WeightedSeries, u: int, v: int) -> float:
 def pava(series: WeightedSeries) -> IsotonicFit:
     """Weighted least-squares projection onto the nondecreasing cone.
 
-    Stack-based adjacent pooling, O(K). Agrees coordinate-wise with
-    minmax_project; that equivalence is enforced by the test suite rather
-    than assumed here.
+    Stack-based adjacent pooling, O(K). The test suite checks it against
+    the min-max block-average formula and against project_cone.
     """
     values, weights = series.values, series.weights
     # each stack entry: [start, stop, weight sum, weighted mean]
@@ -102,30 +101,6 @@ def pava(series: WeightedSeries) -> IsotonicFit:
             blocks.append((start, stop))
     objective = float(weights @ (values - fitted) ** 2)
     return IsotonicFit(fitted=fitted, blocks=tuple(blocks), objective=objective)
-
-
-def minmax_project(series: WeightedSeries) -> np.ndarray:
-    """Coordinate-wise min over t >= i of max over s <= i of Av(s, t).
-
-    O(K^2) reference implementation of the same projection as pava, kept
-    independent so the two can check each other.
-    """
-    values, weights = series.values, series.weights
-    k = len(series)
-    cw = np.concatenate(([0.0], np.cumsum(weights)))
-    cwv = np.concatenate(([0.0], np.cumsum(weights * values)))
-
-    def block_av(s, t):  # inclusive endpoints
-        return (cwv[t + 1] - cwv[s]) / (cw[t + 1] - cw[s])
-
-    out = np.empty(k)
-    for i in range(k):
-        best = np.inf
-        for t in range(i, k):
-            inner_max = max(block_av(s, t) for s in range(i + 1))
-            best = min(best, inner_max)
-        out[i] = best
-    return out
 
 
 @dataclass(frozen=True)
@@ -157,41 +132,3 @@ def simple_order_consistency(series: WeightedSeries) -> SplitCheck:
         if left < right:
             return SplitCheck(consistent=True, witness=i)
     return SplitCheck(consistent=False, witness=None)
-
-
-def tree_order_consistency(theta) -> bool:
-    """True iff theta_0 < max(theta_1, ..., theta_{K-1})."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 2:
-        raise ContractViolationError("need a 1-d vector with at least two groups")
-    return bool(theta[0] < np.max(theta[1:]))
-
-
-@dataclass(frozen=True)
-class UmbrellaCheck:
-    consistent: bool
-    branch: str | None  # "up", "down", or None
-
-
-def umbrella_consistency(series: WeightedSeries, peak: int) -> UmbrellaCheck:
-    """Split condition for the umbrella order with the given 0-based peak.
-
-    Fires if the up branch (theta_0..theta_peak) admits a simple-order split,
-    or the down branch (theta_peak..theta_{K-1}) admits the reversed split
-    min_{s<=i} Av(s, i) > max_{t>=i+1} Av(i+1, t) for some peak <= i <= K-2.
-    The up branch is checked first and reported when both fire.
-    """
-    k = len(series)
-    if not 0 <= peak < k:
-        raise ContractViolationError(f"peak {peak} out of range 0..{k - 1}")
-    for i in range(peak):
-        left = max(av(series, s, i) for s in range(i + 1))
-        right = min(av(series, i + 1, t) for t in range(i + 1, peak + 1))
-        if left < right:
-            return UmbrellaCheck(consistent=True, branch="up")
-    for i in range(peak, k - 1):
-        left = min(av(series, s, i) for s in range(peak, i + 1))
-        right = max(av(series, i + 1, t) for t in range(i + 1, k))
-        if left > right:
-            return UmbrellaCheck(consistent=True, branch="down")
-    return UmbrellaCheck(consistent=False, branch=None)

@@ -37,6 +37,7 @@ from .geometry import (
     LinearSubspace,
     Metric,
     _as_vector,
+    _is_integer,
     project_cone,
     project_subspace,
 )
@@ -63,8 +64,9 @@ class Statistic:
     def __post_init__(self):
         s = _as_vector(self.s_n, self.sigma_n.dim, "s_n")
         # above 2**53 the float products n * distance would round n itself
-        if isinstance(self.n, bool) or not 1 <= int(self.n) <= 2**53:
-            raise ContractViolationError("n must be a positive integer no larger than 2**53")
+        if not _is_integer(self.n) or not 1 <= self.n <= 2**53:
+            raise ContractViolationError(
+                f"n must be a positive integer no larger than 2**53, not {self.n!r}")
         s = s.copy()
         s.setflags(write=False)
         object.__setattr__(self, "s_n", s)
@@ -150,11 +152,11 @@ class SafeOutcome:
     t_safe: float
 
 
-def _validate_pairing(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
+def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
     r = cone.as_polyhedral()
-    if r.shape[1] != stat.dim:
+    if r.shape[1] != dim:
         raise ContractViolationError("cone and statistic dimensions disagree")
-    if sub.ambient_dim != stat.dim:
+    if sub.ambient_dim != dim:
         raise ContractViolationError("subspace and statistic dimensions disagree")
     b = sub.basis
     if b.size and np.max(np.abs(r @ b)) > 1e-8 * (1.0 + np.abs(r).max()):
@@ -171,7 +173,7 @@ def _reduced_psi(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> np.nda
     case for every supported pairing (a point null with a full-rank R, or
     the equal-means diagonal with a difference matrix).
     """
-    r = _validate_pairing(stat, sub, cone)
+    r = _validate_pairing(stat.dim, sub, cone)
     if sub.dim != stat.dim - r.shape[0]:
         raise ContractViolationError(
             "weights require the null subspace to equal the kernel of the "
@@ -204,7 +206,7 @@ def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
     enlarged to the cone; nonnegative by construction and clamped at zero
     against roundoff.
     """
-    _validate_pairing(stat, sub, cone)
+    _validate_pairing(stat.dim, sub, cone)
     return _type_a_value(stat, sub, _cone_distance_sq(stat, cone))
 
 
@@ -365,13 +367,17 @@ def consistency_region(theta, sub: LinearSubspace, cone: ConeSpec,
     """Classify theta by the asymptotic behavior of the subspace-vs-cone test.
 
     The test separates exactly when theta lies outside the polar of
-    (cone intersect null-perp), detected through the Moreau decomposition as
-    a nonvanishing drift delta(theta); the Type III regime additionally
-    requires theta to be outside the cone itself.
+    (cone intersect null-perp), that is when the drift delta(theta) is
+    positive; the Type III regime additionally requires theta to be outside
+    the cone itself. The null must lie in the cone (ContractViolationError
+    otherwise), so sqrt(delta(theta)) is the distance from P_cone theta to
+    the null, and that distance is measured directly: a difference of two
+    rounded squared norms would put roundoff (about 4e-16, past the 1e-8
+    threshold once square-rooted) on a point whose cone projection lies in
+    the null.
     """
-    theta = np.asarray(theta, dtype=float)
-    drift = delta(theta, sub, cone, metric)
-    consistent = bool(np.sqrt(drift) > 1e-8)
-    dist_cone = metric.norm_sq(theta - project_cone(theta, cone, metric))
-    outside_cone = bool(np.sqrt(max(dist_cone, 0.0)) > 1e-8)
+    _validate_pairing(metric.dim, sub, cone)
+    proj = project_cone(theta, cone, metric)
+    consistent = metric.norm(proj - project_subspace(proj, sub, metric)) > 1e-8
+    outside_cone = metric.norm(_as_vector(theta, metric.dim) - proj) > 1e-8
     return ConsistencyCheck(consistent=consistent, type3_risk=consistent and outside_cone)

@@ -112,6 +112,46 @@ def orthant_batch_oracle(points, metric):
     return best.T
 
 
+def in_polar_orthant(theta, restriction, metric):
+    """Independent oracle: theta lies in the polar of {R theta >= 0} iff every
+    component of (R sigma R')^{-1} R theta is at most 1e-10.
+
+    The library decides the polar region only through project_cone (its
+    projection is 0 there); this check never projects. It refuses a gram
+    matrix of condition number above 1e14 rather than answer from it.
+    """
+    r = np.asarray(restriction, dtype=float)
+    gram = r @ metric.sigma @ r.T
+    if not np.linalg.cond(gram) <= 1e14:
+        raise np.linalg.LinAlgError("R sigma R' is singular or near-singular")
+    return bool(np.all(np.linalg.solve(gram, r @ np.asarray(theta, dtype=float)) <= 1e-10))
+
+
+def face_dimension(x):
+    """Independent oracle of the certified face counts: the number of
+    coordinates of a projected point above 1e-10 (1 + ||x||)."""
+    x = np.asarray(x, dtype=float)
+    return int(np.sum(x > 1e-10 * (1.0 + np.linalg.norm(x))))
+
+
+def minmax_project(series):
+    """Independent oracle of pava: coordinate i of the weighted isotonic fit
+    is the min over t >= i of the max over s <= i of the block average
+    Av(s, t). O(K^2) block averages from cumulative sums."""
+    values, weights = series.values, series.weights
+    k = len(series)
+    cw = np.concatenate(([0.0], np.cumsum(weights)))
+    cwv = np.concatenate(([0.0], np.cumsum(weights * values)))
+
+    def block_av(s, t):  # inclusive endpoints
+        return (cwv[t + 1] - cwv[s]) / (cw[t + 1] - cw[s])
+
+    out = np.empty(k)
+    for i in range(k):
+        out[i] = min(max(block_av(s, t) for s in range(i + 1)) for t in range(i, k))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Reference forms of the exact weights and the tails. These are the
 # implementations the table-driven engine in ordersafe.chibar replaced: a
@@ -291,7 +331,7 @@ def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
         w = weights.w.tolist()
         cdf2 = chibar._chi2_tails(c2, weights.p)[1]
         sup = chibar._joint_sum(w, chibar._chi2_tails(0.0, weights.p)[0], cdf2)
-        if alpha > sup + 1e-9:
+        if alpha > sup + min(1e-9, 1e-7 * alpha):
             raise InfeasibleLevelError("infeasible", attainable=sup)
         limit_above_zero = sup - weights.w[0] * (1.0 if weights.p == 0 else cdf2[weights.p])
         if alpha >= limit_above_zero:

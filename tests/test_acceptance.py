@@ -29,13 +29,7 @@ from ordersafe.geometry import (
     project_cone,
     project_orthant_batch,
 )
-from ordersafe.isotonic import (
-    WeightedSeries,
-    av,
-    minmax_project,
-    pava,
-    simple_order_consistency,
-)
+from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
 from ordersafe.studies import (
     CS_TABLE5,
     CS_TABLE6,
@@ -53,7 +47,7 @@ from ordersafe.testing import (
     safe_test,
 )
 
-from conftest import mp_chi2_sf, random_full_rank, random_spd
+from conftest import minmax_project, mp_chi2_sf, random_full_rank, random_spd
 
 
 def _report(num, name, checks):

@@ -448,6 +448,15 @@ class TestSolveCritical:
             solve_critical(QUADRANT, sup + 0.01, mode="joint", c2=c2)
         assert err.value.attainable == pytest.approx(sup)
 
+    def test_joint_mode_slack_is_relative_to_the_level(self):
+        """A level 100 times the supremum is infeasible, however small both are."""
+        w = ChiBarWeights(w=np.array([0.5, 0.5 - 1e-12, 1e-12]))
+        sup = joint_tail(w, 0.0, 1e-30)
+        assert sup == pytest.approx(1e-12, rel=1e-3)
+        with pytest.raises(InfeasibleLevelError) as err:
+            solve_critical(w, 1e-10, "joint", c2=1e-30)
+        assert err.value.attainable == sup
+
     def test_alpha_range_validated(self):
         with pytest.raises(ContractViolationError):
             solve_critical(QUADRANT, 0.0)

@@ -3,21 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordersafe import testing
 from ordersafe.errors import (
     CapabilityError,
     ContractViolationError,
     NotPositiveDefiniteError,
     NumericError,
-    SingularMatrixError,
 )
 from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    acceptance_member_type_a,
-    acceptance_member_type_b,
-    face_dimension,
-    in_polar_orthant,
     polar_complement,
     project_cone,
     project_orthant_batch,
@@ -26,8 +22,16 @@ from ordersafe.geometry import (
     _project_orthant_t,
 )
 from ordersafe.isotonic import WeightedSeries, pava
+from ordersafe.testing import Statistic, dt_type_a, dt_type_b
 
-from conftest import enumerate_cone_oracle, orthant_batch_oracle, random_full_rank, random_spd
+from conftest import (
+    enumerate_cone_oracle,
+    face_dimension,
+    in_polar_orthant,
+    orthant_batch_oracle,
+    random_full_rank,
+    random_spd,
+)
 
 
 def interclass(rho):
@@ -448,27 +452,30 @@ class TestPolarMembership:
             proj = project_cone(theta, ConeSpec.orthant(2), m)
             assert member == bool(np.linalg.norm(proj) <= 1e-8)
 
-    def test_singular_gram_raises(self):
-        m = Metric(np.eye(3))
-        r = np.array([[1.0, 0.0, 0.0], [1.0, 1e-15, 0.0]])
-        with pytest.raises(SingularMatrixError):
-            in_polar_orthant([1.0, 1.0, 1.0], r, m)
+
+def accepts(statistic, c):
+    """Acceptance is the complement of TestResult.reject at critical value c."""
+    return not testing.TestResult(statistic=statistic, p_value=float("nan"),
+                                  critical_value=c, weights_used=None,
+                                  alpha=float("nan")).reject
 
 
 class TestAcceptanceRegions:
+    """The acceptance regions {dist^2(s, L) - dist^2(s, C) < c/n} and
+    {dist^2(s, C) < c/n}, open metric balls around the polar cone and the
+    cone, decided by the distance statistics and TestResult.reject."""
+
     def test_apex_always_accepted(self):
-        m = Metric(np.eye(2))
-        sub = LinearSubspace.zero(2)
+        stat = Statistic(np.zeros(2), Metric(np.eye(2)), 5)
         cone = ConeSpec.orthant(2)
-        assert acceptance_member_type_a([0.0, 0.0], sub, cone, 3.0, 5, m)
-        assert acceptance_member_type_b([0.0, 0.0], cone, 3.0, 5, m)
+        assert accepts(dt_type_a(stat, LinearSubspace.zero(2), cone), 3.0)
+        assert accepts(dt_type_b(stat, cone), 3.0)
 
     def test_separated_point_rejected_for_all_reasonable_levels(self):
         """(-3, -2) sits squared distance 9 from the cone; c/n stays below 4."""
-        m = Metric(interclass(0.9))
-        cone = ConeSpec.orthant(2)
+        stat = Statistic(np.array([-3.0, -2.0]), Metric(interclass(0.9)), 5)
         # c'_gamma at gamma = 1e-5 is about 19.34, so c/n < 4 < 9
-        assert not acceptance_member_type_b([-3.0, -2.0], cone, 19.35, 5, m)
+        assert not accepts(dt_type_b(stat, ConeSpec.orthant(2)), 19.35)
 
     def test_boundary_is_excluded(self):
         """The fattening ball is open: exact boundary distance fails the test."""
@@ -476,8 +483,8 @@ class TestAcceptanceRegions:
         cone = ConeSpec.orthant(2)
         c, n = 4.0, 4
         s = np.array([0.0, -1.0])  # squared distance 1.0 == c/n exactly
-        assert not acceptance_member_type_b(s, cone, c, n, m)
-        assert acceptance_member_type_b(s * 0.999, cone, c, n, m)
+        assert not accepts(dt_type_b(Statistic(s, m, n), cone), c)
+        assert accepts(dt_type_b(Statistic(s * 0.999, m, n), cone), c)
 
     def test_type_a_matches_statistic_drop(self, rng):
         """Membership iff dist^2(s, L) - dist^2(s, C) < c/n."""
@@ -487,8 +494,9 @@ class TestAcceptanceRegions:
         for _ in range(25):
             s = rng.standard_normal(2)
             val = m.norm_sq(s) - m.norm_sq(s - project_cone(s, cone, m))
+            t = dt_type_a(Statistic(s, m, 10), sub, cone)
             for c in (0.5, 2.0):
-                assert acceptance_member_type_a(s, sub, cone, c, 10, m) == (val < c / 10)
+                assert accepts(t, c) == (val < c / 10)
 
 
 class TestFaceDimension:

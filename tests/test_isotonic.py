@@ -3,19 +3,26 @@ import pytest
 
 from ordersafe.errors import ContractViolationError
 from ordersafe.geometry import ConeSpec, Metric, project_cone
-from ordersafe.isotonic import (
-    WeightedSeries,
-    av,
-    minmax_project,
-    pava,
-    simple_order_consistency,
-    tree_order_consistency,
-    umbrella_consistency,
-)
+from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
+
+from conftest import minmax_project
 
 
 def series(values, weights=None):
     return WeightedSeries(np.asarray(values, dtype=float), weights)
+
+
+class TestWeightedSeries:
+    @pytest.mark.parametrize("weights", [[1.0, np.inf], [np.nan, 1.0], [1.0, 0.0], [-1.0, 1.0]],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_weights_must_be_finite_and_positive(self, weights):
+        """An infinite weight used to pass and give a NaN fit with a RuntimeWarning."""
+        with pytest.raises(ContractViolationError, match="weights must be finite"):
+            series([0.0, 1.0], weights)
+
+    def test_values_must_be_finite(self):
+        with pytest.raises(ContractViolationError, match="values must be finite"):
+            series([0.0, np.inf])
 
 
 class TestAv:
@@ -145,43 +152,3 @@ class TestSimpleOrderConsistency:
             np.testing.assert_allclose(
                 np.concatenate([left, right]), pava(s).fitted, atol=1e-10
             )
-
-
-class TestTreeOrderConsistency:
-    @pytest.mark.parametrize(
-        "theta,expected",
-        [([0, 0, 0], False), ([0, -1, 1], True), ([5, 1, 2, 3], False)],
-    )
-    def test_examples(self, theta, expected):
-        assert tree_order_consistency(theta) is expected
-
-
-class TestUmbrellaConsistency:
-    def test_constant_vector(self):
-        check = umbrella_consistency(series([1.0, 1.0, 1.0]), peak=1)
-        assert not check.consistent and check.branch is None
-
-    def test_up_branch_split(self):
-        check = umbrella_consistency(series([0, 2, 1]), peak=1)
-        assert check.consistent and check.branch == "up"
-
-    def test_down_branch_reversed_split(self):
-        # up branch (1, 2) also fires here; the up branch is preferred
-        check = umbrella_consistency(series([1, 2, 0]), peak=1)
-        assert check.consistent and check.branch == "up"
-
-    def test_down_branch_only(self):
-        # up branch (2, 1) has no increasing split; down branch (1, 0) reverses
-        check = umbrella_consistency(series([2, 1, 0]), peak=1)
-        assert check.consistent and check.branch == "down"
-
-    def test_peak_out_of_range(self):
-        with pytest.raises(ContractViolationError):
-            umbrella_consistency(series([1, 2, 3]), peak=3)
-
-    def test_peak_at_end_reduces_to_simple_order(self):
-        vals = [0.0, 2.0, 1.0]
-        check = umbrella_consistency(series(vals), peak=2)
-        simple = simple_order_consistency(series(vals))
-        assert check.consistent == simple.consistent
-        assert check.branch == "up"

@@ -8,7 +8,7 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    in_polar_orthant,
+    project_cone,
     project_orthant_batch,
 )
 from ordersafe.isotonic import WeightedSeries, simple_order_consistency
@@ -27,7 +27,7 @@ from ordersafe.testing import (
     safe_test,
 )
 
-from conftest import random_spd
+from conftest import in_polar_orthant, random_spd
 
 ORTHANT2 = ConeSpec.orthant(2)
 ZERO2 = LinearSubspace.zero(2)
@@ -38,12 +38,15 @@ def gaussian_stat(s, sigma, n):
 
 
 class TestDistanceStatistics:
-    @pytest.mark.parametrize("n", [0, True, 2**53 + 1, 10**400],
-                             ids=["zero", "bool", "above-2**53", "beyond-float"])
+    @pytest.mark.parametrize("n", [0, True, 2**53 + 1, 10**400, 7.9, "5", 5.0, np.int64(0)],
+                             ids=["zero", "bool", "above-2**53", "beyond-float", "fraction",
+                                  "str", "float", "numpy-zero"])
     def test_sample_size_must_be_a_float_exact_positive_integer(self, n):
         with pytest.raises(ContractViolationError, match="n must be"):
             Statistic(s_n=np.zeros(2), sigma_n=Metric(np.eye(2)), n=n)
         Statistic(s_n=np.zeros(2), sigma_n=Metric(np.eye(2)), n=2**53)
+        stat = Statistic(s_n=np.zeros(2), sigma_n=Metric(np.eye(2)), n=np.int64(7))
+        assert stat.n == 7 and type(stat.n) is int
 
     def test_type_a_vanishes_on_null(self, rng):
         sigma = random_spd(rng, 3)
@@ -316,6 +319,54 @@ class TestConsistencyRegion:
                 check = consistency_region(theta, sub, cone, metric)
                 assert check.consistent == (not polar), (p, theta.tolist())
         assert n_polar > 600
+
+    def test_matches_simple_order_split_seeded_sweep(self):
+        """2 000 seeded simple orders, K = 2..6, equal and random weights.
+
+        Where the cone projection is constant, a drift formed as a difference
+        of squared norms reads about 4e-16, and its square root is past 1e-8;
+        the distance from the projection to the null is exactly 0 there.
+        """
+        rng = np.random.default_rng(60003)
+        n_split = 0
+        for k in (2, 3, 4, 5, 6):
+            sub, cone = LinearSubspace.span_of_ones(k), ConeSpec.simple_order(k)
+            for i in range(400):
+                w = np.ones(k) if i % 2 else rng.uniform(0.2, 3.0, k)
+                theta = rng.standard_normal(k) * 2
+                split = simple_order_consistency(WeightedSeries(theta, w)).consistent
+                n_split += split
+                check = consistency_region(theta, sub, cone, Metric(np.diag(1.0 / w)))
+                assert check.consistent == split, (k, w.tolist(), theta.tolist())
+        assert 200 < n_split < 1800
+
+    @pytest.mark.parametrize("theta,cone,consistent", [
+        ([0.0, 0.0, 0.0], ConeSpec.tree_order(3), False),
+        ([0.0, -1.0, 1.0], ConeSpec.tree_order(3), True),
+        # projection (8/3, 8/3, 8/3, 3) is not constant, although theta_0 > max(theta_i)
+        ([5.0, 1.0, 2.0, 3.0], ConeSpec.tree_order(4), True),
+        ([3.553, -5.107, -0.276, 2.027], ConeSpec.tree_order(4), True),
+        ([1.0, 1.0, 1.0], ConeSpec.umbrella_order(3, 1), False),
+        ([0.0, 2.0, 1.0], ConeSpec.umbrella_order(3, 1), True),
+        ([2.0, 1.0, 0.0], ConeSpec.umbrella_order(3, 1), True),
+        ([3.0, 2.0, 1.0, 0.0], ConeSpec.umbrella_order(4, 0), True),
+        ([0.0, 1.0, 2.0, 3.0], ConeSpec.umbrella_order(4, 0), False),
+        ([3.0, 0.0, 2.0, 1.0], ConeSpec.umbrella_order(4, 3), False),
+    ])
+    def test_tree_and_umbrella_orders(self, theta, cone, consistent):
+        """The test separates iff the cone projection leaves the equal-means line."""
+        k = len(theta)
+        metric = Metric(np.eye(k))
+        check = consistency_region(theta, LinearSubspace.span_of_ones(k), cone, metric)
+        proj = project_cone(theta, cone, metric)
+        assert check.consistent == consistent == bool(np.ptp(proj) > 1e-8)
+
+    def test_null_must_lie_in_the_cone(self):
+        """The distance from the cone projection to the null is the drift only
+        when the null lies in the cone."""
+        sub = LinearSubspace.from_basis(np.array([[1.0], [0.0]]))
+        with pytest.raises(ContractViolationError, match="not contained in the cone"):
+            consistency_region([-1.0, 1.0], sub, ORTHANT2, Metric(np.eye(2)))
 
     def test_matches_split_checker_through_drift(self, rng):
         """Simple-order split fires exactly when the drift is positive."""

@@ -60,7 +60,8 @@ DEFAULT_SEED = 1729
 #: Default number of Monte Carlo replications for weight estimation.
 DEFAULT_MC_DRAWS = 1_000_000
 
-#: Largest dimension weights_exact accepts; one 16-node pass takes 75 ms at p = 8.
+#: Largest dimension weights_exact accepts; one 16-node pass takes about 80 ms at p = 8
+#: (one core, one BLAS thread).
 EXACT_MAX_DIM = 8
 
 #: Gauss-Legendre nodes per Plackett integral on the first pass of weights_exact.
@@ -68,7 +69,8 @@ EXACT_NODES = 16
 
 _EXACT_MAX_NODES = 128
 _EXACT_TOL = 1e-13
-# conditioned correlation matrices built at once by one orthant reduction step
+# node rows, (matrix, pair) times nodes, in one chunk of the orthant
+# reduction: each float64 node buffer of a chunk holds at most 128 KiB
 _ORTHANT_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 15
 _BISECT_TOL = 1e-10
@@ -278,16 +280,45 @@ def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
     sin u = t c_0k removes the 1 / sqrt(1 - t^2 c_0k^2) singularity, leaving
     (1 / 2pi) sum_k int_0^{asin c_0k} P_{d-2}(conditional correlation) du,
     evaluated with the Gauss-Legendre rule nodes = (points, weights).
+
+    Every node-dependent quantity lives in a C-contiguous (m, d - 1, n)
+    buffer, or (m, d - 1, n, r, r) for the conditioned matrices of
+    r = d - 2 >= 4 variables, and is updated in place. The stack is cut
+    into chunks of at most _ORTHANT_CHUNK node rows, (m, d - 1) pairs times
+    n nodes, so each (m, d - 1, n) buffer stays within 128 KiB; the chunks
+    of one stack share their buffers, so the pages are touched once per
+    stack, not once per chunk. Three rules keep the result bit for bit that
+    of the plain broadcast form:
+    - Sheppard's arcsines are added in pair order, the order of numpy's
+      sequential reduction over the pair axis;
+    - the operand of inner @ g is a C-contiguous (m, d - 1, n) buffer,
+      because matmul's rounding depends on the operand's layout;
+    - t = s / c_0k divides by 1 where c_0k = 0, where s is +-0, so t^2 is
+      the same 0 that a masked divide would leave.
     """
     m, d = corr.shape[0], corr.shape[1]
     if d <= 3:
         i, j = _triu_pairs(d)
-        return _orthant_small(corr[:, i, j], d)
+        return 0.5 ** d + np.arcsin(corr[:, i, j]).sum(axis=-1) / (2.0 ** (d - 1) * np.pi)
+    n, r = nodes[0].size, d - 2
+    step = max(1, _ORTHANT_CHUNK // ((d - 1) * n))
+    rows = min(m, step)
+    if r <= 3:   # q, then one buffer per pair (the first is s), one per diagonal term
+        work, cond = np.empty((1 + r * (r - 1) // 2 + r, rows, d - 1, n)), None
+    else:
+        work, cond = np.empty((2, rows, d - 1, n)), np.empty((rows, d - 1, n, r, r))
+    out = np.empty(m)
+    for lo in range(0, m, step):
+        out[lo:lo + step] = _plackett(corr[lo:lo + step], nodes, work, cond)
+    return out
+
+
+def _plackett(corr: np.ndarray, nodes, work: np.ndarray, cond) -> np.ndarray:
+    """_orthant_probabilities of one chunk of an (m, d, d) stack, d >= 4, in
+    the first m rows of the buffers of work and, for d >= 6, of cond."""
+    m, d = corr.shape[0], corr.shape[1]
     x, g = nodes
-    step = max(1, _ORTHANT_CHUNK // ((d - 1) * x.size))
-    if m > step:
-        return np.concatenate([_orthant_probabilities(corr[i:i + step], nodes)
-                               for i in range(0, m, step)])
+    work = work[:, :m]
     r = d - 2
     rest = _rest(d)
     c0 = corr[:, 0, 1:]                                      # (m, d-1): c_0k
@@ -298,28 +329,47 @@ def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
     base = corr[:, rest[:, :, None], rest[:, None, :]] - ck[..., :, None] * ck[..., None, :]
     f = corr[:, 0, rest] - c0[..., None] * ck
     top = np.arcsin(c0)
-    s = np.sin(0.5 * top[..., None] * (x + 1.0))             # (m, d-1, n): t c_0k
-    t = np.divide(s, c0[..., None], out=np.zeros_like(s), where=c0[..., None] != 0.0)
-    q = (t * t / (1.0 - s * s))[:, :, None, :]
-    diag = np.diagonal(base, axis1=-2, axis2=-1)[..., None] - q * (f * f)[..., None]
+    q, s = work[0], work[1]
+    np.multiply((0.5 * top)[..., None], x + 1.0, out=s)
+    np.sin(s, out=s)                                         # t c_0k
+    np.divide(s, np.where(c0 != 0.0, c0, 1.0)[..., None], out=q)
+    np.multiply(q, q, out=q)
+    np.multiply(s, s, out=s)
+    np.subtract(1.0, s, out=s)
+    np.divide(q, s, out=q)
     if r <= 3:
+        # Sheppard's form of the conditioned pairs (i, j), one buffer each;
+        # the products of their diagonal terms go to pair, and their
+        # correlations to diag, whose terms are no longer needed by then
         i, j = _triu_pairs(r)
-        off = base[..., i, j][..., None] - q * (f[..., i] * f[..., j])[..., None]
-        inner = _orthant_small(off / np.sqrt(diag[:, :, i] * diag[:, :, j]), r, axis=2)
+        pair, diag = work[1:1 + i.size], work[1 + i.size:]
+        np.multiply(q, (f * f).transpose(2, 0, 1)[..., None], out=diag)
+        bd = np.diagonal(base, axis1=-2, axis2=-1).transpose(2, 0, 1)
+        np.subtract(bd[..., None], diag, out=diag)
+        for a in range(r - 1):   # pairs (a, a + 1), ..., (a, r - 1) are adjacent
+            lo = a * (2 * r - a - 1) // 2
+            np.multiply(diag[a], diag[a + 1:], out=pair[lo:lo + r - 1 - a])
+        np.sqrt(pair, out=pair)
+        rho = diag[:i.size]
+        np.multiply(q, (f[..., i] * f[..., j]).transpose(2, 0, 1)[..., None], out=rho)
+        np.subtract(base[..., i, j].transpose(2, 0, 1)[..., None], rho, out=rho)
+        np.divide(rho, pair, out=rho)
+        np.arcsin(rho, out=rho)
+        inner = rho[0]
+        for k in range(1, i.size):
+            inner += rho[k]
+        inner /= 2.0 ** (r - 1) * np.pi
+        inner += 0.5 ** r
     else:
-        cond = base[..., None] - q[:, :, None] * (f[..., :, None] * f[..., None, :])[..., None]
-        sd = np.sqrt(diag)
-        cond /= sd[:, :, :, None] * sd[:, :, None, :]
-        cond = np.moveaxis(cond, -1, 2).reshape(-1, r, r)
-        inner = _orthant_probabilities(cond, nodes).reshape(m, d - 1, x.size)
+        cond = cond[:m]
+        ff = f[..., :, None] * f[..., None, :]
+        np.multiply(q[..., None, None], ff[:, :, None], out=cond)
+        np.subtract(base[:, :, None], cond, out=cond)
+        sd = np.sqrt(np.diagonal(cond, axis1=-2, axis2=-1))
+        np.divide(cond, sd[..., :, None] * sd[..., None, :], out=cond)
+        inner = _orthant_probabilities(cond.reshape(-1, r, r), nodes).reshape(m, d - 1, -1)
     integral = 0.5 * top * (inner @ g)
     return 0.5 * _orthant_probabilities(corr[:, 1:, 1:], nodes) + integral.sum(axis=1) / (2.0 * np.pi)
-
-
-def _orthant_small(rho: np.ndarray, d: int, axis: int = -1) -> np.ndarray:
-    """Closed-form orthant probability for d <= 3 from the pairwise correlations
-    along axis: 2^-d + sum of asin(rho_ij) / (2^(d-1) pi), after Sheppard."""
-    return 0.5 ** d + np.arcsin(rho).sum(axis=axis) / (2.0 ** (d - 1) * np.pi)
 
 
 def _kudo_weights(corr: np.ndarray, prec: np.ndarray, nodes) -> np.ndarray:
@@ -357,14 +407,15 @@ def weights_exact(psi) -> ChiBarWeights:
     whose weights are not finite, raises NumericError, and its weights are
     left to Monte Carlo. A breach of the identities by more than 1e-12 in
     the weights returned raises InternalInvariantError. p above
-    EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes 1.0 s at
-    p = 9 and 15 s at p = 10, nearly all of it in the Plackett recursion,
-    and each doubling multiplies that by about 12.
+    EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes about
+    0.8 s at p = 9 and 12 s at p = 10, nearly all of it in the Plackett
+    recursion, and each doubling multiplies that by about 12.
 
-    One pass costs about 0.2 ms at p = 3, 0.6 ms at p = 5, 9 ms at p = 7
-    and 75 ms at p = 8 with 16 nodes. The node rules and the subset and
-    index tables are built once per size, on first use, and shared
-    read-only; each face dimension gathers all its blocks in one step.
+    One pass costs about 0.3 ms at p = 3, 1 ms at p = 5, 8 ms at p = 7 and
+    80 ms at p = 8 with 16 nodes, on one core with one BLAS thread. The
+    node rules and the subset and index tables are built once per size, on
+    first use, and shared read-only; each face dimension gathers all its
+    blocks in one step.
 
     Parameters
     ----------

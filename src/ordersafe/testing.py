@@ -340,7 +340,12 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
     ||P_S theta||^2. The common ||theta||^2 never enters, so a theta in the
     polar cone gives a drift at the square of the projector's roundoff
     rather than at its first power.
+
+    A subspace null against a cone alternative must lie in the cone
+    (ContractViolationError otherwise), as for consistency_region.
     """
+    if isinstance(null_set, LinearSubspace) and isinstance(alt_set, ConeSpec):
+        _validate_pairing(metric.dim, null_set, alt_set)
     theta = np.asarray(theta, dtype=float)
     value = (metric.norm_sq(_project_set(theta, alt_set, metric))
              - metric.norm_sq(_project_set(theta, null_set, metric)))

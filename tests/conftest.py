@@ -162,7 +162,12 @@ def minmax_project(series):
 
 def orthant_probabilities_oracle(corr, nodes):
     """P(X >= 0) for X ~ N(0, C) over an (m, d, d) stack, by Sheppard's forms
-    up to d = 3 and Plackett's reduction above, building every index list."""
+    up to d = 3 and Plackett's reduction above, building every index list.
+
+    This is also the plain broadcast form of the in-place kernel: every
+    node-dependent term is one (m, d-1, ..., n) broadcast, the arcsines are
+    summed by np.sum over the pair axis, the conditioned matrices are built
+    node-last and moved, and t is a masked divide, 0 where c_0k = 0."""
     m, d = corr.shape[0], corr.shape[1]
     if d <= 3:
         i, j = np.triu_indices(d, 1)

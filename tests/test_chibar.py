@@ -36,7 +36,7 @@ from ordersafe.errors import (
 )
 from ordersafe.geometry import ConeSpec
 
-from conftest import mp_chi2_sf, random_spd, weights_exact_oracle
+from conftest import mp_chi2_sf, orthant_probabilities_oracle, random_spd, weights_exact_oracle
 
 QUADRANT = weights_closed_form_2d(0.0)
 
@@ -182,9 +182,11 @@ class TestExactWeights:
 
     @pytest.mark.parametrize("p", range(1, 9))
     def test_identity_gives_binomial_weights(self, p):
+        """Exact to the bit: every c_0k is 0, the branch where t = s / c_0k
+        divides by 1 and must leave t = 0."""
         w = weights_exact(np.eye(p))
         expected = [math.comb(p, j) / 2**p for j in range(p + 1)]
-        np.testing.assert_allclose(w.w, expected, rtol=0, atol=1e-14)
+        assert w.w.tolist() == expected
         assert (w.source, w.n_draws, w.seed) == ("exact", None, None)
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -276,6 +278,75 @@ def test_near_singular_weights_match_the_reference_bit_for_bit():
     """Equicorrelation 0.99 at p = 5 doubles the nodes, reading more cached rules."""
     assert np.array_equal(weights_exact(equicorrelation(5, 0.99)).w,
                           weights_exact_oracle(equicorrelation(5, 0.99)))
+
+
+def _leaf_cost(d, n):
+    """Rough count of Sheppard evaluations behind one d x d orthant probability."""
+    if d <= 3:
+        return 1
+    return (d - 1) * n * (_leaf_cost(d - 2, n) if d >= 6 else 1) + _leaf_cost(d - 1, n)
+
+
+def _correlation_stack(rng, m, d, near_one=None, zeros=False):
+    """(m, d, d) Gram stack of unit vectors: near_one = (eps, sign) makes one
+    entry about sign (1 - eps^2 / 2), and zeros puts exact zeros in row 0."""
+    b = rng.standard_normal((m, d, d + 1))
+    if d >= 2 and near_one is not None:
+        (a, c), (eps, sign) = rng.choice(d, 2, replace=False), near_one
+        b[:, c] = sign * b[:, a] + eps * rng.standard_normal((m, d + 1))
+    if d >= 2 and zeros:
+        # c_0k = e_0 . b_k is a sum of exact zeros for every k with b_k[0] = 0
+        b[:, rng.random(d) < 0.5, 0] = 0.0
+        b[:, 0] = 0.0
+        b[:, 0, 0] = 1.0
+    b /= np.linalg.norm(b, axis=2, keepdims=True)
+    return b @ b.transpose(0, 2, 1)
+
+
+def _assert_orthant_bits(corr, n):
+    nodes = np.polynomial.legendre.leggauss(n)
+    got = _orthant_probabilities(corr, nodes)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, orthant_probabilities_oracle(corr, nodes))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_orthant_probabilities_match_the_broadcast_form_bit_for_bit(d, data):
+    """The in-place kernel and its c_0k = 0 branch change no bit of the
+    plain broadcast form, on stacks with exact zeros in row 0 and entries
+    within 1e-3 of +-1."""
+    n = data.draw(st.sampled_from([1, 2, 3, 5, 8, 16]))
+    m = data.draw(st.integers(1, 4))
+    near_one = data.draw(st.none() | st.tuples(st.floats(1e-4, 0.04), st.sampled_from([1.0, -1.0])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_orthant_bits(_correlation_stack(rng, m, d, near_one, data.draw(st.booleans())), n)
+
+
+@pytest.mark.parametrize("d", range(4, 8))
+def test_orthant_stacks_across_the_chunk_split_match_bit_for_bit(d):
+    """Stacks of step - 1 up to 2 step + 1 matrices, step the chunk size, with
+    the most nodes that keep the stack cheap (one node at d = 7): the
+    chunks share buffers, and the last one is short. At d = 8 the inner
+    stacks of d = 4 and 6 cross their splits in the test above."""
+    n = next((n for n in (16, 8, 5, 3, 2)
+              if (2 * chibar._ORTHANT_CHUNK // ((d - 1) * n) + 1) * _leaf_cost(d, n) <= 400_000), 1)
+    step = max(1, chibar._ORTHANT_CHUNK // ((d - 1) * n))
+    rng = np.random.default_rng(40 + d)
+    for m in (step - 1, step, step + 1, 2 * step + 1):
+        _assert_orthant_bits(_correlation_stack(rng, m, d, (1e-3, -1.0), zeros=m % 2 == 1), n)
+
+
+@pytest.mark.parametrize("p", range(3, 9))
+@pytest.mark.parametrize("order", ["simple", "tree"])
+def test_exact_weights_equal_a_kudo_sum_on_the_oracle(order, p):
+    """weights_exact at every p it supports equals the face decomposition
+    summed over the broadcast-form orthant probabilities."""
+    rng = np.random.default_rng(300 + p)
+    r = getattr(ConeSpec, f"{order}_order")(p + 1).as_polyhedral()
+    psi = r @ random_spd(rng, p + 1) @ r.T
+    assert np.array_equal(weights_exact(psi).w, weights_exact_oracle(psi))
 
 
 def _table_caches(module):

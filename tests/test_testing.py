@@ -275,6 +275,21 @@ class TestDelta:
         expected = (0 - 1) ** 2 + 2 * (1.5 - 1) ** 2
         assert drift == pytest.approx(expected, abs=1e-10)
 
+    def test_null_outside_the_cone_is_a_contract_violation(self):
+        """The caller's pairing is at fault, not the library: the drop
+        ||P_C theta||^2 - ||P_L theta||^2 = 0 - 1 used to raise
+        InternalInvariantError."""
+        sub = LinearSubspace.from_basis([[1.0], [0.0]])
+        with pytest.raises(ContractViolationError, match="not contained in the cone"):
+            delta([-1.0, 0.0], sub, ORTHANT2, Metric(np.eye(2)))
+
+    def test_cone_null_against_the_full_space_is_unchanged(self):
+        """FULL_SPACE pairings carry no subspace to check: the drift is the
+        squared distance to the cone, as before."""
+        metric = Metric(np.eye(2))
+        assert delta([-1.0, 0.0], ORTHANT2, FULL_SPACE, metric) == 1.0
+        assert delta([-3.0, -4.0], ORTHANT2, FULL_SPACE, metric) == 25.0
+
 
 class TestConsistencyRegion:
     def test_negative_quadrant_is_blind_spot(self):

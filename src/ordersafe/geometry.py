@@ -40,9 +40,17 @@ def _as_vector(x, dim=None, name="x"):
         raise ContractViolationError(f"{name} must be a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ContractViolationError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractViolationError(f"{name} has non-finite entries")
     return v
+
+
+def _require_instance(value, kind, name):
+    """value itself, after checking it is a kind (ContractViolationError otherwise)."""
+    if not isinstance(value, kind):
+        raise ContractViolationError(
+            f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 def _read_only_matrix(value, name, shape):
@@ -66,7 +74,7 @@ def _activity_tol(xt) -> np.ndarray:
     """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array; only columns whose
     squares overflow (past about 1e154) are rescaled by max|x|, inf giving NaN."""
     norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
-    big = np.flatnonzero(np.isinf(norm))
+    big = np.isinf(norm).nonzero()[0]
     if big.size:
         scale = np.abs(xt[:, big]).max(axis=0)
         with np.errstate(invalid="ignore"):
@@ -271,7 +279,8 @@ def project_subspace(x, sub: LinearSubspace, metric: Metric) -> np.ndarray:
 
     The residual x - proj is metric-orthogonal to every basis vector.
     """
-    x = _as_vector(x, metric.dim)
+    _require_instance(sub, LinearSubspace, "sub")
+    x = _as_vector(x, _require_instance(metric, Metric, "metric").dim)
     if sub.ambient_dim != metric.dim:
         raise ContractViolationError("subspace and metric dimensions disagree")
     b = sub.basis
@@ -297,7 +306,13 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     The result is checked before it is returned: primal feasibility
     R theta >= -tol and dual feasibility lam >= 0, with tol =
     1e-10 * (1 + ||x||). A breach raises InternalInvariantError; a solve
-    that needs more than 3p active-set steps raises NumericError.
+    that needs more than 3p active-set steps raises NumericError. A cone
+    that is not a ConeSpec, or a metric that is not a Metric, raises
+    ContractViolationError.
+
+    This is the one exact cone projector. The distance tests dt_type_a,
+    dt_type_b and safe_test call it once per Statistic and cone, through
+    the Statistic's memo of its squared distance to the last cone.
 
     Parameters
     ----------
@@ -308,8 +323,8 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     metric : Metric
         SPD matrix defining the geometry.
     """
-    x = _as_vector(x, metric.dim)
-    r = cone.as_polyhedral()
+    x = _as_vector(x, _require_instance(metric, Metric, "metric").dim)
+    r = _require_instance(cone, ConeSpec, "cone").as_polyhedral()
     if r.shape[1] != metric.dim:
         raise ContractViolationError(
             f"cone lives in dimension {r.shape[1]}, metric in {metric.dim}"
@@ -318,9 +333,11 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
 
 
 def _dual_active_set(x, r, metric):
+    # array methods and index arrays in place of np.all, np.argmin, np.ix_ and
+    # np.flatnonzero: the same arithmetic, without their Python wrappers
     tol = _activity_tol(x[:, None])[0]
     rx = r @ x
-    if np.all(rx >= -tol):
+    if (rx >= -tol).all():
         return x.copy()
     p = r.shape[0]
     sigma_rt = metric.sigma @ r.T  # columns sigma r_i
@@ -331,7 +348,7 @@ def _dual_active_set(x, r, metric):
     max_iter = 3 * p
     n_iter = 0
     while not passive.all():
-        j = int(np.argmin(np.where(passive, np.inf, w)))
+        j = int(np.where(passive, np.inf, w).argmin())
         if w[j] >= -tol:
             break
         passive[j] = True
@@ -341,17 +358,19 @@ def _dual_active_set(x, r, metric):
                 raise NumericError(
                     f"cone projection did not converge within {max_iter} active-set steps"
                 )
-            idx = np.flatnonzero(passive)
+            idx = passive.nonzero()[0]
             z = np.zeros(p)
-            z[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -rx[idx])
-            if np.all(z[idx] > 0):
+            z_idx = np.linalg.solve(gram[idx[:, None], idx], -rx[idx])
+            z[idx] = z_idx
+            if (z_idx > 0).all():
                 lam = z
                 break
             # step from lam towards z until the first passive multiplier hits
             # zero, then drop that row and every row roundoff left at zero
-            blocking = idx[z[idx] <= 0]
-            ratios = lam[blocking] / (lam[blocking] - z[blocking])
-            k = int(np.argmin(ratios))
+            hit = z_idx <= 0
+            blocking = idx[hit]
+            ratios = lam[blocking] / (lam[blocking] - z_idx[hit])
+            k = int(ratios.argmin())
             lam = lam + ratios[k] * (z - lam)
             lam[blocking[k]] = 0.0
             passive &= lam > 0
@@ -359,7 +378,7 @@ def _dual_active_set(x, r, metric):
         w = gram @ lam + rx
     theta = x + sigma_rt @ lam
     r_theta = r @ theta
-    if np.any(r_theta < -tol) or np.any(lam < 0):
+    if (r_theta < -tol).any() or (lam < 0).any():
         raise InternalInvariantError(
             "cone projection breaks its KKT conditions: "
             f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}"
@@ -369,7 +388,8 @@ def _dual_active_set(x, r, metric):
 
 def polar_complement(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     """Residual x - proj(x | cone), i.e. the projection onto the polar cone."""
-    return _as_vector(x, metric.dim) - project_cone(x, cone, metric)
+    x = _as_vector(x, _require_instance(metric, Metric, "metric").dim)
+    return x - project_cone(x, cone, metric)
 
 
 def project_orthant_batch(points, metric: Metric) -> np.ndarray:

@@ -38,6 +38,7 @@ from .geometry import (
     Metric,
     _as_vector,
     _is_integer,
+    _require_instance,
     project_cone,
     project_subspace,
 )
@@ -55,6 +56,17 @@ class Statistic:
 
     s_n estimates the parameter, sigma_n estimates the covariance of the
     root-n limit law, and n is the sample size behind the estimate.
+
+    Both distance statistics come from the one cone projection of s_n, so a
+    Statistic remembers its squared distance to the last cone it was
+    projected onto: dt_type_a, dt_type_b and safe_test on one Statistic and
+    one ConeSpec project once. The memo is keyed by the cone's identity (a
+    ConeSpec is immutable, so the same object has the same restriction
+    matrix; an equal but distinct cone projects again), holds no error, and
+    is one (cone, distance) tuple written by a single attribute store, so a
+    thread never reads one cone with another's distance. It is not a field:
+    ==, repr and dataclasses.replace ignore it, and a new Statistic starts
+    without one.
     """
 
     s_n: np.ndarray
@@ -62,6 +74,7 @@ class Statistic:
     n: int
 
     def __post_init__(self):
+        _require_instance(self.sigma_n, Metric, "sigma_n")
         s = _as_vector(self.s_n, self.sigma_n.dim, "s_n")
         # above 2**53 the float products n * distance would round n itself
         if not _is_integer(self.n) or not 1 <= self.n <= 2**53:
@@ -71,6 +84,7 @@ class Statistic:
         s.setflags(write=False)
         object.__setattr__(self, "s_n", s)
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "_cone_memo", None)
 
     @property
     def dim(self) -> int:
@@ -153,7 +167,8 @@ class SafeOutcome:
 
 
 def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
-    r = cone.as_polyhedral()
+    _require_instance(sub, LinearSubspace, "sub")
+    r = _require_instance(cone, ConeSpec, "cone").as_polyhedral()
     if r.shape[1] != dim:
         raise ContractViolationError("cone and statistic dimensions disagree")
     if sub.ambient_dim != dim:
@@ -185,6 +200,8 @@ def _reduced_psi(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> np.nda
 def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
                     cfg: WeightConfig = WeightConfig()) -> ChiBarWeights:
     """Mixture weights of the orthant-reduced problem under the given config."""
+    _require_instance(stat, Statistic, "stat")
+    _require_instance(cfg, WeightConfig, "cfg")
     psi = _reduced_psi(stat, sub, cone)
     p = psi.shape[0]
     if p > EXACT_MAX_DIM:
@@ -204,42 +221,52 @@ def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
 
     n times the drop in squared metric distance when the null set is
     enlarged to the cone; nonnegative by construction and clamped at zero
-    against roundoff.
+    against roundoff. The distance to the cone comes from the Statistic's
+    memo, so dt_type_b on the same Statistic and cone does not project again.
     """
+    _require_instance(stat, Statistic, "stat")
     _validate_pairing(stat.dim, sub, cone)
-    return _type_a_value(stat, sub, _cone_distance_sq(stat, cone))
-
-
-def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
-    """Distance test for a cone null: n times squared distance to the cone."""
-    if cone.as_polyhedral().shape[1] != stat.dim:
-        raise ContractViolationError("cone and statistic dimensions disagree")
-    return _type_b_value(stat, _cone_distance_sq(stat, cone))
-
-
-def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
-    """Squared metric distance from s_n to the cone: the one projection that
-    both distance tests need."""
     metric = stat.sigma_n
-    return metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
-
-
-def _type_a_value(stat: Statistic, sub: LinearSubspace, d_cone: float) -> float:
-    """dt_type_a from the squared distance to the cone."""
-    metric = stat.sigma_n
+    d_cone = _cone_distance_sq(stat, cone)
     d_null = metric.norm_sq(stat.s_n - project_subspace(stat.s_n, sub, metric))
     value = stat.n * (d_null - d_cone)
     _require_finite(value, "type A")
-    if value < -1e-10:
-        raise InternalInvariantError(f"distance drop is negative beyond tolerance: {value}")
-    return max(value, 0.0)
+    return _clamped_drop(value, stat.s_n, metric, stat.n)
 
 
-def _type_b_value(stat: Statistic, d_cone: float) -> float:
-    """dt_type_b from the squared distance to the cone."""
-    value = stat.n * d_cone
+def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
+    """Distance test for a cone null: n times squared distance to the cone.
+
+    The distance comes from the Statistic's memo, shared with dt_type_a.
+    """
+    _require_instance(stat, Statistic, "stat")
+    if _require_instance(cone, ConeSpec, "cone").as_polyhedral().shape[1] != stat.dim:
+        raise ContractViolationError("cone and statistic dimensions disagree")
+    value = stat.n * _cone_distance_sq(stat, cone)
     _require_finite(value, "type B")
     return max(value, 0.0)
+
+
+def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
+    """Squared metric distance from s_n to the cone, projected once per
+    Statistic and cone (see Statistic). Read and written as one tuple."""
+    memo = stat._cone_memo
+    if memo is not None and memo[0] is cone:
+        return memo[1]
+    metric = stat.sigma_n
+    d_cone = metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
+    object.__setattr__(stat, "_cone_memo", (cone, d_cone))
+    return d_cone
+
+
+def _clamped_drop(drop: float, x, metric: Metric, n: int = 1) -> float:
+    """max(drop, 0) for drop = n (dist^2(x, null) - dist^2(x, alt)), which
+    exact arithmetic keeps nonnegative. Both sets hold 0, so both distances
+    and their roundoff scale with ||x||^2: only a drop below
+    -1e-10 (1 + n ||x||^2) is an error, and ||x||^2 is computed only then."""
+    if drop < -1e-10 and drop < -1e-10 * (1.0 + n * metric.norm_sq(x)):
+        raise InternalInvariantError(f"distance drop is negative beyond tolerance: {drop}")
+    return max(drop, 0.0)
 
 
 def _require_finite(value: float, kind: str) -> None:
@@ -274,16 +301,17 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     statistic t_safe = t * 1{t' < c'_gamma}, the recalibrated critical value
     solving the joint tail equation at alpha, and the attained level of the
     composite region. The conclusion is selected by the decision pair
-    (d1, d2) = (certificate issued, original null rejected).
+    (d1, d2) = (certificate issued, original null rejected). t and t' come
+    from dt_type_a and dt_type_b, which share one cone projection through
+    the Statistic's memo.
     """
+    _require_instance(stat, Statistic, "stat")
     if not (0.0 < alpha < 1.0 and 0.0 < gamma < 1.0):
         raise ContractViolationError("alpha and gamma must lie in (0, 1)")
     weights = resolve_weights(stat, sub, cone, weight_cfg)
     polar = weights.complement()
-    # resolve_weights has checked the pairing that dt_type_a and dt_type_b check
-    d_cone = _cone_distance_sq(stat, cone)
-    t_orig = _type_a_value(stat, sub, d_cone)
-    t_aux = _type_b_value(stat, d_cone)
+    t_orig = dt_type_a(stat, sub, cone)
+    t_aux = dt_type_b(stat, cone)
     alpha_star = mixture_upper_tail(weights, t_orig)
     gamma_star = mixture_upper_tail(polar, t_aux)
     c_alpha = solve_critical(weights, alpha, "marginal")
@@ -316,13 +344,21 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
 
 
 def _project_set(x, target, metric: Metric) -> np.ndarray:
-    if target == FULL_SPACE:
-        return np.asarray(x, dtype=float)
     if isinstance(target, LinearSubspace):
         return project_subspace(x, target, metric)
     if isinstance(target, ConeSpec):
         return project_cone(x, target, metric)
-    raise ContractViolationError(f"cannot project onto {type(target).__name__}")
+    return np.asarray(x, dtype=float)  # FULL_SPACE
+
+
+def _set_kind(target) -> str:
+    if isinstance(target, LinearSubspace):
+        return "subspace"
+    if isinstance(target, ConeSpec):
+        return "cone"
+    if isinstance(target, str) and target == FULL_SPACE:
+        return "FULL_SPACE"
+    return type(target).__name__
 
 
 def delta(theta, null_set, alt_set, metric: Metric) -> float:
@@ -341,17 +377,24 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
     polar cone gives a drift at the square of the projector's roundoff
     rather than at its first power.
 
-    A subspace null against a cone alternative must lie in the cone
-    (ContractViolationError otherwise), as for consistency_region.
+    Two pairings are defined: a subspace null against a cone alternative,
+    which must contain it, as for consistency_region; and a cone or
+    subspace null against FULL_SPACE. Any other pairing raises
+    ContractViolationError before anything is projected.
     """
-    if isinstance(null_set, LinearSubspace) and isinstance(alt_set, ConeSpec):
+    _require_instance(metric, Metric, "metric")
+    pairing = (_set_kind(null_set), _set_kind(alt_set))
+    if pairing == ("subspace", "cone"):
         _validate_pairing(metric.dim, null_set, alt_set)
+    elif pairing not in (("cone", "FULL_SPACE"), ("subspace", "FULL_SPACE")):
+        raise ContractViolationError(
+            f"delta is defined for a subspace null against a cone, or a cone or "
+            f"subspace null against FULL_SPACE; got a {pairing[0]} null against "
+            f"a {pairing[1]} alternative")
     theta = np.asarray(theta, dtype=float)
     value = (metric.norm_sq(_project_set(theta, alt_set, metric))
              - metric.norm_sq(_project_set(theta, null_set, metric)))
-    if value < -1e-10:
-        raise InternalInvariantError(f"distance drop negative beyond tolerance: {value}")
-    return max(value, 0.0)
+    return _clamped_drop(value, theta, metric)
 
 
 @dataclass(frozen=True)
@@ -381,7 +424,7 @@ def consistency_region(theta, sub: LinearSubspace, cone: ConeSpec,
     threshold once square-rooted) on a point whose cone projection lies in
     the null.
     """
-    _validate_pairing(metric.dim, sub, cone)
+    _validate_pairing(_require_instance(metric, Metric, "metric").dim, sub, cone)
     proj = project_cone(theta, cone, metric)
     consistent = metric.norm(proj - project_subspace(proj, sub, metric)) > 1e-8
     outside_cone = metric.norm(_as_vector(theta, metric.dim) - proj) > 1e-8

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ordersafe import chibar
-from ordersafe.errors import InfeasibleLevelError, NumericError
+from ordersafe.errors import InfeasibleLevelError, InternalInvariantError, NumericError
+from ordersafe.geometry import _activity_tol
 
 
 def random_spd(rng, dim, lam_low=0.5, lam_high=2.0):
@@ -70,6 +71,59 @@ def enumerate_cone_oracle(x, r, metric):
                     best_obj, best = obj, cand
     assert best is not None, "no feasible active-set candidate"
     return best
+
+
+def dual_active_set_oracle(x, r, metric):
+    """Reference form of geometry._dual_active_set: the Lawson-Hanson loop
+    written with np.all, np.argmin, np.ix_ and np.flatnonzero. The library's
+    loop must return the same bits after the same np.linalg.solve calls."""
+    tol = _activity_tol(x[:, None])[0]
+    rx = r @ x
+    if np.all(rx >= -tol):
+        return x.copy()
+    p = r.shape[0]
+    sigma_rt = metric.sigma @ r.T  # columns sigma r_i
+    gram = r @ sigma_rt
+    lam = np.zeros(p)
+    passive = np.zeros(p, dtype=bool)
+    w = rx  # gradient G lam + R x, which equals R theta
+    max_iter = 3 * p
+    n_iter = 0
+    while not passive.all():
+        j = int(np.argmin(np.where(passive, np.inf, w)))
+        if w[j] >= -tol:
+            break
+        passive[j] = True
+        while True:
+            n_iter += 1
+            if n_iter > max_iter:
+                raise NumericError(
+                    f"cone projection did not converge within {max_iter} active-set steps"
+                )
+            idx = np.flatnonzero(passive)
+            z = np.zeros(p)
+            z[idx] = np.linalg.solve(gram[np.ix_(idx, idx)], -rx[idx])
+            if np.all(z[idx] > 0):
+                lam = z
+                break
+            # step from lam towards z until the first passive multiplier hits
+            # zero, then drop that row and every row roundoff left at zero
+            blocking = idx[z[idx] <= 0]
+            ratios = lam[blocking] / (lam[blocking] - z[blocking])
+            k = int(np.argmin(ratios))
+            lam = lam + ratios[k] * (z - lam)
+            lam[blocking[k]] = 0.0
+            passive &= lam > 0
+            lam[~passive] = 0.0
+        w = gram @ lam + rx
+    theta = x + sigma_rt @ lam
+    r_theta = r @ theta
+    if np.any(r_theta < -tol) or np.any(lam < 0):
+        raise InternalInvariantError(
+            "cone projection breaks its KKT conditions: "
+            f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}"
+        )
+    return theta
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from ordersafe.isotonic import WeightedSeries, pava
 from ordersafe.testing import Statistic, dt_type_a, dt_type_b
 
 from conftest import (
+    dual_active_set_oracle,
     enumerate_cone_oracle,
     face_dimension,
     in_polar_orthant,
@@ -704,3 +707,57 @@ def test_batch_projection_satisfies_kkt(problem):
     assert project_orthant_batch(inside, metric).tobytes() == np.asfortranarray(inside).tobytes()
     with pytest.raises(NumericError, match="no feasible candidate"):
         project_orthant_batch(np.vstack([pts, np.full(pts.shape[1], np.nan)]), metric)
+
+
+@st.composite
+def _projection_problems(draw):
+    """A named order or a random full-row-rank R at K = 2..14, a random SPD
+    sigma with eigenvalues in (0.05, 20), and a point inside the cone,
+    outside it or in its polar cone, scaled by 2^-40, 1 or 2^40. Every
+    choice comes from the drawn seed, so that each spreads evenly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, region = rng.choice(["simple", "tree", "umbrella", "random"]), rng.integers(3)
+    k = int(rng.integers(2, 15))
+    if kind == "simple":
+        r = ConeSpec.simple_order(k).restriction
+    elif kind == "tree":
+        r = ConeSpec.tree_order(k).restriction
+    elif kind == "umbrella":
+        r = ConeSpec.umbrella_order(k, int(rng.integers(k))).restriction
+    else:
+        r = random_full_rank(rng, int(rng.integers(1, k + 1)), k)
+    sigma = random_spd(rng, k, 0.05, 20.0)
+    # exponential draws with some exact zeros: points on faces as well as inside
+    lam = rng.exponential(size=r.shape[0]) * (rng.random(r.shape[0]) < 0.7)
+    if region == 0:  # inside: R x = lam
+        pinv = np.linalg.pinv(r)
+        x = pinv @ lam + (np.eye(k) - pinv @ r) @ rng.standard_normal(k)
+    elif region == 1:  # polar: x = -sigma R' lam
+        x = -sigma @ r.T @ lam
+    else:
+        x = rng.standard_normal(k)
+    return r, sigma, 2.0 ** rng.choice([-40, 0, 40]) * x
+
+
+@settings(max_examples=450, deadline=None, derandomize=True, database=None)
+@given(_projection_problems())
+def test_projection_matches_the_reference_loop_bit_for_bit(problem):
+    """project_cone returns the reference loop's bits after as many
+    np.linalg.solve calls, and the distance tests give the reference
+    path's values. At 2^-40 most points fall under the absolute activity
+    floor and come back unchanged, so 450 examples leave well over 100
+    that run the loop."""
+    r, sigma, x = problem
+    metric, cone = Metric(sigma), ConeSpec.polyhedral(r)
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        theta = project_cone(x, cone, metric)
+        solves = solve.call_count
+        want = dual_active_set_oracle(x, r, metric)
+    assert np.array_equal(theta, want)
+    assert solves == solve.call_count - solves
+    sub = LinearSubspace.from_constraint(r)
+    stat = Statistic(s_n=x, sigma_n=metric, n=50)
+    d_cone = metric.norm_sq(x - want)
+    d_null = metric.norm_sq(x - project_subspace(x, sub, metric))
+    assert dt_type_b(stat, cone) == max(50 * d_cone, 0.0)
+    assert dt_type_a(stat, sub, cone) == max(50 * (d_null - d_cone), 0.0)

@@ -1,6 +1,11 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import ordersafe.geometry as geometry_module
 import ordersafe.testing as testing_module
 from ordersafe.chibar import EXACT_MAX_DIM, ChiBarWeights, solve_critical, weights_closed_form_2d, weights_exact
 from ordersafe.errors import ContractViolationError, InfeasibleLevelError, NumericError
@@ -8,8 +13,10 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
+    polar_complement,
     project_cone,
     project_orthant_batch,
+    project_subspace,
 )
 from ordersafe.isotonic import WeightedSeries, simple_order_consistency
 from ordersafe.studies import silvapulle_case
@@ -27,7 +34,7 @@ from ordersafe.testing import (
     safe_test,
 )
 
-from conftest import in_polar_orthant, random_spd
+from conftest import dual_active_set_oracle, in_polar_orthant, random_spd
 
 ORTHANT2 = ConeSpec.orthant(2)
 ZERO2 = LinearSubspace.zero(2)
@@ -35,6 +42,115 @@ ZERO2 = LinearSubspace.zero(2)
 
 def gaussian_stat(s, sigma, n):
     return Statistic(s_n=np.asarray(s, dtype=float), sigma_n=Metric(sigma), n=n)
+
+
+def counted_projections(monkeypatch, fail_first=False):
+    """Count the calls testing makes to project_cone; optionally make the
+    first one raise NumericError."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args[1])
+        if fail_first and len(calls) == 1:
+            raise NumericError("cone projection did not converge")
+        return project_cone(*args)
+
+    monkeypatch.setattr(testing_module, "project_cone", wrapper)
+    return calls
+
+
+_S3, _METRIC3 = np.array([1.0, 0.0, 2.0]), Metric(np.eye(3))
+_SUB3, _CONE3 = LinearSubspace.span_of_ones(3), ConeSpec.simple_order(3)
+_STAT3 = Statistic(s_n=_S3, sigma_n=_METRIC3, n=5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Statistic([1, 2, 3], np.eye(3), 5),
+    lambda: dt_type_a(None, _SUB3, _CONE3),
+    lambda: dt_type_a(_STAT3, None, _CONE3),
+    lambda: dt_type_a(_STAT3, _SUB3, _CONE3.restriction),
+    lambda: dt_type_b(_STAT3, None),
+    lambda: project_cone(_S3, _CONE3, np.eye(3)),
+    lambda: project_cone(_S3, [[1, 0, 0]], _METRIC3),
+    lambda: safe_test((_S3, _METRIC3, 5), _SUB3, _CONE3, 0.05, 0.05),
+    lambda: project_subspace(_S3, _SUB3.basis, _METRIC3),
+    lambda: polar_complement(_S3, _CONE3, np.eye(3)),
+    lambda: resolve_weights(_STAT3, _SUB3, _CONE3, {"seed": 1}),
+], ids=["statistic-sigma-array", "type-a-stat-none", "type-a-sub-none", "type-a-cone-array",
+        "type-b-cone-none", "project-metric-array", "project-cone-list", "safe-test-tuple",
+        "subspace-basis-array", "polar-metric-array", "weights-config-dict"])
+def test_mistyped_objects_are_contract_violations(call):
+    """A wrong type at the distance-test boundary is the caller's error,
+    named as such, not an AttributeError from deep inside."""
+    with pytest.raises(ContractViolationError, match="must be a"):
+        call()
+
+
+class TestConeMemo:
+    """One cone projection per Statistic and cone (see Statistic)."""
+
+    def test_threads_alternating_two_cones_see_whole_pairs(self):
+        sigma = random_spd(np.random.default_rng(11), 6)
+        s = [0.4, -0.3, 0.2, -0.5, 0.1, -0.2]
+        cones = (ConeSpec.simple_order(6), ConeSpec.tree_order(6))
+        serial = [dt_type_b(gaussian_stat(s, sigma, 40), cone) for cone in cones]
+        assert serial[0] != serial[1]
+        stat = gaussian_stat(s, sigma, 40)
+        start, results = threading.Barrier(2), [None, None]
+
+        def run(k):
+            start.wait(timeout=60)
+            results[k] = [dt_type_b(stat, cones[(i + k) % 2]) == serial[(i + k) % 2]
+                          for i in range(200)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(all(ok) and len(ok) == 200 for ok in results)
+
+    def test_an_equal_but_distinct_cone_projects_again(self, monkeypatch):
+        calls = counted_projections(monkeypatch)
+        stat = gaussian_stat([0.3, -0.2, 0.1], np.eye(3), 20)
+        first = dt_type_b(stat, _CONE3)
+        assert dt_type_b(stat, _CONE3) == first and len(calls) == 1
+        again = ConeSpec.simple_order(3)
+        assert dt_type_b(stat, again) == first and calls == [_CONE3, again]
+        assert dt_type_a(stat, _SUB3, again) >= 0.0 and len(calls) == 2
+
+    def test_a_numeric_error_is_not_remembered(self, monkeypatch):
+        stat = gaussian_stat([0.3, -0.2, 0.1], np.eye(3), 20)
+        want = dt_type_b(gaussian_stat([0.3, -0.2, 0.1], np.eye(3), 20), _CONE3)
+        tree = ConeSpec.tree_order(3)
+        calls = counted_projections(monkeypatch, fail_first=True)
+        with pytest.raises(NumericError):
+            dt_type_b(stat, _CONE3)
+        assert stat._cone_memo is None
+        assert dt_type_b(stat, _CONE3) == want and len(calls) == 2
+        # a later failure leaves the last good pair in place
+        calls.clear()
+        with pytest.raises(NumericError):
+            dt_type_b(stat, tree)
+        assert dt_type_b(stat, _CONE3) == want and calls == [tree]
+
+    def test_equality_repr_and_replace_ignore_the_memo(self):
+        metric, cone = Metric(np.eye(1)), ConeSpec.orthant(1)
+        stat = Statistic(s_n=[-2.0], sigma_n=metric, n=3)
+        fresh = Statistic(s_n=[-2.0], sigma_n=metric, n=3)
+        before = repr(stat)
+        assert dt_type_b(stat, cone) == 12.0
+        assert stat._cone_memo == (cone, 4.0) and fresh._cone_memo is None
+        assert stat == fresh and repr(stat) == before == repr(fresh)
+        assert [f.name for f in dataclasses.fields(Statistic)] == ["s_n", "sigma_n", "n"]
+        moved = dataclasses.replace(stat, s_n=[3.0])
+        assert moved._cone_memo is None and dt_type_b(moved, cone) == 0.0
 
 
 class TestDistanceStatistics:
@@ -217,8 +333,8 @@ class TestSafeTest:
 
     def test_one_projection_and_one_complement(self, monkeypatch, rng):
         """t and t' share one cone projection, and the polar weights are built
-        once; dt_type_a and dt_type_b alone still project once each and
-        give the same bits."""
+        once; dt_type_a and dt_type_b on the same Statistic and cone read
+        that projection from its memo and give the same bits."""
         calls = {"project_cone": 0, "complement": 0}
 
         def counted(name, fn):
@@ -240,7 +356,30 @@ class TestSafeTest:
                                         (dt_type_b(stat, cone), "type_b", out.auxiliary)):
             assert result.statistic == statistic
             assert result.p_value == p_value(statistic, weights, kind)
-        assert calls["project_cone"] == 3
+        assert calls["project_cone"] == 1
+
+    @pytest.mark.parametrize("order, k", [("simple", 3), ("simple", 6), ("tree", 5),
+                                          ("umbrella", 6)])
+    def test_outcome_matches_the_reference_loop(self, monkeypatch, order, k):
+        """safe_test through the reference active-set loop gives the same
+        statistics, p-values, critical values and conclusion."""
+        cone = {"simple": ConeSpec.simple_order(k), "tree": ConeSpec.tree_order(k),
+                "umbrella": ConeSpec.umbrella_order(k, k // 2)}[order]
+        sub, rng = LinearSubspace.span_of_ones(k), np.random.default_rng(50 + k)
+        sigma = random_spd(rng, k)
+        polar = -sigma @ cone.restriction.T @ rng.exponential(size=k - 1)
+        points = [rng.standard_normal(k) / 2 for _ in range(4)] + [polar]
+
+        def outcome(s):
+            out = safe_test(gaussian_stat(s, sigma, 30), sub, cone, alpha=0.05, gamma=0.05)
+            tests = [(r.statistic, r.p_value, r.critical_value)
+                     for r in (out.original, out.auxiliary)]
+            return tests + [out.d1, out.d2, out.conclusion, out.alpha_safe,
+                            out.c_alpha_safe, out.t_safe]
+
+        ours = [outcome(s) for s in points]
+        monkeypatch.setattr(geometry_module, "_dual_active_set", dual_active_set_oracle)
+        assert [outcome(s) for s in points] == ours
 
     def test_infeasible_level_propagates(self):
         stat = gaussian_stat([1.0, 1.0], np.eye(2), 5)
@@ -289,6 +428,49 @@ class TestDelta:
         metric = Metric(np.eye(2))
         assert delta([-1.0, 0.0], ORTHANT2, FULL_SPACE, metric) == 1.0
         assert delta([-3.0, -4.0], ORTHANT2, FULL_SPACE, metric) == 25.0
+
+    @pytest.mark.parametrize("null_set, alt_set, named", [
+        (ORTHANT2, ZERO2, "cone null against a subspace"),
+        (ORTHANT2, ConeSpec.simple_order(2), "cone null against a cone"),
+        (FULL_SPACE, ORTHANT2, "FULL_SPACE null against a cone"),
+    ], ids=["cone-vs-subspace", "cone-vs-cone", "full-space-null"])
+    def test_undocumented_pairings_are_refused_before_projecting(self, monkeypatch, null_set,
+                                                                 alt_set, named):
+        """These used to raise InternalInvariantError ("distance drop negative
+        beyond tolerance: -1.0") for the caller's input."""
+        def never(*args):
+            raise AssertionError("projected before the pairing was checked")
+
+        monkeypatch.setattr(testing_module, "project_cone", never)
+        monkeypatch.setattr(testing_module, "project_subspace", never)
+        with pytest.raises(ContractViolationError, match=named):
+            delta([1.0, -1.0], null_set, alt_set, Metric(np.eye(2)))
+
+    def test_documented_pairings_keep_their_bits(self, rng):
+        """The Moreau form of each documented pairing, to the bit."""
+        for k in (3, 5):
+            metric = Metric(random_spd(rng, k))
+            sub, cone = LinearSubspace.span_of_ones(k), ConeSpec.simple_order(k)
+            for _ in range(10):
+                theta = 3.0 * rng.standard_normal(k)
+                on_cone = metric.norm_sq(project_cone(theta, cone, metric))
+                on_sub = metric.norm_sq(project_subspace(theta, sub, metric))
+                full = metric.norm_sq(theta)
+                assert delta(theta, sub, cone, metric) == max(on_cone - on_sub, 0.0)
+                assert delta(theta, cone, FULL_SPACE, metric) == max(full - on_cone, 0.0)
+                assert delta(theta, sub, FULL_SPACE, metric) == max(full - on_sub, 0.0)
+
+
+class TestLargeScale:
+    def test_polar_point_at_2_to_the_40_is_not_an_internal_error(self):
+        """A point whose cone projection lies in the null: type A subtracts
+        two squared distances near 1e25 and delta two squared norms near 0
+        with roundoff of 2^40 scale; each used to fail the absolute -1e-10
+        check with InternalInvariantError."""
+        s, metric = 2.0**40 * np.array([6.0, -3.0]), Metric(np.diag([2.0, 1.0]))
+        sub, cone = LinearSubspace.span_of_ones(2), ConeSpec.simple_order(2)
+        assert dt_type_a(Statistic(s_n=s, sigma_n=metric, n=50), sub, cone) == 0.0
+        assert delta(s, sub, cone, metric) == 0.0
 
 
 class TestConsistencyRegion:

@@ -52,7 +52,7 @@ from .errors import (
     InternalInvariantError,
     NumericError,
 )
-from .geometry import Metric, _is_integer, _orthant_operators, _project_orthant_t
+from .geometry import Metric, _Workspace, _is_integer, _orthant_blocks, _orthant_operators
 
 #: Documented default seed used by every stochastic entry point.
 DEFAULT_SEED = 1729
@@ -467,8 +467,10 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     too), and the face counts are merged in chunk order, so the result is
     reproducible bit-for-bit for a given (psi, n_draws, seed). The draws
     are projected by the KKT-certified pass of project_orthant_batch, with
-    its 2^p support operators built once per call; the certificate decides
-    each face, counting a draw towards w_j when a support of size j does.
+    its 2^p support operators and one workspace built once per call: each
+    chunk is drawn and transformed into the workspace, and the certificate
+    decides each face, a support of size j adding its block's size to the
+    count of w_j. No projection is put back into row order.
 
     Parameters
     ----------
@@ -484,10 +486,13 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     p = metric.dim
     chol = metric.chol_lower
     table = _orthant_operators(metric)
+    work = _Workspace(p * min(n_draws, _MC_CHUNK))
     counts = np.zeros(p + 1, dtype=np.int64)
     for child, size in _seeded_chunks(seed, n_draws, _MC_CHUNK):
-        rng = np.random.default_rng(child)
-        counts += _project_orthant_t(chol @ rng.standard_normal((size, p)).T, table)[1]
+        draws = np.random.default_rng(child).standard_normal(out=work.view("draws", (size, p)))
+        xt = np.matmul(chol, draws.T, out=work.view("points", (p, size)))
+        for x, _, face, _ in _orthant_blocks(xt, table, work):
+            counts[face] += x.shape[1]
     return ChiBarWeights(
         w=counts / float(n_draws), source="monte_carlo", n_draws=n_draws, seed=seed
     )

@@ -71,15 +71,21 @@ def _full_row_rank(m) -> bool:
 
 
 def _activity_tol(xt) -> np.ndarray:
-    """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array; only columns whose
-    squares overflow (past about 1e154) are rescaled by max|x|, inf giving NaN."""
-    norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
+    """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array."""
+    return ZERO_TOL * (1.0 + _column_norms(xt, np.empty(xt.shape[1])))
+
+
+def _column_norms(xt, out) -> np.ndarray:
+    """||x|| per column x of a (p, n) array, written to out (n,); only columns
+    whose squares overflow (past about 1e154) are rescaled by max|x|, inf
+    giving NaN."""
+    norm = np.sqrt(np.einsum("ij,ij->j", xt, xt, out=out), out=out)
     big = np.isinf(norm).nonzero()[0]
     if big.size:
         scale = np.abs(xt[:, big]).max(axis=0)
         with np.errstate(invalid="ignore"):
             norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
-    return ZERO_TOL * (1.0 + norm)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -411,14 +417,15 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
 
     Certified rows leave the working set at once, so a support costs one
     p x p product over the rows still open, and the pass stops when none
-    are; the row order is restored by one inverse-permutation take. The
-    table holds 2^p operators, hence the cap p <= 16. The work is
-    coordinate-major: the points are transposed once to a (p, n) array,
-    and the (n, p) result is the transpose of the pass's (p, n) array
-    (Fortran-ordered); ``.T`` gives the coordinate-major layout back
-    without a copy. Used by the Monte Carlo weight estimator and the power
-    harness, where millions of low-dimensional projections are needed. The
-    certificate also decides each row's face, the size of its support.
+    are. The table holds 2^p operators, hence the cap p <= 16. The work is
+    coordinate-major: the points are transposed once to a (p, n) array and
+    the pass runs in place in a workspace of flat buffers, yielding one
+    block of certified columns per support. The Monte Carlo weights and
+    the power harness only count over those blocks; this function alone
+    writes them back into row order, and the (n, p) result is the
+    transpose of that (p, n) array (Fortran-ordered), so ``.T`` gives the
+    coordinate-major layout back without a copy. The certificate also
+    decides each row's face, the size of its support.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -426,7 +433,15 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     p = pts.shape[1]
     if p != metric.dim:
         raise ContractViolationError("points and metric dimensions disagree")
-    return _project_orthant_t(np.ascontiguousarray(pts.T), _orthant_operators(metric))[0].T
+    xt = np.ascontiguousarray(pts.T)
+    table = _orthant_operators(metric)
+    n = xt.shape[1]
+    out = np.empty((p, n))
+    rows = np.arange(n)
+    for _, theta, _, hit in _orthant_blocks(xt, table, _Workspace(p * n)):
+        out[:, rows[hit]] = theta
+        rows = np.delete(rows, hit)
+    return out.T
 
 
 def _orthant_operators(metric: Metric) -> list:
@@ -460,33 +475,79 @@ def _orthant_operators(metric: Metric) -> list:
     return table
 
 
-def _project_orthant_t(xt, table):
-    """The pass of project_orthant_batch on a (p, n) array: the (p, n)
-    projections and counts[j], the number of rows certified at support size j."""
+class _Workspace:
+    """Flat buffers reused by the orthant pass from one chunk to the next.
+
+    One allocation holds _SLOTS buffers of capacity floats each; a name
+    takes the next free buffer on first use, and view returns a
+    C-contiguous array over a prefix of it, so a chunk of any size up to
+    the capacity allocates nothing. One block rather than one per buffer
+    keeps short calls cheap: glibc returns a dozen separately freed 256 KB
+    buffers to the system, and the next call faults their pages in again.
+    A workspace belongs to one thread: the power harness keeps one per
+    worker thread for one call, weights_monte_carlo one per call.
+    """
+
+    _SLOTS = 16
+
+    def __init__(self, capacity: int):
+        self._capacity = capacity
+        self._arena = np.empty(self._SLOTS * capacity)
+        self._slots = {}
+
+    def view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        slot = self._slots.setdefault(name, len(self._slots))
+        if slot >= self._SLOTS:
+            raise InternalInvariantError(f"workspace has no buffer left for {name!r}")
+        buf = self._arena[slot * self._capacity:(slot + 1) * self._capacity].view(dtype)
+        return buf[:math.prod(shape)].reshape(shape)
+
+
+def _orthant_blocks(xt, table, work: _Workspace):
+    """The pass of project_orthant_batch over a C-contiguous (p, n) array.
+
+    For each support that certifies columns it yields (x, theta, face,
+    hit): those columns of xt, their projections, the support size, and
+    their positions among the columns still open before the support. x and
+    theta are C-contiguous (p, h) views into work that the next block
+    overwrites; at the full support they are one array, at the apex theta
+    is zero. The open columns and their tolerances are gathered into two
+    alternating buffers, so xt itself is never written.
+    """
     p, n = xt.shape
-    counts = np.zeros(p + 1, dtype=np.int64)
     if n == 0:
-        return xt.copy(), counts
-    rows = np.arange(n)
-    neg_tol = -_activity_tol(xt)
-    blocks, order = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, comp in table:
-            cand = xt if k is None else k @ xt
-            done = cand.min(axis=0) >= neg_tol
-            hit = np.flatnonzero(done)
-            if hit.size:
-                theta = cand.take(hit, axis=1)
-                theta[comp] = 0.0
-                blocks.append(theta)
-                order.append(rows.take(hit))
-                counts[p - len(comp)] += hit.size
-                if hit.size == rows.size:
-                    break
-                keep = np.flatnonzero(~done)
-                xt, rows, neg_tol = xt.take(keep, axis=1), rows.take(keep), neg_tol.take(keep)
+        return
+    neg_tol = _column_norms(xt, work.view("tol0", (n,)))
+    neg_tol += 1.0
+    neg_tol *= -ZERO_TOL
+    turn = 0
+    for k, comp in table:
+        m = xt.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand = xt if k is None else np.matmul(k, xt, out=work.view("cand", (p, m)))
+            low = cand.min(axis=0, out=work.view("low", (m,)))
+            done = np.greater_equal(low, neg_tol, out=work.view("done", (m,), bool))
+        hit = done.nonzero()[0]
+        h = hit.size
+        if not h:
+            continue
+        # mode="clip" lets take write straight into its out; the indices are in range
+        x = xt.take(hit, axis=1, out=work.view("x", (p, h)), mode="clip")
+        if k is None:
+            theta = x
+        elif len(comp) == p:
+            theta = work.view("theta", (p, h))
+            theta.fill(0.0)
         else:
-            raise NumericError("batch projection found rows with no feasible candidate")
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[np.concatenate(order)] = np.arange(n)
-    return np.concatenate(blocks, axis=1).take(inverse, axis=1), counts
+            theta = cand.take(hit, axis=1, out=work.view("theta", (p, h)), mode="clip")
+            theta[comp] = 0.0
+        last = h == m
+        if not last:
+            keep = np.logical_not(done, out=done).nonzero()[0]
+            turn ^= 1
+            xt = xt.take(keep, axis=1, out=work.view(f"open{turn}", (p, m - h)), mode="clip")
+            neg_tol = neg_tol.take(keep, out=work.view(f"tol{turn}", (m - h,)), mode="clip")
+        yield x, theta, p - len(comp), hit
+        if last:
+            return
+    raise NumericError("batch projection found rows with no feasible candidate")

@@ -9,6 +9,8 @@ of two trinomial samples under a stochastic-order alternative.
 
 from __future__ import annotations
 
+import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,8 +24,8 @@ from .chibar import (
     weights_closed_form_2d,
 )
 from .errors import ContractViolationError, DegenerateVarianceError
-from .geometry import (ConeSpec, LinearSubspace, Metric, _is_integer, _orthant_operators,
-                       _project_orthant_t)
+from .geometry import (ConeSpec, LinearSubspace, Metric, _Workspace, _is_integer,
+                       _orthant_blocks, _orthant_operators, _require_instance)
 from .testing import Statistic
 
 _POWER_CHUNK = 1 << 14
@@ -76,10 +78,16 @@ class PowerScenario:
         theta = np.asarray(self.theta, dtype=float)
         if theta.shape != (2,):
             raise ContractViolationError("theta must be a 2-vector")
-        if self.sigma.dim != 2:
+        if not np.isfinite(theta).all():
+            raise ContractViolationError("theta has non-finite entries")
+        if _require_instance(self.sigma, Metric, "sigma").dim != 2:
             raise ContractViolationError("sigma must be 2 x 2")
         for name, least in (("n", 1), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+        for name in ("alpha", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ContractViolationError(f"{name} must be a real number, not {value!r}")
         if not (0 < self.alpha < 1 and 0 < self.gamma < 1):
             raise ContractViolationError("alpha and gamma must lie in (0, 1)")
         theta = theta.copy()
@@ -123,8 +131,10 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
 
     Critical values are solved once per distinct pair of mixture weights and
     level, and the orthant projector's operator table is built once per
-    metric, keyed by the bytes of its matrix. Each chunk works
-    coordinate-major on (2, size) arrays.
+    metric, keyed by the bytes of its matrix. Each thread that runs chunks
+    gets one workspace for the length of the call, sized for the largest
+    chunk: a chunk draws its (2, size) means into it and counts its
+    rejections over the projector's blocks in place (_count_rejections).
     """
     workers = _check_count("workers", workers, 1)
     critical, tables = {}, {}
@@ -154,18 +164,20 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
         ))
         jobs += [(index, child, size) for child, size
                  in _seeded_chunks(scenario.seed, scenario.replications, _POWER_CHUNK)]
+    capacity = 2 * max((size for _, _, size in jobs), default=0)
+    local = threading.local()
 
     def one_chunk(job):
         index, child, size = job
         scenario, chol, minv, table, c_alpha, c_gamma = plans[index]
-        rng = np.random.default_rng(child)
-        xbar = scenario.theta[:, None] + chol @ rng.standard_normal((size, 2)).T
-        proj = _project_orthant_t(xbar, table)[0]
-        diff = xbar - proj
-        t = scenario.n * (proj * (minv @ proj)).sum(axis=0)
-        t_aux = scenario.n * (diff * (minv @ diff)).sum(axis=0)
-        reject_dt = t >= c_alpha
-        return index, int(reject_dt.sum()), int((reject_dt & (t_aux < c_gamma)).sum())
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = _Workspace(capacity)
+        draws = np.random.default_rng(child).standard_normal(out=work.view("draws", (size, 2)))
+        xbar = np.matmul(chol, draws.T, out=work.view("points", (2, size)))
+        xbar += scenario.theta[:, None]
+        return (index,) + _count_rejections(xbar, minv, scenario.n, table,
+                                            c_alpha, c_gamma, work)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -189,6 +201,53 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
         results.append(PowerResult(power_dt=p_dt, power_safe=p_safe, se=float(se),
                                    replications=reps, seed=scenario.seed))
     return results
+
+
+def _count_rejections(xbar, minv, n, table, c_alpha, c_gamma, work) -> tuple[int, int]:
+    """(plain, composite) rejection counts over the columns of a (2, size)
+    array of means, from the projector's blocks in the workspace.
+
+    t = n theta' M theta and t' = n r' M r with r = x - theta, M = sigma^{-1},
+    are rounded as over the whole chunk at once. On the full support r is
+    exactly 0, so t' < c'_gamma holds when 0 < c'_gamma; at the apex theta
+    is exactly 0, so t >= c_alpha holds when 0 >= c_alpha, and only then is
+    t' computed there. The counts do not depend on the order of the rows.
+    """
+    size = xbar.shape[1]
+
+    def statistic(v):
+        # n (v * (M @ v)).sum(axis=0) per column; numpy multiplies a lone
+        # column by gemv and several by gemm, so a lone column of a wider
+        # chunk goes through gemm beside a zero column
+        h = v.shape[1]
+        if h == 1 < size:
+            v = np.concatenate((v, np.zeros_like(v)), axis=1)
+        mv = np.matmul(minv, v, out=work.view("mv", v.shape))
+        mv *= v
+        t = mv.sum(axis=0, out=work.view("t", (v.shape[1],)))
+        t *= n
+        return t[:h]
+
+    n_dt = n_safe = 0
+    for x, theta, face, _ in _orthant_blocks(xbar, table, work):
+        if face == 0:
+            if 0.0 >= c_alpha:
+                n_dt += x.shape[1]
+                n_safe += int(np.count_nonzero(statistic(x) < c_gamma))
+            continue
+        reject = np.greater_equal(statistic(theta), c_alpha,
+                                  out=work.view("reject", (theta.shape[1],), bool))
+        if face == 2:
+            dt = int(np.count_nonzero(reject))
+            n_dt += dt
+            n_safe += dt if 0.0 < c_gamma else 0
+            continue
+        n_dt += int(np.count_nonzero(reject))
+        resid = np.subtract(x, theta, out=work.view("resid", x.shape))
+        accept = np.less(statistic(resid), c_gamma,
+                         out=work.view("accept", (x.shape[1],), bool))
+        n_safe += int(np.count_nonzero(np.logical_and(reject, accept, out=accept)))
+    return n_dt, n_safe
 
 
 def power_grid(replications: int = 100_000, seed: int = DEFAULT_SEED,

@@ -7,7 +7,7 @@ import pytest
 
 from ordersafe import chibar
 from ordersafe.errors import InfeasibleLevelError, InternalInvariantError, NumericError
-from ordersafe.geometry import _activity_tol
+from ordersafe.geometry import ZERO_TOL, _activity_tol
 
 
 def random_spd(rng, dim, lam_low=0.5, lam_high=2.0):
@@ -164,6 +164,69 @@ def orthant_batch_oracle(points, metric):
             best_obj = np.where(take, obj, best_obj)
             best = np.where(take, theta, best)
     return best.T
+
+
+# ---------------------------------------------------------------------------
+# Reference forms of the orthant pass and the power chunk. These are the
+# implementations the in-place pass of ordersafe.geometry replaced: every
+# support gathers fresh arrays, the blocks are put back into row order by an
+# inverse permutation, and the power statistics are computed over the whole
+# reordered chunk. The library must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def activity_tol_oracle(xt):
+    """ZERO_TOL * (1 + ||x||) per column, rescaling the columns whose squares overflow."""
+    norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
+    big = np.isinf(norm).nonzero()[0]
+    if big.size:
+        scale = np.abs(xt[:, big]).max(axis=0)
+        with np.errstate(invalid="ignore"):
+            norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
+    return ZERO_TOL * (1.0 + norm)
+
+
+def project_orthant_t_oracle(xt, table):
+    """The orthant pass on a (p, n) array: the (p, n) projections in row
+    order and counts[j], the number of rows certified at support size j."""
+    p, n = xt.shape
+    counts = np.zeros(p + 1, dtype=np.int64)
+    if n == 0:
+        return xt.copy(), counts
+    rows = np.arange(n)
+    neg_tol = -activity_tol_oracle(xt)
+    blocks, order = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, comp in table:
+            cand = xt if k is None else k @ xt
+            done = cand.min(axis=0) >= neg_tol
+            hit = np.flatnonzero(done)
+            if hit.size:
+                theta = cand.take(hit, axis=1)
+                theta[comp] = 0.0
+                blocks.append(theta)
+                order.append(rows.take(hit))
+                counts[p - len(comp)] += hit.size
+                if hit.size == rows.size:
+                    break
+                keep = np.flatnonzero(~done)
+                xt, rows, neg_tol = xt.take(keep, axis=1), rows.take(keep), neg_tol.take(keep)
+        else:
+            raise NumericError("batch projection found rows with no feasible candidate")
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[np.concatenate(order)] = np.arange(n)
+    return np.concatenate(blocks, axis=1).take(inverse, axis=1), counts
+
+
+def power_chunk_oracle(xbar, minv, n, table, c_alpha, c_gamma):
+    """(plain count, composite count, t, t') of one power chunk of (2, size)
+    means: project, reorder, then t and t' as n * (v * (M @ v)).sum(axis=0)
+    over the whole chunk, with v the projection and the residual."""
+    proj = project_orthant_t_oracle(xbar, table)[0]
+    diff = xbar - proj
+    t = n * (proj * (minv @ proj)).sum(axis=0)
+    t_aux = n * (diff * (minv @ diff)).sum(axis=0)
+    reject_dt = t >= c_alpha
+    return int(reject_dt.sum()), int((reject_dt & (t_aux < c_gamma)).sum()), t, t_aux
 
 
 def in_polar_orthant(theta, restriction, metric):

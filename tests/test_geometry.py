@@ -20,8 +20,9 @@ from ordersafe.geometry import (
     project_cone,
     project_orthant_batch,
     project_subspace,
+    _Workspace,
+    _orthant_blocks,
     _orthant_operators,
-    _project_orthant_t,
 )
 from ordersafe.isotonic import WeightedSeries, pava
 from ordersafe.testing import Statistic, dt_type_a, dt_type_b
@@ -592,8 +593,11 @@ class TestBatchProjection:
         table = [(k, comp) for k, comp in _orthant_operators(metric) if len(comp) < 2]
         xt = np.array([[1.0, -1.0], [2.0, -1.0]])
         with pytest.raises(NumericError, match="no feasible candidate"):
-            _project_orthant_t(xt, table)
-        np.testing.assert_array_equal(_project_orthant_t(xt[:, :1], table)[0], xt[:, :1])
+            list(_orthant_blocks(xt, table, _Workspace(4)))
+        (x, theta, face, hit), = _orthant_blocks(np.ascontiguousarray(xt[:, :1]), table,
+                                                 _Workspace(2))
+        np.testing.assert_array_equal(theta, xt[:, :1])
+        assert theta is x and face == 2 and hit.tolist() == [0]
 
     def test_bitwise_equal_to_least_objective_oracle(self, rng):
         """On well-conditioned sigma every row lands on the oracle's support,
@@ -630,8 +634,12 @@ class TestBatchProjection:
             for sigma in (np.eye(p), random_spd(rng, p, 0.1, 10.0)):
                 metric = Metric(sigma)
                 xt = metric.chol_lower @ rng.standard_normal((p, 4000))
-                theta, counts = _project_orthant_t(xt, _orthant_operators(metric))
-                want = np.bincount([face_dimension(t) for t in theta.T], minlength=p + 1)
+                counts = np.zeros(p + 1, dtype=np.int64)
+                for x, _, face, _ in _orthant_blocks(xt, _orthant_operators(metric),
+                                                      _Workspace(p * 4000)):
+                    counts[face] += x.shape[1]
+                theta = project_orthant_batch(xt.T, metric)
+                want = np.bincount([face_dimension(t) for t in theta], minlength=p + 1)
                 np.testing.assert_array_equal(counts, want)
                 assert counts.sum() == 4000
 

@@ -4,7 +4,9 @@ The invocations reach every ConeSpec constructor (orthant, simple, tree,
 umbrella and polyhedral orders) and every LinearSubspace constructor
 (zero, from_basis through span_of_ones, from_constraint). Each pin
 compares the --out report and the printed summary with the files under
-tests/golden/. To regenerate them after an intended change of output, run
+tests/golden/; one more pins the CSV of a two-mean power grid at one, two
+and three workers. To regenerate them after an intended change of output,
+run
 
     PYTHONPATH=src python tests/test_report_pins.py
 """
@@ -51,6 +53,11 @@ PINS = {
 }
 
 
+#: 18 cells of 40 000 replications: three chunks per cell, the last one partial.
+POWER_PIN = ["power", "--reps", "40000", "--seed", "7", "--means", "theta0,theta5"]
+POWER_GOLDEN = GOLDEN / "power-theta0-theta5.csv"
+
+
 def _run_pin(name, workdir):
     """(exit code, report text, summary text) of one pinned invocation."""
     for doc_name, doc in DOCUMENTS.items():
@@ -69,6 +76,14 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert code == EXIT_OK
     assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert summary == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_power_csv_matches_golden_bytes(workers, tmp_path):
+    out = tmp_path / "power.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(POWER_PIN + ["--workers", str(workers), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == POWER_GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
@@ -114,6 +129,10 @@ def _regenerate():
             (GOLDEN / f"{name}.json").write_text(report, encoding="utf-8")
             (GOLDEN / f"{name}.txt").write_text(summary, encoding="utf-8")
             print(f"wrote {name}")
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(POWER_PIN + ["--out", str(POWER_GOLDEN)]) != EXIT_OK:
+            raise SystemExit("power: nonzero exit")
+    print(f"wrote {POWER_GOLDEN.stem}")
 
 
 if __name__ == "__main__":

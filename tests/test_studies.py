@@ -248,6 +248,30 @@ class TestPowerHarness:
         with pytest.raises(ContractViolationError):
             self.scenario([0.0, 0.0], reps=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, value):
+        with pytest.raises(ContractViolationError, match="theta has non-finite"):
+            self.scenario([value, 0.0])
+
+    def test_plain_array_sigma_rejected(self):
+        with pytest.raises(ContractViolationError, match="sigma must be a Metric"):
+            PowerScenario(theta=np.zeros(2), sigma=np.eye(2), n=10, alpha=0.05,
+                          gamma=0.1, replications=10, seed=0)
+
+    @pytest.mark.parametrize("field", ["alpha", "gamma"])
+    @pytest.mark.parametrize("value", ["0.05", None, True, [0.05]])
+    def test_levels_must_be_real_numbers(self, field, value):
+        levels = {"alpha": 0.05, "gamma": 0.1, field: value}
+        with pytest.raises(ContractViolationError, match=f"{field} must be a real number"):
+            PowerScenario(theta=np.zeros(2), sigma=Metric(np.eye(2)), n=10,
+                          replications=10, seed=0, **levels)
+
+    def test_numpy_float_levels_accepted(self):
+        scenario = PowerScenario(theta=np.zeros(2), sigma=Metric(np.eye(2)), n=10,
+                                 alpha=np.float64(0.05), gamma=np.float32(0.1),
+                                 replications=10, seed=0)
+        assert run_power_scenario(scenario).replications == 10
+
     @pytest.mark.parametrize("field, value", [
         ("n", 0), ("n", -3), ("n", True), ("n", 2.5),
         ("reps", True), ("reps", 2.5), ("reps", -1),

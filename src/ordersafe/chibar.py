@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _arguments as check
 from .errors import (
     CapabilityError,
     ContractViolationError,
@@ -52,7 +53,7 @@ from .errors import (
     InternalInvariantError,
     NumericError,
 )
-from .geometry import Metric, _Workspace, _is_integer, _orthant_blocks, _orthant_operators
+from .geometry import Metric, _Workspace, _orthant_blocks, _orthant_operators
 
 #: Documented default seed used by every stochastic entry point.
 DEFAULT_SEED = 1729
@@ -85,26 +86,14 @@ _NEWTON_MAX_ITER = 40
 
 def chi2_sf(t: float, df: int) -> float:
     """Upper tail P(chi2_df >= t) for integer df >= 1 (df = 0 handled by mixtures)."""
-    _check_chi2_args(t, df)
-    return _chi2_tails(t, df)[0][df]
+    df = check.integer(df, 1, "df")
+    return _chi2_tails(check.real(t, "t"), df)[0][df]
 
 
 def chi2_cdf(t: float, df: int) -> float:
     """Lower tail P(chi2_df < t) for integer df >= 1."""
-    _check_chi2_args(t, df)
-    return _chi2_tails(t, df)[1][df]
-
-
-def _check_chi2_args(t: float, df: int) -> None:
-    if not _is_integer(df) or df < 1:
-        raise ContractViolationError(f"df must be an integer >= 1, not {df!r}")
-    if t != t:
-        raise ContractViolationError("t must be a number, not nan")
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    if not value >= 0:  # NaN fails too
-        raise ContractViolationError(f"{name} must be a nonnegative number, not {value!r}")
+    df = check.integer(df, 1, "df")
+    return _chi2_tails(check.real(t, "t"), df)[1][df]
 
 
 def _chi2_tails(t: float, p: int) -> tuple[list[float], list[float]]:
@@ -177,17 +166,16 @@ class ChiBarWeights:
     seed: int | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ContractViolationError("weights must be a 1-d vector of length p+1")
+        # a NaN weight, or none at all, fails the sum rule
+        w = check.array(self.w, "weights", 1, finite=False)
         if np.any(w < -1e-12):
             raise ContractViolationError("weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= 1e-12:  # a NaN weight fails here too
             raise ContractViolationError(f"weights sum to {w.sum()}, not 1")
-        if self.source not in ("closed_form", "exact", "monte_carlo"):
-            raise ContractViolationError(f"unknown weight source {self.source!r}")
-        w = w.copy()
-        w.setflags(write=False)
+        check.choice(self.source, ("closed_form", "exact", "monte_carlo"), "weight source")
+        for name, least in (("n_draws", 1), ("seed", 0)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check.integer(getattr(self, name), least, name))
         object.__setattr__(self, "w", w)
 
     @property
@@ -206,11 +194,13 @@ class ChiBarWeights:
 
 
 def correlation_2x2(psi) -> float:
-    psi = np.asarray(psi, dtype=float)
+    psi = check.array(psi, "psi", 2)
     if psi.shape != (2, 2):
         raise ContractViolationError("expected a 2 x 2 covariance")
     # dividing by a power of two is exact and keeps psi_00 psi_11 in range
     psi = np.ldexp(psi, -np.frexp(np.abs(psi).max())[1])
+    if not (psi[0, 0] > 0.0 and psi[1, 1] > 0.0):
+        raise ContractViolationError("psi must have a positive diagonal")
     return float(psi[0, 1] / np.sqrt(psi[0, 0] * psi[1, 1]))
 
 
@@ -220,8 +210,9 @@ def weights_closed_form_2d(rho: float) -> ChiBarWeights:
     (w_0, w_1, w_2) = (arccos(rho) / 2pi, 1/2, 1/2 - arccos(rho) / 2pi).
     With rho = 0 this is the familiar (1/4, 1/2, 1/4) quadrant mixture.
     """
+    rho = check.real(rho, "rho")
     if not -1.0 < rho < 1.0:
-        raise ContractViolationError(f"correlation must lie in (-1, 1), got {rho}")
+        raise ContractViolationError(f"rho must lie in (-1, 1), not {rho!r}")
     w0 = float(np.arccos(rho) / (2.0 * np.pi))
     return ChiBarWeights(w=np.array([w0, 0.5, 0.5 - w0]))
 
@@ -422,7 +413,7 @@ def weights_exact(psi) -> ChiBarWeights:
     psi : Metric or array_like
         SPD covariance of the Gaussian vector projected onto the orthant.
     """
-    metric = psi if isinstance(psi, Metric) else Metric(np.asarray(psi, dtype=float))
+    metric = psi if isinstance(psi, Metric) else Metric(psi)
     if metric.dim > EXACT_MAX_DIM:
         raise CapabilityError(f"exact weights support p <= {EXACT_MAX_DIM}, not {metric.dim}")
     sd = np.sqrt(np.diag(metric.sigma))
@@ -481,8 +472,9 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     seed : int
         Root seed for the chunk streams.
     """
-    metric = psi if isinstance(psi, Metric) else Metric(np.asarray(psi, dtype=float))
-    _check_draws_and_seed(n_draws, seed)
+    metric = psi if isinstance(psi, Metric) else Metric(psi)
+    n_draws = check.integer(n_draws, 1, "n_draws")
+    seed = check.integer(seed, 0, "seed")
     p = metric.dim
     chol = metric.chol_lower
     table = _orthant_operators(metric)
@@ -496,15 +488,6 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     return ChiBarWeights(
         w=counts / float(n_draws), source="monte_carlo", n_draws=n_draws, seed=seed
     )
-
-
-def _check_draws_and_seed(n_draws, seed) -> None:
-    """The Monte Carlo settings rule: integers (not bool), n_draws >= 1, seed >= 0."""
-    if not _is_integer(n_draws) or n_draws < 1:
-        raise ContractViolationError(
-            f"Monte Carlo size n_draws must be a positive integer, not {n_draws!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise ContractViolationError(f"seed must be nonnegative and an integer, not {seed!r}")
 
 
 def _seeded_chunks(seed: int, total: int, chunk: int):
@@ -521,7 +504,8 @@ def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:
     At t = 0 this is the total mass, returned as exactly 1.0 rather than
     a rounded sum of the weights; just above 0 it drops to 1 - w_0.
     """
-    _check_nonnegative("t", t)
+    check.instance(weights, ChiBarWeights, "weights")
+    t = check.real(t, "t", nonnegative=True)
     if t == 0:
         return 1.0
     return _upper_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[0])
@@ -537,7 +521,8 @@ def _upper_sum(w: list[float], sf: list[float]) -> float:
 
 def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
     """P(mixture < t); complements mixture_upper_tail including the atom at 0."""
-    _check_nonnegative("t", t)
+    check.instance(weights, ChiBarWeights, "weights")
+    t = check.real(t, "t", nonnegative=True)
     w = weights.w.tolist()
     cdf = _chi2_tails(t, weights.p)[1]
     total = w[0] * cdf[0]
@@ -553,8 +538,9 @@ def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
     the polar residual; under the apex null the pair factorizes over the
     face dimension j, giving sum_j w_j P(chi2_j >= c1) P(chi2_{p-j} < c2).
     """
-    _check_nonnegative("c1", c1)
-    _check_nonnegative("c2", c2)
+    check.instance(weights, ChiBarWeights, "weights")
+    c1 = check.real(c1, "c1", nonnegative=True)
+    c2 = check.real(c2, "c2", nonnegative=True)
     return _joint_sum(weights.w.tolist(), _chi2_tails(c1, weights.p)[0],
                       _chi2_tails(c2, weights.p)[1])
 
@@ -602,17 +588,16 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
     certificates do not decide. The result equals the plain bisection's bit
     for bit, from about six tail evaluations instead of about 33.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ContractViolationError("alpha must lie in (0, 1)")
+    check.instance(weights, ChiBarWeights, "weights")
+    alpha = check.level(alpha, "alpha")
     w = weights.w.tolist()
     p = weights.p
-    if mode == "marginal":
+    if check.choice(mode, ("marginal", "joint"), "mode") == "marginal":
         if alpha >= 1.0 - w[0]:
             return 0.0
         func, coef = (lambda c: _upper_sum(w, _chi2_tails(c, p)[0])), w
-    elif mode == "joint":
-        if c2 is None or not c2 >= 0:
-            raise ContractViolationError(f"joint mode needs a nonnegative c2, not {c2!r}")
+    else:
+        c2 = check.real(c2, "c2 (joint mode needs a nonnegative c2)", nonnegative=True)
         # the tails at c2 are fixed for the whole solve
         cdf2 = _chi2_tails(c2, p)[1]
         sup = _joint_sum(w, _chi2_tails(0.0, p)[0], cdf2)
@@ -629,8 +614,6 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
             return 0.0
         func = lambda c: _joint_sum(w, _chi2_tails(c, p)[0], cdf2)
         coef = [w[j] * cdf2[p - j] for j in range(p + 1)]
-    else:
-        raise ContractViolationError(f"unknown mode {mode!r}")
     return _solve_band(func, coef, alpha)
 
 
@@ -763,8 +746,7 @@ def solve_nominal_level(weights: ChiBarWeights, target_level: float, c2: float) 
     equals target_level; the attained level is increasing in alpha, so the
     search is a plain bisection on (target_level, 1).
     """
-    if not 0.0 < target_level < 1.0:
-        raise ContractViolationError("target_level must lie in (0, 1)")
+    target_level = check.level(target_level, "target_level")
     sup = joint_tail(weights, 0.0, c2)
     if target_level > sup:
         raise InfeasibleLevelError(
@@ -802,8 +784,7 @@ def safe_level_2d(alpha: float, gamma: float) -> float:
     available as joint_tail(weights, c_alpha, c_gamma), which evaluates the
     Gaussian tail on the square-root scale instead.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 < gamma < 1.0):
-        raise ContractViolationError("alpha and gamma must lie in (0, 1)")
+    alpha, gamma = check.level(alpha, "alpha"), check.level(gamma, "gamma")
     wq = weights_closed_form_2d(0.0)
     c_alpha = solve_critical(wq, alpha)
     c_gamma = solve_critical(wq, gamma)

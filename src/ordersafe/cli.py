@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import _arguments as check
 from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
@@ -103,10 +104,6 @@ def _cone_and_subspace(doc, dim, path):
         raise InputError(f"{path}: give either 'restriction' or 'order', not both")
     if "restriction" in doc:
         r = _numeric_array(doc["restriction"], "restriction", path, 2)
-        if r.shape[1] != dim:
-            raise InputError(
-                f"{path}: restriction has {r.shape[1]} columns, expected {dim}"
-            )
         try:
             cone = ConeSpec.polyhedral(r)
             sub = LinearSubspace.from_constraint(r)
@@ -148,10 +145,6 @@ def _load_problem(path):
     else:
         s_n = _numeric_array(_require(doc, "s_n", list, path), "s_n", path, 1)
         sigma = _numeric_array(_require(doc, "sigma_n", list, path), "sigma_n", path, 2)
-        if sigma.shape != (s_n.size, s_n.size):
-            raise InputError(
-                f"{path}: 'sigma_n' must be {s_n.size} x {s_n.size} to match 's_n'"
-            )
         n = _require(doc, "n", int, path)
         try:
             metric = Metric(sigma)
@@ -166,20 +159,16 @@ def _levels_and_config(doc, args, where):
     """alpha, gamma and WeightConfig: each option over its document field over its default."""
     alpha = args.alpha if args.alpha is not None else doc.get("alpha", 0.05)
     gamma = args.gamma if args.gamma is not None else doc.get("gamma", 0.05)
-    if not (isinstance(alpha, (int, float)) and 0 < alpha < 1):
-        raise InputError(f"{where}: alpha must lie in (0, 1)")
-    if not (isinstance(gamma, (int, float)) and 0 < gamma < 1):
-        raise InputError(f"{where}: gamma must lie in (0, 1)")
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):
         raise InputError(f"{where}: 'mc' must be an object with N and seed")
     n_draws = args.mc_n if args.mc_n is not None else mc_doc.get("N", DEFAULT_MC_DRAWS)
     seed = args.seed if args.seed is not None else mc_doc.get("seed", DEFAULT_SEED)
     try:
-        cfg = WeightConfig(n_draws=n_draws, seed=seed)
+        return check.level(alpha, "alpha"), check.level(gamma, "gamma"), WeightConfig(
+            n_draws=n_draws, seed=seed)
     except OrderSafeError as exc:
         raise InputError(f"{where}: {exc}") from exc
-    return float(alpha), float(gamma), cfg
 
 
 def _case_problem(name):
@@ -331,9 +320,6 @@ _POWER_COLUMNS = ("mean_label", "gamma", "n", "power_dt", "power_safe",
 def cmd_power(args) -> int:
     _check_out_path(args.out)
     means = args.means.split(",") if args.means else list(MEAN_LABELS)
-    unknown = [m for m in means if m not in MEAN_LABELS]
-    if unknown:
-        raise InputError(f"unknown mean labels: {', '.join(unknown)}")
     try:
         gammas = [float(g) for g in args.gammas.split(",")]
         ns = [int(n) for n in args.ns.split(",")]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _arguments as check
 from .errors import (
     CapabilityError,
     ContractViolationError,
@@ -32,36 +33,6 @@ ZERO_TOL = 1e-10
 _SYMMETRY_RTOL = 1e-10
 _RANK_RTOL = 1e-10
 _EXACT_MAX_ROWS = 16
-
-
-def _as_vector(x, dim=None, name="x"):
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ContractViolationError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ContractViolationError(f"{name} has length {v.shape[0]}, expected {dim}")
-    if not np.isfinite(v).all():
-        raise ContractViolationError(f"{name} has non-finite entries")
-    return v
-
-
-def _require_instance(value, kind, name):
-    """value itself, after checking it is a kind (ContractViolationError otherwise)."""
-    if not isinstance(value, kind):
-        raise ContractViolationError(
-            f"{name} must be a {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _read_only_matrix(value, name, shape):
-    """A read-only, C-ordered float copy of value, checked to be 2-d and finite."""
-    m = np.array(value, dtype=float, order="C")
-    if m.ndim != 2:
-        raise ContractViolationError(f"{name} must be a {shape} matrix")
-    if not np.all(np.isfinite(m)):
-        raise ContractViolationError(f"{name} has non-finite entries")
-    m.setflags(write=False)
-    return m
 
 
 def _full_row_rank(m) -> bool:
@@ -102,7 +73,7 @@ class Metric:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = _read_only_matrix(self.sigma, "sigma", "square")
+        sigma = check.array(self.sigma, "sigma", 2)
         if sigma.shape[0] != sigma.shape[1]:
             raise ContractViolationError(f"sigma must be square, got shape {sigma.shape}")
         if sigma.size == 0:
@@ -142,13 +113,13 @@ class Metric:
         return self.solve(np.eye(self.dim))
 
     def inner(self, u, v) -> float:
-        u = _as_vector(u, self.dim, "u")
-        v = _as_vector(v, self.dim, "v")
+        u = check.vector(u, "u", self.dim)
+        v = check.vector(v, "v", self.dim)
         return float(u @ self.solve(v))
 
     def norm_sq(self, u) -> float:
         """u' sigma^{-1} u as |y|^2 with L y = u: one triangular solve, never negative."""
-        u = _as_vector(u, self.dim, "u")
+        u = check.vector(u, "u", self.dim)
         # past about 1e154 the square overflows to inf, which callers reject as non-finite
         with np.errstate(over="ignore"):
             y = np.linalg.solve(self._chol_lower, u)
@@ -156,17 +127,6 @@ class Metric:
 
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.norm_sq(u), 0.0)))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_dimension(dim, least, name):
-    """dim itself, after checking it is an integer >= least."""
-    if not _is_integer(dim) or dim < least:
-        raise ContractViolationError(f"{name} needs an integer dimension >= {least}, not {dim!r}")
-    return dim
 
 
 @dataclass(frozen=True)
@@ -182,7 +142,7 @@ class ConeSpec:
     restriction: np.ndarray
 
     def __post_init__(self):
-        r = _read_only_matrix(self.restriction, "restriction", "p x m")
+        r = check.array(self.restriction, "restriction", 2)
         if r.size == 0 or not _full_row_rank(r):
             raise ContractViolationError(
                 f"restriction must be non-empty and of full row rank, got shape {r.shape}")
@@ -195,27 +155,27 @@ class ConeSpec:
     @classmethod
     def orthant(cls, dim: int) -> "ConeSpec":
         """Nonnegative coordinates: theta_i >= 0."""
-        return cls(np.eye(_check_dimension(dim, 1, "orthant")))
+        return cls(np.eye(check.integer(dim, 1, "dim", "an integer dimension >= 1")))
 
     @classmethod
     def simple_order(cls, dim: int) -> "ConeSpec":
         """Nondecreasing means: theta_1 <= ... <= theta_K."""
-        e = np.eye(_check_dimension(dim, 2, "simple order"))
+        e = np.eye(check.integer(dim, 2, "dim", "an integer dimension >= 2"))
         return cls(e[1:] - e[:-1])
 
     @classmethod
     def tree_order(cls, dim: int) -> "ConeSpec":
         """Control smallest: theta_1 <= theta_i for i >= 2."""
-        e = np.eye(_check_dimension(dim, 2, "tree order"))
+        e = np.eye(check.integer(dim, 2, "dim", "an integer dimension >= 2"))
         return cls(e[1:] - e[0])
 
     @classmethod
     def umbrella_order(cls, dim: int, peak: int) -> "ConeSpec":
         """Up to the 0-based peak index, then down."""
-        e = np.eye(_check_dimension(dim, 2, "umbrella order"))
-        if not _is_integer(peak) or not 0 <= peak < dim:
-            raise ContractViolationError(
-                f"umbrella peak must be an integer in 0..{dim - 1}, not {peak!r}")
+        e = np.eye(check.integer(dim, 2, "dim", "an integer dimension >= 2"))
+        rule = f"an integer in 0..{dim - 1}"
+        if check.integer(peak, 0, "umbrella peak", rule) >= dim:
+            raise ContractViolationError(f"umbrella peak must be {rule}, not {peak!r}")
         return cls(np.concatenate([e[1:peak + 1] - e[:peak], e[peak:-1] - e[peak + 1:]]))
 
     def as_polyhedral(self) -> np.ndarray:
@@ -236,7 +196,7 @@ class LinearSubspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = _read_only_matrix(self.basis, "basis", "m x d")
+        b = check.array(self.basis, "basis", 2)
         if b.shape[1] and not _full_row_rank(b.T):
             raise ContractViolationError(f"basis of shape {b.shape} is not of full column rank")
         object.__setattr__(self, "basis", b)
@@ -244,7 +204,7 @@ class LinearSubspace:
     @classmethod
     def from_constraint(cls, a) -> "LinearSubspace":
         """The kernel {x : A x = 0} of a q x m constraint matrix."""
-        return cls(_null_space(_read_only_matrix(a, "constraint", "q x m")))
+        return cls(_null_space(check.array(a, "constraint", 2)))
 
     @classmethod
     def from_basis(cls, b) -> "LinearSubspace":
@@ -254,12 +214,12 @@ class LinearSubspace:
     @classmethod
     def zero(cls, m: int) -> "LinearSubspace":
         """The trivial subspace {0} of dimension m."""
-        return cls(np.zeros((_check_dimension(m, 1, "zero subspace"), 0)))
+        return cls(np.zeros((check.integer(m, 1, "m", "an integer dimension >= 1"), 0)))
 
     @classmethod
     def span_of_ones(cls, m: int) -> "LinearSubspace":
         """The diagonal span{(1, ..., 1)}, the equal-means null space."""
-        return cls.from_basis(np.ones((_check_dimension(m, 1, "span of ones"), 1)))
+        return cls.from_basis(np.ones((check.integer(m, 1, "m", "an integer dimension >= 1"), 1)))
 
     @property
     def ambient_dim(self) -> int:
@@ -285,9 +245,8 @@ def project_subspace(x, sub: LinearSubspace, metric: Metric) -> np.ndarray:
 
     The residual x - proj is metric-orthogonal to every basis vector.
     """
-    _require_instance(sub, LinearSubspace, "sub")
-    x = _as_vector(x, _require_instance(metric, Metric, "metric").dim)
-    if sub.ambient_dim != metric.dim:
+    x = check.vector(x, "x", check.instance(metric, Metric, "metric").dim)
+    if check.instance(sub, LinearSubspace, "sub").ambient_dim != metric.dim:
         raise ContractViolationError("subspace and metric dimensions disagree")
     b = sub.basis
     if b.shape[1] == 0:
@@ -329,8 +288,8 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     metric : Metric
         SPD matrix defining the geometry.
     """
-    x = _as_vector(x, _require_instance(metric, Metric, "metric").dim)
-    r = _require_instance(cone, ConeSpec, "cone").as_polyhedral()
+    x = check.vector(x, "x", check.instance(metric, Metric, "metric").dim)
+    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
     if r.shape[1] != metric.dim:
         raise ContractViolationError(
             f"cone lives in dimension {r.shape[1]}, metric in {metric.dim}"
@@ -394,7 +353,6 @@ def _dual_active_set(x, r, metric):
 
 def polar_complement(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     """Residual x - proj(x | cone), i.e. the projection onto the polar cone."""
-    x = _as_vector(x, _require_instance(metric, Metric, "metric").dim)
     return x - project_cone(x, cone, metric)
 
 
@@ -427,11 +385,9 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     coordinate-major layout back without a copy. The certificate also
     decides each row's face, the size of its support.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ContractViolationError("points must be an (n, p) array")
+    pts = check.array(points, "points", 2, finite=False)
     p = pts.shape[1]
-    if p != metric.dim:
+    if p != check.instance(metric, Metric, "metric").dim:
         raise ContractViolationError("points and metric dimensions disagree")
     xt = np.ascontiguousarray(pts.T)
     table = _orthant_operators(metric)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _arguments as check
 from .errors import ContractViolationError
 
 
@@ -24,23 +25,13 @@ class WeightedSeries:
     weights: np.ndarray
 
     def __init__(self, values, weights=None):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
+        values = check.vector(values, "values")
+        if values.size == 0:
             raise ContractViolationError("values must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ContractViolationError("values must be finite")
-        if weights is None:
-            weights = np.ones_like(values)
-        else:
-            weights = np.asarray(weights, dtype=float)
-        if weights.shape != values.shape:
-            raise ContractViolationError("weights must match values in length")
-        if not np.all(np.isfinite(weights) & (weights > 0)):
+        weights = check.vector(np.ones(values.size) if weights is None else weights, "weights",
+                               values.size)
+        if not np.all(weights > 0):
             raise ContractViolationError("weights must be finite and strictly positive")
-        values = values.copy()
-        weights = weights.copy()
-        values.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
@@ -64,9 +55,14 @@ class IsotonicFit:
 
 def av(series: WeightedSeries, u: int, v: int) -> float:
     """Weighted average of values[u..v], endpoints included (0-based)."""
-    k = len(series)
-    if not 0 <= u <= v < k:
+    k = len(check.instance(series, WeightedSeries, "series"))
+    if not check.integer(u, 0, "u") <= check.integer(v, 0, "v") < k:
         raise ContractViolationError(f"indices ({u}, {v}) out of range for length {k}")
+    return _av(series, u, v)
+
+
+def _av(series: WeightedSeries, u: int, v: int) -> float:
+    """av without its argument checks, for indices already known to be in range."""
     w = series.weights[u : v + 1]
     return float(w @ series.values[u : v + 1] / w.sum())
 
@@ -77,7 +73,7 @@ def pava(series: WeightedSeries) -> IsotonicFit:
     Stack-based adjacent pooling, O(K). The test suite checks it against
     the min-max block-average formula and against project_cone.
     """
-    values, weights = series.values, series.weights
+    values, weights = check.instance(series, WeightedSeries, "series").values, series.weights
     # each stack entry: [start, stop, weight sum, weighted mean]
     stack: list[list] = []
     for i, (v, w) in enumerate(zip(values, weights)):
@@ -123,12 +119,12 @@ def simple_order_consistency(series: WeightedSeries) -> SplitCheck:
     max_{s<=i} Av(s, i) < min_{t>=i+1} Av(i+1, t). The inequality is strict
     with no tolerance slack; ties count as "no split".
     """
-    k = len(series)
+    k = len(check.instance(series, WeightedSeries, "series"))
     if k < 2:
         raise ContractViolationError("need at least two groups")
     for i in range(k - 1):
-        left = max(av(series, s, i) for s in range(i + 1))
-        right = min(av(series, i + 1, t) for t in range(i + 1, k))
+        left = max(_av(series, s, i) for s in range(i + 1))
+        right = min(_av(series, i + 1, t) for t in range(i + 1, k))
         if left < right:
             return SplitCheck(consistent=True, witness=i)
     return SplitCheck(consistent=False, witness=None)

@@ -9,13 +9,13 @@ of two trinomial samples under a stochastic-order alternative.
 
 from __future__ import annotations
 
-import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _arguments as check
 from .chibar import (
     DEFAULT_SEED,
     _seeded_chunks,
@@ -24,8 +24,8 @@ from .chibar import (
     weights_closed_form_2d,
 )
 from .errors import ContractViolationError, DegenerateVarianceError
-from .geometry import (ConeSpec, LinearSubspace, Metric, _Workspace, _is_integer,
-                       _orthant_blocks, _orthant_operators, _require_instance)
+from .geometry import (ConeSpec, LinearSubspace, Metric, _Workspace, _orthant_blocks,
+                       _orthant_operators)
 from .testing import Statistic
 
 _POWER_CHUNK = 1 << 14
@@ -55,13 +55,6 @@ def simulation_means() -> dict[str, np.ndarray]:
     return means
 
 
-def _check_count(name, value, least):
-    if not _is_integer(value) or value < least:
-        raise ContractViolationError(
-            f"{name} must be an integer of at least {least}, not {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class PowerScenario:
     """One cell of the power study: a mean, a covariance, and run settings."""
@@ -75,23 +68,13 @@ class PowerScenario:
     seed: int
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.shape != (2,):
-            raise ContractViolationError("theta must be a 2-vector")
-        if not np.isfinite(theta).all():
-            raise ContractViolationError("theta has non-finite entries")
-        if _require_instance(self.sigma, Metric, "sigma").dim != 2:
+        theta = check.vector(self.theta, "theta", 2)
+        if check.instance(self.sigma, Metric, "sigma").dim != 2:
             raise ContractViolationError("sigma must be 2 x 2")
         for name, least in (("n", 1), ("replications", 1), ("seed", 0)):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
+            object.__setattr__(self, name, check.integer(getattr(self, name), least, name))
         for name in ("alpha", "gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ContractViolationError(f"{name} must be a real number, not {value!r}")
-        if not (0 < self.alpha < 1 and 0 < self.gamma < 1):
-            raise ContractViolationError("alpha and gamma must lie in (0, 1)")
-        theta = theta.copy()
-        theta.setflags(write=False)
+            object.__setattr__(self, name, check.level(getattr(self, name), name))
         object.__setattr__(self, "theta", theta)
 
 
@@ -123,7 +106,7 @@ def run_power_scenario(scenario: PowerScenario, workers: int = 1) -> PowerResult
     identical for any worker count. This is the one-scenario case of the
     pass power_grid makes over the whole grid.
     """
-    return _run_scenarios([scenario], workers)[0]
+    return _run_scenarios([check.instance(scenario, PowerScenario, "scenario")], workers)[0]
 
 
 def _run_scenarios(scenarios, workers) -> list[PowerResult]:
@@ -136,7 +119,7 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
     chunk: a chunk draws its (2, size) means into it and counts its
     rejections over the projector's blocks in place (_count_rejections).
     """
-    workers = _check_count("workers", workers, 1)
+    workers = check.integer(workers, 1, "workers")
     critical, tables = {}, {}
 
     def critical_value(weights, level):
@@ -263,9 +246,11 @@ def power_grid(replications: int = 100_000, seed: int = DEFAULT_SEED,
     the rows equal those of run_power_scenario cell by cell at any worker
     count.
     """
-    seed = _check_count("seed", seed, 0)
+    seed = check.integer(seed, 0, "seed")
     means = simulation_means()
-    labels = list(mean_labels)
+    labels = [check.choice(label, means, "mean label")
+              for label in check.items(mean_labels, "mean_labels")]
+    gammas, ns = check.items(gammas, "gammas"), check.items(ns, "ns")
     cells = [(lab, g, n) for lab in labels for g in gammas for n in ns]
     cell_seeds = np.random.SeedSequence(seed).generate_state(len(cells), np.uint64)
     sigma = Metric(np.eye(2))
@@ -292,21 +277,18 @@ class ContingencyTable2xK:
     labels: tuple[str, ...]
 
     def __init__(self, control, treatment, labels=None):
-        control, treatment = tuple(control), tuple(treatment)
-        if not all(_is_integer(c) for c in control + treatment):
-            raise ContractViolationError("counts must be integers")
-        control = tuple(int(c) for c in control)
-        treatment = tuple(int(c) for c in treatment)
+        control = tuple(check.integer(c, 0, "counts", "nonnegative integers")
+                        for c in check.items(control, "control"))
+        treatment = tuple(check.integer(c, 0, "counts", "nonnegative integers")
+                          for c in check.items(treatment, "treatment"))
         if len(control) != len(treatment) or len(control) < 2:
             raise ContractViolationError("rows must share a length of at least 2")
-        if any(c < 0 for c in control + treatment):
-            raise ContractViolationError("counts must be nonnegative")
         if sum(control + treatment) > 2**53:
             raise ContractViolationError("the total count must not exceed 2**53")
         if labels is None:
             labels = tuple(f"cat{i + 1}" for i in range(len(control)))
         else:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(str(s) for s in check.items(labels, "labels"))
             if len(labels) != len(control):
                 raise ContractViolationError("labels must match the number of categories")
         object.__setattr__(self, "control", control)
@@ -320,6 +302,7 @@ class ContingencyTable2xK:
 
 def doubled_table(table: ContingencyTable2xK) -> ContingencyTable2xK:
     """Every cell count multiplied by two; proportions are unchanged."""
+    check.instance(table, ContingencyTable2xK, "table")
     return ContingencyTable2xK(
         control=tuple(2 * c for c in table.control),
         treatment=tuple(2 * c for c in table.treatment),
@@ -368,7 +351,7 @@ def build_stochastic_order(table: ContingencyTable2xK) -> StochasticOrderProblem
     total; the equality null is then theta in ker(R) and the ordered
     alternative is R theta >= 0 with R = [I, -I].
     """
-    k = table.k
+    k = check.instance(table, ContingencyTable2xK, "table").k
     n1, n2 = sum(table.control), sum(table.treatment)
     if n1 < 1 or n2 < 1:
         raise ContractViolationError("each row needs at least one observation")

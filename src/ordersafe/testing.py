@@ -16,12 +16,12 @@ from enum import Enum
 
 import numpy as np
 
+from . import _arguments as check
 from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
     EXACT_MAX_DIM,
     ChiBarWeights,
-    _check_draws_and_seed,
     correlation_2x2,
     joint_tail,
     mixture_upper_tail,
@@ -32,16 +32,7 @@ from .chibar import (
     weights_monte_carlo,
 )
 from .errors import ContractViolationError, InternalInvariantError, NumericError
-from .geometry import (
-    ConeSpec,
-    LinearSubspace,
-    Metric,
-    _as_vector,
-    _is_integer,
-    _require_instance,
-    project_cone,
-    project_subspace,
-)
+from .geometry import ConeSpec, LinearSubspace, Metric, project_cone, project_subspace
 
 #: Statistics within this distance of a critical value resolve to "reject".
 REJECT_TOL = 1e-10
@@ -74,16 +65,13 @@ class Statistic:
     n: int
 
     def __post_init__(self):
-        _require_instance(self.sigma_n, Metric, "sigma_n")
-        s = _as_vector(self.s_n, self.sigma_n.dim, "s_n")
+        s = check.vector(self.s_n, "s_n", check.instance(self.sigma_n, Metric, "sigma_n").dim)
         # above 2**53 the float products n * distance would round n itself
-        if not _is_integer(self.n) or not 1 <= self.n <= 2**53:
-            raise ContractViolationError(
-                f"n must be a positive integer no larger than 2**53, not {self.n!r}")
-        s = s.copy()
-        s.setflags(write=False)
+        n = check.integer(self.n, 1, "n")
+        if n > 2**53:
+            raise ContractViolationError(f"n must be no larger than 2**53, not {n!r}")
         object.__setattr__(self, "s_n", s)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_cone_memo", None)
 
     @property
@@ -109,7 +97,8 @@ class WeightConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _check_draws_and_seed(self.n_draws, self.seed)
+        object.__setattr__(self, "n_draws", check.integer(self.n_draws, 1, "n_draws"))
+        object.__setattr__(self, "seed", check.integer(self.seed, 0, "seed"))
 
 
 @dataclass(frozen=True)
@@ -167,8 +156,8 @@ class SafeOutcome:
 
 
 def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
-    _require_instance(sub, LinearSubspace, "sub")
-    r = _require_instance(cone, ConeSpec, "cone").as_polyhedral()
+    check.instance(sub, LinearSubspace, "sub")
+    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
     if r.shape[1] != dim:
         raise ContractViolationError("cone and statistic dimensions disagree")
     if sub.ambient_dim != dim:
@@ -200,8 +189,8 @@ def _reduced_psi(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> np.nda
 def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
                     cfg: WeightConfig = WeightConfig()) -> ChiBarWeights:
     """Mixture weights of the orthant-reduced problem under the given config."""
-    _require_instance(stat, Statistic, "stat")
-    _require_instance(cfg, WeightConfig, "cfg")
+    check.instance(stat, Statistic, "stat")
+    check.instance(cfg, WeightConfig, "cfg")
     psi = _reduced_psi(stat, sub, cone)
     p = psi.shape[0]
     if p > EXACT_MAX_DIM:
@@ -224,7 +213,7 @@ def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
     against roundoff. The distance to the cone comes from the Statistic's
     memo, so dt_type_b on the same Statistic and cone does not project again.
     """
-    _require_instance(stat, Statistic, "stat")
+    check.instance(stat, Statistic, "stat")
     _validate_pairing(stat.dim, sub, cone)
     metric = stat.sigma_n
     d_cone = _cone_distance_sq(stat, cone)
@@ -239,8 +228,8 @@ def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
 
     The distance comes from the Statistic's memo, shared with dt_type_a.
     """
-    _require_instance(stat, Statistic, "stat")
-    if _require_instance(cone, ConeSpec, "cone").as_polyhedral().shape[1] != stat.dim:
+    check.instance(stat, Statistic, "stat")
+    if check.instance(cone, ConeSpec, "cone").as_polyhedral().shape[1] != stat.dim:
         raise ContractViolationError("cone and statistic dimensions disagree")
     value = stat.n * _cone_distance_sq(stat, cone)
     _require_finite(value, "type B")
@@ -283,13 +272,11 @@ def p_value(statistic_value: float, weights: ChiBarWeights, problem: str) -> flo
     law of the polar residual at the least favorable point (the apex), so
     the value is conservative elsewhere on the cone.
     """
-    if statistic_value < 0:
-        raise ContractViolationError("statistic must be nonnegative")
-    if problem == "type_a":
-        return mixture_upper_tail(weights, statistic_value)
-    if problem == "type_b":
-        return mixture_upper_tail(weights.complement(), statistic_value)
-    raise ContractViolationError(f"unknown problem kind {problem!r}")
+    statistic_value = check.real(statistic_value, "statistic_value", nonnegative=True)
+    check.instance(weights, ChiBarWeights, "weights")
+    if check.choice(problem, ("type_a", "type_b"), "problem kind") == "type_b":
+        weights = weights.complement()
+    return mixture_upper_tail(weights, statistic_value)
 
 
 def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float,
@@ -305,9 +292,8 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     from dt_type_a and dt_type_b, which share one cone projection through
     the Statistic's memo.
     """
-    _require_instance(stat, Statistic, "stat")
-    if not (0.0 < alpha < 1.0 and 0.0 < gamma < 1.0):
-        raise ContractViolationError("alpha and gamma must lie in (0, 1)")
+    check.instance(stat, Statistic, "stat")
+    alpha, gamma = check.level(alpha, "alpha"), check.level(gamma, "gamma")
     weights = resolve_weights(stat, sub, cone, weight_cfg)
     polar = weights.complement()
     t_orig = dt_type_a(stat, sub, cone)
@@ -348,7 +334,7 @@ def _project_set(x, target, metric: Metric) -> np.ndarray:
         return project_subspace(x, target, metric)
     if isinstance(target, ConeSpec):
         return project_cone(x, target, metric)
-    return np.asarray(x, dtype=float)  # FULL_SPACE
+    return x  # FULL_SPACE
 
 
 def _set_kind(target) -> str:
@@ -382,7 +368,7 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
     subspace null against FULL_SPACE. Any other pairing raises
     ContractViolationError before anything is projected.
     """
-    _require_instance(metric, Metric, "metric")
+    theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
     pairing = (_set_kind(null_set), _set_kind(alt_set))
     if pairing == ("subspace", "cone"):
         _validate_pairing(metric.dim, null_set, alt_set)
@@ -391,7 +377,6 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
             f"delta is defined for a subspace null against a cone, or a cone or "
             f"subspace null against FULL_SPACE; got a {pairing[0]} null against "
             f"a {pairing[1]} alternative")
-    theta = np.asarray(theta, dtype=float)
     value = (metric.norm_sq(_project_set(theta, alt_set, metric))
              - metric.norm_sq(_project_set(theta, null_set, metric)))
     return _clamped_drop(value, theta, metric)
@@ -424,8 +409,9 @@ def consistency_region(theta, sub: LinearSubspace, cone: ConeSpec,
     threshold once square-rooted) on a point whose cone projection lies in
     the null.
     """
-    _validate_pairing(_require_instance(metric, Metric, "metric").dim, sub, cone)
+    theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
+    _validate_pairing(metric.dim, sub, cone)
     proj = project_cone(theta, cone, metric)
     consistent = metric.norm(proj - project_subspace(proj, sub, metric)) > 1e-8
-    outside_cone = metric.norm(_as_vector(theta, metric.dim) - proj) > 1e-8
+    outside_cone = metric.norm(theta - proj) > 1e-8
     return ConsistencyCheck(consistent=consistent, type3_risk=consistent and outside_cone)

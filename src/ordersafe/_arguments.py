@@ -56,17 +56,22 @@ def level(value, name: str) -> float:
     return v
 
 
-def array(x, name: str, ndim: int, finite: bool = True) -> np.ndarray:
+def array(x, name: str, ndim, finite: bool = True, rows: int | None = None) -> np.ndarray:
     """A read-only, C-ordered float copy of x with ndim dimensions (the
-    matrix rule at ndim 2), checked to be finite unless finite is False."""
+    matrix rule at ndim 2; a tuple admits each) and, if rows is given, rows
+    entries along its first axis, checked to be finite unless finite is False."""
     try:
         a = np.asarray(x)
     except ValueError as exc:  # ragged nesting
         raise ContractViolationError(f"{name} must be an array of numbers: {exc}") from None
     if a.dtype.kind not in "iuf":
         raise ContractViolationError(f"{name} must hold numbers, not {a.dtype} values")
-    if a.ndim != ndim:
-        raise ContractViolationError(f"{name} must be a {ndim}-d array, got shape {a.shape}")
+    dims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if a.ndim not in dims:
+        want = " or ".join(f"{d}-d" for d in dims)
+        raise ContractViolationError(f"{name} must be a {want} array, got shape {a.shape}")
+    if rows is not None and a.shape[0] != rows:
+        raise ContractViolationError(f"{name} has length {a.shape[0]}, expected {rows}")
     a = np.array(a, dtype=float, order="C")
     if finite and not np.isfinite(a).all():
         raise ContractViolationError(f"{name} has non-finite entries; {name} must be finite")
@@ -76,10 +81,7 @@ def array(x, name: str, ndim: int, finite: bool = True) -> np.ndarray:
 
 def vector(x, name: str, dim: int | None = None) -> np.ndarray:
     """array(x, name, 1), of length dim when dim is given."""
-    v = array(x, name, 1)
-    if dim is not None and v.shape[0] != dim:
-        raise ContractViolationError(f"{name} has length {v.shape[0]}, expected {dim}")
-    return v
+    return array(x, name, 1, rows=dim)
 
 
 def instance(value, kind: type, name: str):

@@ -41,9 +41,10 @@ def _full_row_rank(m) -> bool:
     return m.shape[0] <= m.shape[1] and bool(sv[-1] > _RANK_RTOL * sv[0])
 
 
-def _activity_tol(xt) -> np.ndarray:
-    """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array."""
-    return ZERO_TOL * (1.0 + _column_norms(xt, np.empty(xt.shape[1])))
+def _activity_tol(xt, out=None) -> np.ndarray:
+    """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array, written to out (n,) if given."""
+    tol = _column_norms(xt, np.empty(xt.shape[1]) if out is None else out)
+    return np.multiply(np.add(tol, 1.0, out=tol), ZERO_TOL, out=tol)
 
 
 def _column_norms(xt, out) -> np.ndarray:
@@ -104,18 +105,20 @@ class Metric:
         return self._chol_lower
 
     def solve(self, v):
-        """Return sigma^{-1} v through the cached factorization: L y = v, then L' x = y."""
-        chol = self._chol_lower
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, np.asarray(v, dtype=float)))
+        """sigma^{-1} v for a vector or matrix v of dim rows: L y = v, then L' x = y."""
+        return self._solve(check.array(v, "v", (1, 2), rows=self.dim))
+
+    def _solve(self, v):
+        return np.linalg.solve(self._chol_lower.T, np.linalg.solve(self._chol_lower, v))
 
     def inverse(self) -> np.ndarray:
         """Dense sigma^{-1}, obtained by solving against the identity."""
-        return self.solve(np.eye(self.dim))
+        return self._solve(np.eye(self.dim))
 
     def inner(self, u, v) -> float:
         u = check.vector(u, "u", self.dim)
         v = check.vector(v, "v", self.dim)
-        return float(u @ self.solve(v))
+        return float(u @ self._solve(v))
 
     def norm_sq(self, u) -> float:
         """u' sigma^{-1} u as |y|^2 with L y = u: one triangular solve, never negative."""
@@ -251,7 +254,7 @@ def project_subspace(x, sub: LinearSubspace, metric: Metric) -> np.ndarray:
     b = sub.basis
     if b.shape[1] == 0:
         return np.zeros_like(x)
-    minv_b = metric.solve(b)
+    minv_b = metric._solve(b)
     gram = b.T @ minv_b
     coef = np.linalg.solve(gram, minv_b.T @ x)
     return b @ coef
@@ -473,9 +476,8 @@ def _orthant_blocks(xt, table, work: _Workspace):
     p, n = xt.shape
     if n == 0:
         return
-    neg_tol = _column_norms(xt, work.view("tol0", (n,)))
-    neg_tol += 1.0
-    neg_tol *= -ZERO_TOL
+    neg_tol = _activity_tol(xt, work.view("tol0", (n,)))
+    neg_tol *= -1.0
     turn = 0
     for k, comp in table:
         m = xt.shape[1]

@@ -98,9 +98,9 @@ def run_power_scenario(scenario: PowerScenario, workers: int = 1) -> PowerResult
 
     Each replication observes the mean of n Gaussian draws, here sampled
     directly from its exact law N(theta, sigma/n). The plain test rejects
-    when the projection statistic reaches its mixture critical value; the
-    composite additionally requires the certificate, i.e. the residual
-    statistic staying below the auxiliary critical value. Replications are
+    when the projection statistic reaches its critical value off the apex,
+    and the composite when the certificate is also issued; _count_rejections
+    states both rules with their atoms. Replications are
     generated in fixed-size chunks with seeds spawned deterministically from
     the scenario seed and counts merged in chunk order, so results are
     identical for any worker count. This is the one-scenario case of the
@@ -191,10 +191,13 @@ def _count_rejections(xbar, minv, n, table, c_alpha, c_gamma, work) -> tuple[int
     array of means, from the projector's blocks in the workspace.
 
     t = n theta' M theta and t' = n r' M r with r = x - theta, M = sigma^{-1},
-    are rounded as over the whole chunk at once. On the full support r is
-    exactly 0, so t' < c'_gamma holds when 0 < c'_gamma; at the apex theta
-    is exactly 0, so t >= c_alpha holds when 0 >= c_alpha, and only then is
-    t' computed there. The counts do not depend on the order of the rows.
+    are rounded as over the whole chunk at once. The atoms follow the p-value
+    rule of TestResult.reject: the apex (theta = 0, t = 0, alpha* = 1) never
+    rejects and the full support (r = 0, t' = 0, gamma* = 1) always
+    certifies. Elsewhere t >= c_alpha rejects and t' < c'_gamma certifies,
+    which agrees with the p-value except where a tail lies within 1e-10 of
+    its level, a band a continuous draw hits with probability of order 1e-9.
+    The counts do not depend on the order of the rows.
     """
     size = xbar.shape[1]
 
@@ -214,18 +217,14 @@ def _count_rejections(xbar, minv, n, table, c_alpha, c_gamma, work) -> tuple[int
     n_dt = n_safe = 0
     for x, theta, face, _ in _orthant_blocks(xbar, table, work):
         if face == 0:
-            if 0.0 >= c_alpha:
-                n_dt += x.shape[1]
-                n_safe += int(np.count_nonzero(statistic(x) < c_gamma))
             continue
         reject = np.greater_equal(statistic(theta), c_alpha,
                                   out=work.view("reject", (theta.shape[1],), bool))
+        dt = int(np.count_nonzero(reject))
+        n_dt += dt
         if face == 2:
-            dt = int(np.count_nonzero(reject))
-            n_dt += dt
-            n_safe += dt if 0.0 < c_gamma else 0
+            n_safe += dt
             continue
-        n_dt += int(np.count_nonzero(reject))
         resid = np.subtract(x, theta, out=work.view("resid", x.shape))
         accept = np.less(statistic(resid), c_gamma,
                          out=work.view("accept", (x.shape[1],), bool))

@@ -34,9 +34,6 @@ from .chibar import (
 from .errors import ContractViolationError, InternalInvariantError, NumericError
 from .geometry import ConeSpec, LinearSubspace, Metric, project_cone, project_subspace
 
-#: Statistics within this distance of a critical value resolve to "reject".
-REJECT_TOL = 1e-10
-
 #: Sentinel for the unconstrained alternative of a type B pairing.
 FULL_SPACE = "full_space"
 
@@ -103,7 +100,7 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class TestResult:
-    """A single distance test: statistic, p-value, critical value, level."""
+    """A single distance test; reject, the one accept/reject rule, is p-value <= level."""
 
     statistic: float
     p_value: float
@@ -113,7 +110,7 @@ class TestResult:
 
     @property
     def reject(self) -> bool:
-        return self.statistic >= self.critical_value - REJECT_TOL
+        return self.p_value <= self.alpha
 
 
 class Conclusion(Enum):
@@ -137,9 +134,9 @@ _CONCLUSION_BY_DECISION = {
 class SafeOutcome:
     """Joint outcome of the original test and its certificate pre-test.
 
-    d1 = 1 means the certificate of validity was issued (auxiliary null not
-    rejected at level gamma); d2 = 1 means the original null was rejected at
-    level alpha. t_safe is the original statistic gated by the certificate,
+    d1 = 1 means the certificate of validity was issued (auxiliary.reject is
+    False: gamma* > gamma); d2 = 1 means original.reject (alpha* <= alpha).
+    t_safe = t * d1 is the original statistic gated by the certificate,
     alpha_safe the exact attained level of the composite rejection region,
     and c_alpha_safe the recalibrated critical value solving the joint tail
     equation at level alpha.
@@ -285,12 +282,12 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
 
     Computes the original statistic t, the auxiliary statistic t', both
     p-values, the marginal critical values c_alpha and c'_gamma, the gated
-    statistic t_safe = t * 1{t' < c'_gamma}, the recalibrated critical value
-    solving the joint tail equation at alpha, and the attained level of the
-    composite region. The conclusion is selected by the decision pair
-    (d1, d2) = (certificate issued, original null rejected). t and t' come
-    from dt_type_a and dt_type_b, which share one cone projection through
-    the Statistic's memo.
+    statistic t_safe = t * d1, the recalibrated critical value solving the
+    joint tail equation at alpha, and the attained level of the composite
+    region. The conclusion is selected by the decision pair (d1, d2) =
+    (certificate issued, original null rejected), read by TestResult.reject.
+    t and t' come from dt_type_a and dt_type_b, which share one cone
+    projection through the Statistic's memo.
     """
     check.instance(stat, Statistic, "stat")
     alpha, gamma = check.level(alpha, "alpha"), check.level(gamma, "gamma")
@@ -302,18 +299,8 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     gamma_star = mixture_upper_tail(polar, t_aux)
     c_alpha = solve_critical(weights, alpha, "marginal")
     c_gamma = solve_critical(polar, gamma, "marginal")
-    t_safe = t_orig if t_aux < c_gamma else 0.0
     c_alpha_safe = solve_critical(weights, alpha, "joint", c2=c_gamma)
     alpha_safe = joint_tail(weights, c_alpha, c_gamma)
-
-    d1 = int(gamma_star >= gamma)
-    d2 = int(alpha_star <= alpha)
-    conclusion = _CONCLUSION_BY_DECISION[(d1, d2)]
-    if conclusion is Conclusion.SAFE_REJECT and t_safe < c_alpha_safe - REJECT_TOL:
-        raise InternalInvariantError(
-            "safe rejection reported but the gated statistic is below its "
-            f"recalibrated critical value ({t_safe} < {c_alpha_safe})"
-        )
     original = TestResult(
         statistic=t_orig, p_value=alpha_star, critical_value=c_alpha,
         weights_used=weights, alpha=alpha,
@@ -322,6 +309,14 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
         statistic=t_aux, p_value=gamma_star, critical_value=c_gamma,
         weights_used=polar, alpha=gamma,
     )
+    d1, d2 = int(not auxiliary.reject), int(original.reject)
+    t_safe = t_orig if d1 else 0.0
+    conclusion = _CONCLUSION_BY_DECISION[(d1, d2)]
+    if conclusion is Conclusion.SAFE_REJECT and joint_tail(weights, t_safe, c_gamma) > alpha:
+        raise InternalInvariantError(
+            "safe rejection reported but the gated statistic's joint tail "
+            f"exceeds alpha ({t_safe} against c'_gamma = {c_gamma})"
+        )
     return SafeOutcome(
         original=original, auxiliary=auxiliary, d1=d1, d2=d2,
         conclusion=conclusion, alpha_safe=alpha_safe,
@@ -352,9 +347,9 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
 
     The difference of squared metric distances to the null and alternative
     sets; the test statistic grows like n times this quantity, so a strictly
-    positive value (beyond 1e-8) predicts rejection with probability one in
-    the large-sample limit. Pass FULL_SPACE as the alternative for cone-null
-    pairings.
+    positive value predicts rejection with probability one in the
+    large-sample limit; consistency_region decides that, with its own
+    threshold. Pass FULL_SPACE as the alternative for cone-null pairings.
 
     Evaluated in Moreau form, ||P_alt theta||^2 - ||P_null theta||^2, which
     equals the difference of squared distances for any closed convex cone,

@@ -220,13 +220,18 @@ def project_orthant_t_oracle(xt, table):
 def power_chunk_oracle(xbar, minv, n, table, c_alpha, c_gamma):
     """(plain count, composite count, t, t') of one power chunk of (2, size)
     means: project, reorder, then t and t' as n * (v * (M @ v)).sum(axis=0)
-    over the whole chunk, with v the projection and the residual."""
+    over the whole chunk, with v the projection and the residual. The atoms
+    follow the p-value rule: t = 0 (alpha* = 1) never rejects and t' = 0
+    (gamma* = 1) always certifies."""
     proj = project_orthant_t_oracle(xbar, table)[0]
     diff = xbar - proj
     t = n * (proj * (minv @ proj)).sum(axis=0)
     t_aux = n * (diff * (minv @ diff)).sum(axis=0)
     reject_dt = t >= c_alpha
-    return int(reject_dt.sum()), int((reject_dt & (t_aux < c_gamma)).sum()), t, t_aux
+    reject_dt &= t > 0
+    certified = t_aux < c_gamma
+    certified |= t_aux == 0
+    return int(reject_dt.sum()), int((reject_dt & certified).sum()), t, t_aux
 
 
 def in_polar_orthant(theta, restriction, metric):

@@ -44,6 +44,21 @@ class TestSafeTestCommand:
         assert report["conclusion"] == "Do not reject the Null."
         assert report["d1"] == 1 and report["d2"] == 0
 
+    def test_certificate_one_ulp_past_its_critical_value(self, tmp_path, capsys):
+        """t' sits one ulp above c'_0.1 = 2.9524209201335907 while its p-value
+        still exceeds gamma by 5.9e-11: the certificate is issued, and the
+        safe rejection is reported rather than an internal error."""
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "s_n": [5.0, -1.7182610162992091], "sigma_n": [[1.0, 0.0], [0.0, 1.0]], "n": 1,
+            "restriction": [[1.0, 0.0], [0.0, 1.0]], "gamma": 0.1}))
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(doc), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["c_gamma_prime"] == 2.9524209201335907
+        assert (report["d1"], report["d2"]) == (1, 1)
+        assert "Safely, reject the Null." in capsys.readouterr().out
+
     def test_case_subcommand_matches_safe_test(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["case", "cs-table6", "--out", str(a)]) == EXIT_OK

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordersafe import testing
 from ordersafe.errors import (
     CapabilityError,
     ContractViolationError,
@@ -458,16 +457,14 @@ class TestPolarMembership:
 
 
 def accepts(statistic, c):
-    """Acceptance is the complement of TestResult.reject at critical value c."""
-    return not testing.TestResult(statistic=statistic, p_value=float("nan"),
-                                  critical_value=c, weights_used=None,
-                                  alpha=float("nan")).reject
+    """The open acceptance ball of a statistic: strictly below critical value c."""
+    return statistic < c
 
 
 class TestAcceptanceRegions:
     """The acceptance regions {dist^2(s, L) - dist^2(s, C) < c/n} and
     {dist^2(s, C) < c/n}, open metric balls around the polar cone and the
-    cone, decided by the distance statistics and TestResult.reject."""
+    cone, decided by the distance statistics against their critical values."""
 
     def test_apex_always_accepted(self):
         stat = Statistic(np.zeros(2), Metric(np.eye(2)), 5)

@@ -204,6 +204,7 @@ BASE_CALLS = {
     ],
     "Metric": [
         (Metric, dict(sigma=[[2.0, 0.5], [0.5, 1.0]])),
+        (_M2.solve, dict(v=[1.0, 2.0])),
         (_M2.inner, dict(u=[1.0, 0.0], v=[0.0, 1.0])),
         (_M2.norm_sq, dict(u=[1.0, 2.0])),
         (_M2.norm, dict(u=[1.0, 2.0])),
@@ -320,6 +321,8 @@ def _calls():
 @example(bad=np.eye(2, dtype=bool))    # Metric(np.eye(2, dtype=bool))
 @example(bad=np.array([True, False, True]))  # Statistic(np.array([True, False, True]), ...)
 @example(bad=np.eye(3, dtype=str))     # weights_exact of a str matrix
+@example(bad=[1.0, 2.0, 3.0])          # Metric(np.eye(2)).solve of a length-3 vector
+@example(bad=[True, False])            # Metric(np.eye(2)).solve([True, False])
 def test_a_bad_argument_raises_only_ordersafe_errors(bad):
     for function, base in _calls():
         for name in base:
@@ -345,9 +348,10 @@ def test_a_bad_argument_raises_only_ordersafe_errors(bad):
     lambda: ChiBarWeights(["0.5", "0.5"]),
     lambda: ChiBarWeights([0.5, 0.5], n_draws="x"),
     lambda: ChiBarWeights([0.5, 0.5], seed=1.5),
+    lambda: _M2.solve([True, False]),
 ], ids=["metric-bool", "metric-str", "statistic-bool", "statistic-str", "cone-bool",
         "basis-bool", "constraint-str", "weights-bool", "weights-str", "weights-n_draws-str",
-        "weights-seed-float"])
+        "weights-seed-float", "solve-bool"])
 def test_values_numpy_would_convert_are_refused(call):
     """Bool and str arrays used to become floats, and any n_draws was stored."""
     with pytest.raises(ContractViolationError):

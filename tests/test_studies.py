@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ordersafe import studies
-from ordersafe.chibar import solve_critical
+from ordersafe.chibar import solve_critical, weights_closed_form_2d
 from ordersafe.errors import ContractViolationError, DegenerateVarianceError
 from ordersafe.geometry import Metric
 from ordersafe.studies import (
@@ -231,6 +231,25 @@ class TestPowerHarness:
             if label != "theta4":
                 safe = [r.power_safe for r in results]
                 assert safe[0] > safe[1] > safe[2]
+
+    def test_apex_never_rejects(self):
+        """At alpha = 0.8 >= 1 - w_0 the critical value is 0, but the apex has
+        t = 0 and alpha* = 1: only the draws off the apex reject, 1 - w_0 = 0.75."""
+        result = run_power_scenario(PowerScenario(
+            theta=[0.0, 0.0], sigma=Metric(np.eye(2)), n=10, alpha=0.8, gamma=0.1,
+            replications=400_000, seed=3))
+        assert abs(result.power_dt - 0.75) <= 4 * np.sqrt(0.75 * 0.25 / 400_000)
+
+    def test_full_support_always_certifies(self):
+        """At gamma = 0.8 >= 1 - w_2 the auxiliary critical value is 0, but the
+        full support has t' = 0 and gamma* = 1: the safe test rejects there
+        whenever the plain test does, w_2 exp(-c_0.05 / 2) of the draws."""
+        c = solve_critical(weights_closed_form_2d(0.0), 0.05, "marginal")
+        want = 0.25 * np.exp(-c / 2)
+        result = run_power_scenario(PowerScenario(
+            theta=[0.0, 0.0], sigma=Metric(np.eye(2)), n=10, alpha=0.05, gamma=0.8,
+            replications=400_000, seed=3))
+        assert abs(result.power_safe - want) <= 4 * np.sqrt(want * (1 - want) / 400_000)
 
     def test_grid_rows_schema(self):
         rows = power_grid(replications=2_000, seed=1, gammas=(0.1,), ns=(10,),

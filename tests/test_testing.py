@@ -391,6 +391,51 @@ class TestSafeTest:
         with pytest.raises(ContractViolationError):
             safe_test(stat, ZERO2, ORTHANT2, alpha=0.0, gamma=0.05)
 
+    def test_statistic_inside_the_bisection_band_rejects_safely(self):
+        """t = c_0.05 - 1e-9 lies in the band where its tail is still at most
+        alpha: the p-value rejects, and the safe rejection stands."""
+        c = solve_critical(weights_closed_form_2d(0.0), 0.05, "marginal")
+        stat = gaussian_stat([np.sqrt(c - 1e-9), 0.0], np.eye(2), 1)
+        out = safe_test(stat, ZERO2, ORTHANT2, alpha=0.05, gamma=1e-12)
+        assert out.original.p_value <= 0.05
+        assert out.conclusion is Conclusion.SAFE_REJECT
+        assert out.t_safe == out.original.statistic
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.05, 0.05), (0.1, 0.01), (0.01, 0.2)])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_decisions_near_the_critical_values_follow_the_p_values(self, monkeypatch,
+                                                                    k, alpha, gamma):
+        """t and t' placed at c +- 0..3 ulps, at c +- 1e-9 and at 0: d2 is
+        original.reject, d1 is not auxiliary.reject, t_safe is t * d1, and
+        nothing raises."""
+        if k == 2:
+            stat = gaussian_stat([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]], 10)
+            sub, cone = ZERO2, ORTHANT2
+        else:
+            sigma = random_spd(np.random.default_rng(4), 4)
+            stat = gaussian_stat([0.1, -0.3, 0.2, 0.5], sigma, 10)
+            sub, cone = LinearSubspace.span_of_ones(4), ConeSpec.simple_order(4)
+        weights = resolve_weights(stat, sub, cone)
+        c_alpha = solve_critical(weights, alpha, "marginal")
+        c_gamma = solve_critical(weights.complement(), gamma, "marginal")
+
+        def near(c):
+            points, up, down = [c, c + 1e-9, c - 1e-9, 0.0], c, c
+            for _ in range(3):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                points += [float(up), float(down)]
+            return points
+
+        for t in near(c_alpha):
+            for t_aux in near(c_gamma):
+                monkeypatch.setattr(testing_module, "dt_type_a", lambda *_, t=t: t)
+                monkeypatch.setattr(testing_module, "dt_type_b", lambda *_, t=t_aux: t)
+                out = safe_test(stat, sub, cone, alpha, gamma)
+                assert (out.original.statistic, out.auxiliary.statistic) == (t, t_aux)
+                assert out.d2 == out.original.reject
+                assert out.d1 == (not out.auxiliary.reject)
+                assert out.t_safe == t * out.d1
+
 
 class TestDelta:
     def test_zero_on_null_subspace(self, rng):

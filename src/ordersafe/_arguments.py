@@ -3,9 +3,10 @@
 Each rule returns the accepted value in the form the library computes with,
 or raises ContractViolationError naming the argument. Numbers are Python or
 numpy numbers, never bool or str; arrays must have an integer or float
-dtype (never bool, str or object) and are converted as
-np.asarray(x, dtype=float) would convert them. Each rule is O(1) Python
-plus at most one conversion and one finiteness pass per array.
+dtype (never bool, str or object), must hold no bool at any depth, and are
+converted as np.asarray(x, dtype=float) would convert them. Each rule is
+O(1) Python plus at most one conversion and one finiteness pass per array;
+an input that is not an ndarray also pays one pass over its entries.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def array(x, name: str, ndim, finite: bool = True, rows: int | None = None) -> n
         raise ContractViolationError(f"{name} must be an array of numbers: {exc}") from None
     if a.dtype.kind not in "iuf":
         raise ContractViolationError(f"{name} must hold numbers, not {a.dtype} values")
+    # numpy converts a bool inside a list to a number; only a non-array can hide one
+    if not isinstance(x, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+        raise ContractViolationError(f"{name} must hold numbers, not bool values")
     dims = ndim if isinstance(ndim, tuple) else (ndim,)
     if a.ndim not in dims:
         want = " or ".join(f"{d}-d" for d in dims)

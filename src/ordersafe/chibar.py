@@ -22,6 +22,8 @@ bisection's bit for bit, from about a fifth of its tail passes.
 
 Conventions for the zero-degree-of-freedom component (point mass at 0):
 P(chi2_0 >= t) = 1 if t <= 0 else 0, and P(chi2_0 < t) = 1 if t > 0 else 0.
+The one exception is the joint tail's pre-test factor, which reads 1 at
+df = 0 at every c2, c2 = 0 included: a zero residual is always certified.
 
 The chi-square tails of integer df use only the standard library. With
 x = t/2 and a = df/2, the lower tail is the regularized lower incomplete
@@ -508,15 +510,7 @@ def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:
     t = check.real(t, "t", nonnegative=True)
     if t == 0:
         return 1.0
-    return _upper_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[0])
-
-
-def _upper_sum(w: list[float], sf: list[float]) -> float:
-    """mixture_upper_tail at t > 0 from its tails: sum_j w[j] sf[j] over j >= 1."""
-    total = 0.0
-    for j in range(1, len(w)):
-        total += w[j] * sf[j]
-    return total
+    return _joint_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[0], [1.0] * (weights.p + 1))
 
 
 def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
@@ -532,26 +526,40 @@ def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
 
 
 def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
-    """P(T >= c1, T' < c2) for the projection statistic and its residual.
+    """P(T >= c1, T' < c2 or T' = 0) for the projection statistic and its residual.
 
     T is the squared norm of the orthant projection, T' the squared norm of
     the polar residual; under the apex null the pair factorizes over the
     face dimension j, giving sum_j w_j P(chi2_j >= c1) P(chi2_{p-j} < c2).
+    The full support (j = p) leaves T' = 0, which the pre-test certifies, so
+    its factor is 1 at every c2; at c2 = 0 the sum is w_p P(chi2_p >= c1).
     """
     check.instance(weights, ChiBarWeights, "weights")
     c1 = check.real(c1, "c1", nonnegative=True)
     c2 = check.real(c2, "c2", nonnegative=True)
     return _joint_sum(weights.w.tolist(), _chi2_tails(c1, weights.p)[0],
-                      _chi2_tails(c2, weights.p)[1])
+                      _pretest_factors(c2, weights.p))
+
+
+def _pretest_factors(c2: float, p: int) -> list[float]:
+    """P(chi2_df < c2 or chi2_df = 0) for df = 0..p: the pre-test factors of joint_tail."""
+    return [1.0, *_chi2_tails(c2, p)[1][1:]]
 
 
 def _joint_sum(w: list[float], sf: list[float], cdf: list[float]) -> float:
-    """joint_tail from its tails: sum_j w[j] sf[j] cdf[p - j] with sf at c1 and cdf at c2."""
+    """joint_tail from its tails: sum_j w[j] sf[j] cdf[p - j] with sf at c1 and
+    cdf at c2; with cdf all ones it is mixture_upper_tail at c1 > 0."""
     p = len(w) - 1
     total = 0.0
     for j in range(p + 1):
         total += w[j] * sf[j] * cdf[p - j]
     return total
+
+
+def _joint_at_zero(w: list[float], cdf2: list[float]) -> tuple[float, float]:
+    """The joint tail at c1 = 0 and its limit as c1 -> 0+, without the apex's term."""
+    sup = _joint_sum(w, _chi2_tails(0.0, len(w) - 1)[0], cdf2)
+    return sup, sup - w[0] * cdf2[-1]
 
 
 def _chi2_densities(t: float, p: int) -> list[float]:
@@ -568,12 +576,13 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
                    c2: float | None = None) -> float:
     """Critical value: the bisection for tail(c) = alpha, replayed from certified band edges.
 
-    mode="marginal" returns c with mixture_upper_tail(c) = alpha; when alpha
-    is at or above the tail's limit from the right at zero (1 - w_0) the
-    solution region collapses and 0 is returned. mode="joint" returns c with
-    joint_tail(c, c2) = alpha and raises InfeasibleLevelError, naming the
-    attainable supremum, when alpha exceeds joint_tail(0, c2) by more than
-    min(1e-9, 1e-7 alpha).
+    mode="joint" returns c with joint_tail(c, c2) = alpha and raises
+    InfeasibleLevelError, naming the attainable supremum, when alpha exceeds
+    joint_tail(0, c2) by more than min(1e-9, 1e-7 alpha). mode="marginal"
+    returns c with mixture_upper_tail(c) = alpha, the joint tail with every
+    pre-test factor 1 (c2 = inf). When alpha is at or above the tail's limit
+    from the right at zero (1 - w_0 in the marginal mode) the solution
+    region collapses and 0 is returned.
 
     The value returned is defined by a plain bisection: double hi from 1
     while tail(hi) > alpha, then halve [0, hi] until a midpoint's tail is
@@ -593,14 +602,11 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
     w = weights.w.tolist()
     p = weights.p
     if check.choice(mode, ("marginal", "joint"), "mode") == "marginal":
-        if alpha >= 1.0 - w[0]:
-            return 0.0
-        func, coef = (lambda c: _upper_sum(w, _chi2_tails(c, p)[0])), w
+        cdf2, limit_above_zero = [1.0] * (p + 1), 1.0 - w[0]
     else:
         c2 = check.real(c2, "c2 (joint mode needs a nonnegative c2)", nonnegative=True)
-        # the tails at c2 are fixed for the whole solve
-        cdf2 = _chi2_tails(c2, p)[1]
-        sup = _joint_sum(w, _chi2_tails(0.0, p)[0], cdf2)
+        cdf2 = _pretest_factors(c2, p)
+        sup, limit_above_zero = _joint_at_zero(w, cdf2)
         # c2 usually comes from a bisection, so a request above the supremum
         # by at most ten bisection bands at alpha, min(1e-9, 1e-7 alpha), counts
         # as feasible; an absolute slack would admit 100x a supremum of 1e-12
@@ -609,12 +615,10 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
                 f"requested level {alpha} exceeds the attainable supremum {sup:.12g}",
                 attainable=sup,
             )
-        limit_above_zero = sup - w[0] * (1.0 if p == 0 else cdf2[p])
-        if alpha >= limit_above_zero:
-            return 0.0
-        func = lambda c: _joint_sum(w, _chi2_tails(c, p)[0], cdf2)
-        coef = [w[j] * cdf2[p - j] for j in range(p + 1)]
-    return _solve_band(func, coef, alpha)
+    if alpha >= limit_above_zero:
+        return 0.0
+    coef = [w[j] * cdf2[p - j] for j in range(p + 1)]
+    return _solve_band(lambda c: _joint_sum(w, _chi2_tails(c, p)[0], cdf2), coef, alpha)
 
 
 def _solve_band(tail, coef: list[float], alpha: float) -> float:
@@ -742,32 +746,24 @@ def _newton_start(coef: list[float], alpha: float) -> float:
 def solve_nominal_level(weights: ChiBarWeights, target_level: float, c2: float) -> float:
     """Nominal alpha whose composite region attains a prechosen level.
 
-    Finds alpha such that joint_tail(solve_critical(weights, alpha), c2)
-    equals target_level; the attained level is increasing in alpha, so the
-    search is a plain bisection on (target_level, 1).
+    At nominal alpha the composite region attains joint_tail(c_alpha, c2),
+    nonincreasing in c_alpha, so alpha is mixture_upper_tail(weights, c) at
+    the joint critical value c = solve_critical(weights, target_level,
+    "joint", c2), and attains target_level within the two solves' bisection
+    bands. A target whose joint critical value is 0 raises
+    InfeasibleLevelError naming the level the region reaches as c -> 0+.
     """
     target_level = check.level(target_level, "target_level")
-    sup = joint_tail(weights, 0.0, c2)
-    if target_level > sup:
+    c2 = check.real(c2, "c2", nonnegative=True)
+    c = solve_critical(weights, target_level, "joint", c2)
+    if c == 0.0:
+        reached = _joint_at_zero(weights.w.tolist(), _pretest_factors(c2, weights.p))[1]
         raise InfeasibleLevelError(
-            f"target level {target_level} exceeds the attainable supremum {sup:.12g}",
-            attainable=sup,
+            f"target level {target_level} is not below {reached:.12g}, the level "
+            "the composite region reaches as its critical value falls to 0",
+            attainable=reached,
         )
-
-    def attained(alpha):
-        return joint_tail(weights, solve_critical(weights, alpha, "marginal"), c2)
-
-    lo, hi = target_level, 1.0 - 1e-12
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        level = attained(mid)
-        if abs(level - target_level) <= 1e-9:
-            return mid
-        if level < target_level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return mixture_upper_tail(weights, c)
 
 
 def safe_level_2d(alpha: float, gamma: float) -> float:

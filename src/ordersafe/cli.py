@@ -24,7 +24,7 @@ from .chibar import (
     weights_closed_form_2d,
     weights_monte_carlo,
 )
-from .errors import InternalInvariantError, NumericError, OrderSafeError
+from .errors import ContractViolationError, InternalInvariantError, NumericError, OrderSafeError
 from .geometry import ConeSpec, LinearSubspace, Metric
 from .studies import (
     CS_TABLE5,
@@ -83,20 +83,15 @@ def _require(doc, key, kind, path):
 def _numeric_array(value, key, path, ndim):
     """A JSON vector (ndim 1) or matrix (ndim 2) of numbers as a float array.
 
-    Ragged rows, numbers too large for a float, and the strings, booleans
-    and nulls that numpy would convert are all input errors.
+    Whatever the library's array rule refuses (ragged rows, numbers too
+    large for a float, strings, booleans and nulls) is an input error; a
+    non-finite entry is left to the library, as for any other caller.
     """
-    shape = "vector" if ndim == 1 else "matrix"
     try:
-        arr = np.asarray(value, dtype=float)
-        numbers = all(type(v) in (int, float) for v in np.asarray(value, dtype=object).flat)
-    except (ValueError, TypeError, OverflowError):
-        numbers = False
-    if not numbers:
-        raise InputError(f"{path}: field {key!r} must be a {shape} of numbers")
-    if arr.ndim != ndim:
-        raise InputError(f"{path}: field {key!r} must be a {shape}")
-    return arr
+        return check.array(value, key, ndim, finite=False)
+    except ContractViolationError:
+        shape = "vector" if ndim == 1 else "matrix"
+        raise InputError(f"{path}: field {key!r} must be a {shape} of numbers") from None
 
 
 def _cone_and_subspace(doc, dim, path):
@@ -359,9 +354,7 @@ def cmd_weights(args) -> int:
     if args.identity is not None and args.input is not None:
         raise InputError("give either --input FILE or --identity DIM, not both")
     if args.identity is not None:
-        if args.identity < 1:
-            raise InputError(f"--identity must be at least 1, not {args.identity}")
-        sigma = np.eye(args.identity)
+        sigma = np.eye(check.integer(args.identity, 1, "--identity", "at least 1"))
     elif args.input is not None:
         doc = _load_document(args.input)
         sigma = _numeric_array(_require(doc, "sigma", list, args.input), "sigma", args.input, 2)

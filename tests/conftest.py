@@ -433,7 +433,7 @@ def joint_tail_oracle(w, c1, c2):
     for j in range(p + 1):
         sf = (1.0 if c1 <= 0 else 0.0) if j == 0 else chi2_sf_oracle(c1, j)
         k = p - j
-        cdf = (1.0 if c2 > 0 else 0.0) if k == 0 else chi2_cdf_oracle(c2, k)
+        cdf = 1.0 if k == 0 else chi2_cdf_oracle(c2, k)  # a zero residual is certified
         total += w[j] * sf * cdf
     return float(total)
 
@@ -457,6 +457,7 @@ def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
     else:
         w = weights.w.tolist()
         cdf2 = chibar._chi2_tails(c2, weights.p)[1]
+        cdf2[0] = 1.0  # a zero residual is certified at every c2
         sup = chibar._joint_sum(w, chibar._chi2_tails(0.0, weights.p)[0], cdf2)
         if alpha > sup + min(1e-9, 1e-7 * alpha):
             raise InfeasibleLevelError("infeasible", attainable=sup)
@@ -485,7 +486,9 @@ def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
 
 
 def solve_nominal_level_oracle(weights, target_level, c2):
-    """solve_nominal_level's nested bisection over solve_critical_oracle."""
+    """The nested bisection over solve_critical_oracle that solve_nominal_level
+    ran before it read the joint critical value; its attained level is the
+    reference solve_nominal_level must match or beat."""
     def attained(alpha):
         return chibar.joint_tail(weights, solve_critical_oracle(weights, alpha), c2)
 

@@ -570,12 +570,20 @@ class TestNominalLevelAdjustment:
         assert nominal >= 0.05
 
     @pytest.mark.parametrize("rho, gamma, target, expected", [
-        (0.0, 0.1, 0.05, 0.051768578588960695),
-        (0.0, 0.05, 0.05, 0.050802026409654984),
-        (0.9, 0.05, 0.01, 0.010061492491513429),
-        (-0.5, 0.1, 0.05, 0.05291480533778361),
+        (0.0, 0.1, 0.05, 0.05176857892796034),
+        (0.0, 0.05, 0.05, 0.05080202633984865),
+        (0.9, 0.05, 0.01, 0.010061492802194356),
+        (-0.5, 0.1, 0.05, 0.05291480514649557),
     ])
     def test_frozen_values(self, rho, gamma, target, expected):
-        """Bit-identical to the bisection that evaluated the attained level twice per step."""
+        """The marginal tail at the joint critical value, bit for bit."""
         w = weights_closed_form_2d(rho)
         assert solve_nominal_level(w, target, solve_critical(w, gamma)) == expected
+
+    def test_a_target_past_the_level_at_zero_is_infeasible(self):
+        """Above zero the composite's level climbs only to
+        w_1 P(chi2_1 < c2) + w_2 = 0.7301... as c -> 0+."""
+        c2 = solve_critical(QUADRANT.complement(), 0.05)
+        with pytest.raises(InfeasibleLevelError, match="0.730149288") as err:
+            solve_nominal_level(QUADRANT, 0.8, c2)
+        assert err.value.attainable == pytest.approx(0.7301492887, abs=1e-10)

@@ -236,6 +236,23 @@ class TestSafeTestCommand:
         text = out.read_text()
         assert dumps_report(json.loads(text)) == text
 
+    def test_a_zero_pretest_critical_value_exits_0(self, tmp_path, capsys):
+        """gamma = 0.8 puts c'_gamma at 0; the full support stays certified,
+        so the composite region is not empty and every command answers."""
+        out = tmp_path / "report.json"
+        assert run(["case", "silvapulle", "--gamma", "0.8", "--out", str(out)]) == EXIT_OK
+        assert "A likely Type III error. Revisit assumptions." in capsys.readouterr().out
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "s_n": [1.0, 0.5], "sigma_n": [[1.0, 0.0], [0.0, 1.0]], "n": 10,
+            "restriction": [[1.0, 0.0], [0.0, 1.0]], "gamma": 0.8}))
+        assert run(["safe-test", "--input", str(doc), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["c_gamma_prime"] == 0.0
+        assert report["alpha_safe"] == 0.030149288611818897
+        assert "Safely, reject the Null." in capsys.readouterr().out
+        assert run(["dt", "--input", str(doc), "--out", str(out)]) == EXIT_OK
+
 
 class TestDtCommand:
     def test_emits_base_tests_only(self, tmp_path):

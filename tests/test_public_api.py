@@ -323,6 +323,8 @@ def _calls():
 @example(bad=np.eye(3, dtype=str))     # weights_exact of a str matrix
 @example(bad=[1.0, 2.0, 3.0])          # Metric(np.eye(2)).solve of a length-3 vector
 @example(bad=[True, False])            # Metric(np.eye(2)).solve([True, False])
+@example(bad=[1.0, True])              # Statistic([1.0, True], ...), Metric(np.eye(2)).solve
+@example(bad=[[1.0, True], [True, 2.0]])  # Metric([[1.0, True], [True, 2.0]])
 def test_a_bad_argument_raises_only_ordersafe_errors(bad):
     for function, base in _calls():
         for name in base:
@@ -349,10 +351,20 @@ def test_a_bad_argument_raises_only_ordersafe_errors(bad):
     lambda: ChiBarWeights([0.5, 0.5], n_draws="x"),
     lambda: ChiBarWeights([0.5, 0.5], seed=1.5),
     lambda: _M2.solve([True, False]),
+    lambda: Metric([[1.0, True], [True, 2.0]]),
+    lambda: Statistic([1.0, True], _M2, 3),
 ], ids=["metric-bool", "metric-str", "statistic-bool", "statistic-str", "cone-bool",
         "basis-bool", "constraint-str", "weights-bool", "weights-str", "weights-n_draws-str",
-        "weights-seed-float", "solve-bool"])
+        "weights-seed-float", "solve-bool", "metric-bool-in-list", "statistic-bool-in-list"])
 def test_values_numpy_would_convert_are_refused(call):
     """Bool and str arrays used to become floats, and any n_draws was stored."""
     with pytest.raises(ContractViolationError):
         call()
+
+
+@pytest.mark.parametrize("value", [[1.0, True], [[1.0, 2.0], [np.True_, 2.0]], ([0.5], [False])],
+                         ids=["vector", "matrix-numpy-bool", "tuple-of-lists"])
+def test_a_bool_at_any_depth_of_a_list_is_refused_by_name(value):
+    """numpy converts these to floats; the array rule names the bool instead."""
+    with pytest.raises(ContractViolationError, match="v must hold numbers, not bool values"):
+        _M2.solve(value)

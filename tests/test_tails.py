@@ -149,6 +149,16 @@ def test_degrees_of_freedom_must_be_positive_integers(df):
         chi2_cdf(1.0, df)
 
 
+@pytest.mark.parametrize("c", [1e-8, 0.5, 3.0, 40.0])
+@pytest.mark.parametrize("w", [[0.25, 0.5, 0.25], [0.1, 0.2, 0.3, 0.25, 0.15]],
+                         ids=["quadrant", "p4"])
+def test_joint_tail_at_c2_zero_is_the_full_support(w, c):
+    """A zero residual is certified at every c2, so at c2 = 0 the full
+    support is all that is left; every other term is exactly 0.0."""
+    weights = ChiBarWeights(w=np.array(w))
+    assert joint_tail(weights, c, 0.0) == weights.w[-1] * chi2_sf(c, weights.p)
+
+
 def test_infinite_arguments_stay_valid():
     assert mixture_upper_tail(QUARTER, math.inf) == 0.0
     assert mixture_lower_tail(QUARTER, math.inf) == 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 
@@ -7,7 +8,15 @@ import pytest
 
 import ordersafe.geometry as geometry_module
 import ordersafe.testing as testing_module
-from ordersafe.chibar import EXACT_MAX_DIM, ChiBarWeights, solve_critical, weights_closed_form_2d, weights_exact
+from ordersafe.chibar import (
+    EXACT_MAX_DIM,
+    ChiBarWeights,
+    chi2_sf,
+    joint_tail,
+    solve_critical,
+    weights_closed_form_2d,
+    weights_exact,
+)
 from ordersafe.errors import ContractViolationError, InfeasibleLevelError, NumericError
 from ordersafe.geometry import (
     ConeSpec,
@@ -380,6 +389,23 @@ class TestSafeTest:
         ours = [outcome(s) for s in points]
         monkeypatch.setattr(geometry_module, "_dual_active_set", dual_active_set_oracle)
         assert [outcome(s) for s in points] == ours
+
+    def test_a_zero_pretest_critical_value_keeps_the_full_support(self):
+        """gamma = 0.8 is above 1 - w_2 = 3/4, so c'_gamma = 0: the composite
+        region is {t >= c} on the full support, where t' = 0 is certified."""
+        w = weights_closed_form_2d(0.0)
+        out = safe_test(gaussian_stat([1.0, 0.5], np.eye(2), 10), ZERO2, ORTHANT2,
+                        alpha=0.05, gamma=0.8)
+        assert out.auxiliary.critical_value == 0.0
+        assert out.alpha_safe == w.w[2] * chi2_sf(solve_critical(w, 0.05), 2)
+        assert out.alpha_safe == 0.030149288611818897
+        # 0.25 exp(-c / 2) = 0.05, to within the bisection band of 1e-10 in the tail
+        assert out.c_alpha_safe == pytest.approx(-2.0 * math.log(0.2), abs=1e-8)
+        assert abs(joint_tail(w, out.c_alpha_safe, 0.0) - 0.05) <= 1e-10
+        out = safe_test(gaussian_stat([1.0, 1.0], np.eye(2), 10), ZERO2, ORTHANT2,
+                        alpha=0.05, gamma=0.8)
+        assert out.conclusion is Conclusion.SAFE_REJECT
+        assert out.t_safe == out.original.statistic
 
     def test_infeasible_level_propagates(self):
         stat = gaussian_stat([1.0, 1.0], np.eye(2), 5)

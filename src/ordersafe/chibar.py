@@ -63,7 +63,7 @@ DEFAULT_SEED = 1729
 #: Default number of Monte Carlo replications for weight estimation.
 DEFAULT_MC_DRAWS = 1_000_000
 
-#: Largest dimension weights_exact accepts; one 16-node pass takes about 80 ms at p = 8
+#: Largest dimension weights_exact accepts; one 16-node pass takes about 70 ms at p = 8
 #: (one core, one BLAS thread).
 EXACT_MAX_DIM = 8
 
@@ -75,6 +75,8 @@ _EXACT_TOL = 1e-13
 # node rows, (matrix, pair) times nodes, in one chunk of the orthant
 # reduction: each float64 node buffer of a chunk holds at most 128 KiB
 _ORTHANT_CHUNK = 1 << 14
+# most floats (4 MiB) of conditioned matrices that one stack of the orthant walk writes
+_STACK_FLOATS = 1 << 19
 _MC_CHUNK = 1 << 15
 _BISECT_TOL = 1e-10
 _BISECT_REL_TOL = 1e-8
@@ -261,8 +263,9 @@ def _rest(d: int) -> np.ndarray:
     return _frozen(np.array([[i for i in range(1, d) if i != k] for k in range(1, d)]))
 
 
-def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
-    """P(X >= 0) for X ~ N(0, C), for each correlation matrix C of an (m, d, d) stack.
+def _orthant_probabilities(stacks: dict, nodes) -> dict:
+    """P(X >= 0) for X ~ N(0, C), for each correlation matrix C of the
+    (m, d, d) stacks of {d: stack}, as {d: (m,) array}; stacks is consumed.
 
     Dimensions up to three have closed forms. From four on, Plackett's
     reduction (1954) follows the path C(t), t from 0 to 1, that scales the
@@ -274,63 +277,88 @@ def _orthant_probabilities(corr: np.ndarray, nodes) -> np.ndarray:
     (1 / 2pi) sum_k int_0^{asin c_0k} P_{d-2}(conditional correlation) du,
     evaluated with the Gauss-Legendre rule nodes = (points, weights).
 
-    Every node-dependent quantity lives in a C-contiguous (m, d - 1, n)
-    buffer, or (m, d - 1, n, r, r) for the conditioned matrices of
-    r = d - 2 >= 4 variables, and is updated in place. The stack is cut
-    into chunks of at most _ORTHANT_CHUNK node rows, (m, d - 1) pairs times
-    n nodes, so each (m, d - 1, n) buffer stays within 128 KiB; the chunks
-    of one stack share their buffers, so the pages are touched once per
-    stack, not once per chunk. Three rules keep the result bit for bit that
-    of the plain broadcast form:
+    The dimensions are walked down from the largest, one stack each, which
+    holds the matrices asked for at d, the C_{-0} of the stack of d + 1 and
+    the conditioned matrices of the stack of d + 2 (_plackett); on the way
+    back up P_d is P_{d-1}(C_{-0}) / 2 plus the integrals. To bound memory,
+    a stack of d >= 6 whose conditioned matrices would pass _STACK_FLOATS
+    floats is cut, and each piece but the last walks down alone. Four rules
+    keep every probability bit for bit that of the plain broadcast form:
+    - every step reads the entries of one matrix alone, in an order that
+      does not depend on the stack, so a probability has the same bits
+      wherever its matrix sits in a stack, a chunk or a piece;
     - Sheppard's arcsines are added in pair order, the order of numpy's
       sequential reduction over the pair axis;
-    - the operand of inner @ g is a C-contiguous (m, d - 1, n) buffer,
+    - the operand of inner @ g is a C-contiguous (m, d - 1, n) array,
       because matmul's rounding depends on the operand's layout;
     - t = s / c_0k divides by 1 where c_0k = 0, where s is +-0, so t^2 is
       the same 0 that a masked divide would leave.
     """
-    m, d = corr.shape[0], corr.shape[1]
+    d = max(stacks)
     if d <= 3:
-        i, j = _triu_pairs(d)
-        return 0.5 ** d + np.arcsin(corr[:, i, j]).sum(axis=-1) / (2.0 ** (d - 1) * np.pi)
-    n, r = nodes[0].size, d - 2
-    step = max(1, _ORTHANT_CHUNK // ((d - 1) * n))
-    rows = min(m, step)
+        return {k: 0.5 ** k + np.arcsin(c[(slice(None), *_triu_pairs(k))]).sum(axis=-1)
+                / (2.0 ** (k - 1) * np.pi) for k, c in stacks.items()}
+    m, r, (x, g) = len(stacks[d]), d - 2, nodes
+    cap = max(1, _STACK_FLOATS // ((d - 1) * x.size * r * r))
+    if r >= 4 and m > cap:
+        corr, last = stacks[d], (m - 1) // cap * cap
+        heads = [_orthant_probabilities({d: corr[lo:lo + cap]}, nodes)[d] for lo in range(0, last, cap)]
+        stacks[d] = corr[last:]
+        out = _orthant_probabilities(stacks, nodes)
+        return {**out, d: np.concatenate(heads + [out[d]])}
+    sizes = {k: len(s) for k, s in stacks.items() if k != d}
+    top, integral = _plackett(stacks.pop(d), stacks, nodes)
+    probs = _orthant_probabilities(stacks, nodes)
+    if r >= 4:
+        inner = probs[d - 2][sizes.get(d - 2, 0):].reshape(m, d - 1, x.size)
+        integral = (0.5 * top * (inner @ g)).sum(axis=1)
+    return {d: 0.5 * probs[d - 1][sizes.get(d - 1, 0):] + integral / (2.0 * np.pi),
+            **{k: probs[k][:size] for k, size in sizes.items()}}
+
+
+def _plackett(corr: np.ndarray, stacks: dict, nodes) -> tuple:
+    """Walk one (m, d, d) stack, d >= 4, down: append its C_{-0} to the stack
+    of d - 1 and, for d >= 6, its conditioned matrices to that of d - 2, and
+    return top = asin c_0k and, for d <= 5, the leaf's integrals summed over
+    k. The node terms are built in place, in chunks of at most _ORTHANT_CHUNK
+    node rows, (m, d - 1) pairs times n nodes, that share 128 KiB buffers."""
+    (m, d), (x, g) = corr.shape[:2], nodes
+    n, r, rest = x.size, d - 2, _rest(d)
+    stacks[d - 1] = np.concatenate([stacks.get(d - 1, corr[:0, 1:, 1:]), corr[:, 1:, 1:]])
+    tops, step = np.arcsin(corr[:, 0, 1:]), max(1, _ORTHANT_CHUNK // ((d - 1) * n))
     if r <= 3:   # q, then one buffer per pair (the first is s), one per diagonal term
-        work, cond = np.empty((1 + r * (r - 1) // 2 + r, rows, d - 1, n)), None
-    else:
-        work, cond = np.empty((2, rows, d - 1, n)), np.empty((rows, d - 1, n, r, r))
-    out = np.empty(m)
+        buffers, out = np.empty((1 + r * (r - 1) // 2 + r, min(m, step), d - 1, n)), np.empty(m)
+    else:        # q and s; the conditioned matrices are written straight into the stack
+        buffers, held = np.empty((2, min(m, step), d - 1, n)), stacks.get(d - 2, corr[:0, 2:, 2:])
+        stacks[d - 2] = np.empty((len(held) + m * (d - 1) * n, r, r))
+        stacks[d - 2][:len(held)] = held
+        out = stacks[d - 2][len(held):].reshape(m, d - 1, n, r, r)
     for lo in range(0, m, step):
-        out[lo:lo + step] = _plackett(corr[lo:lo + step], nodes, work, cond)
-    return out
-
-
-def _plackett(corr: np.ndarray, nodes, work: np.ndarray, cond) -> np.ndarray:
-    """_orthant_probabilities of one chunk of an (m, d, d) stack, d >= 4, in
-    the first m rows of the buffers of work and, for d >= 6, of cond."""
-    m, d = corr.shape[0], corr.shape[1]
-    x, g = nodes
-    work = work[:, :m]
-    r = d - 2
-    rest = _rest(d)
-    c0 = corr[:, 0, 1:]                                      # (m, d-1): c_0k
-    ck = corr[:, 1:][:, np.arange(d - 1)[:, None], rest]     # (m, d-1, r): c_kR
-    # Given X_k, then X_0 under C(t): the first step leaves base, the second
-    # subtracts q f f' with f = c_0R - c_0k c_kR and q = t^2 / (1 - t^2 c_0k^2).
-    # The nodes run along the last axis, which keeps numpy's inner loops long.
-    base = corr[:, rest[:, :, None], rest[:, None, :]] - ck[..., :, None] * ck[..., None, :]
-    f = corr[:, 0, rest] - c0[..., None] * ck
-    top = np.arcsin(c0)
-    q, s = work[0], work[1]
-    np.multiply((0.5 * top)[..., None], x + 1.0, out=s)
-    np.sin(s, out=s)                                         # t c_0k
-    np.divide(s, np.where(c0 != 0.0, c0, 1.0)[..., None], out=q)
-    np.multiply(q, q, out=q)
-    np.multiply(s, s, out=s)
-    np.subtract(1.0, s, out=s)
-    np.divide(q, s, out=q)
-    if r <= 3:
+        chunk, top = corr[lo:lo + step], tops[lo:lo + step]
+        work = buffers[:, :len(chunk)]
+        c0 = chunk[:, 0, 1:]                                     # (m, d-1): c_0k
+        ck = chunk[:, 1:][:, np.arange(d - 1)[:, None], rest]    # (m, d-1, r): c_kR
+        # Given X_k, then X_0 under C(t): the first step leaves base, the second
+        # subtracts q f f' with f = c_0R - c_0k c_kR and q = t^2 / (1 - t^2 c_0k^2).
+        # The nodes run along the last axis, which keeps numpy's inner loops long.
+        base = chunk[:, rest[:, :, None], rest[:, None, :]] - ck[..., :, None] * ck[..., None, :]
+        f = chunk[:, 0, rest] - c0[..., None] * ck
+        q, s = work[0], work[1]
+        np.multiply((0.5 * top)[..., None], x + 1.0, out=s)
+        np.sin(s, out=s)                                         # t c_0k
+        np.divide(s, np.where(c0 != 0.0, c0, 1.0)[..., None], out=q)
+        np.multiply(q, q, out=q)
+        np.multiply(s, s, out=s)
+        np.subtract(1.0, s, out=s)
+        np.divide(q, s, out=q)
+        if r >= 4:
+            cond = out[lo:lo + step]
+            ff = f[..., :, None] * f[..., None, :]
+            np.multiply(q[..., None, None], ff[:, :, None], out=cond)
+            np.subtract(base[:, :, None], cond, out=cond)
+            sd = np.sqrt(np.diagonal(cond, axis1=-2, axis2=-1))
+            np.divide(cond, sd[..., :, None] * sd[..., None, :], out=cond)
+            continue
         # Sheppard's form of the conditioned pairs (i, j), one buffer each;
         # the products of their diagonal terms go to pair, and their
         # correlations to diag, whose terms are no longer needed by then
@@ -340,8 +368,8 @@ def _plackett(corr: np.ndarray, nodes, work: np.ndarray, cond) -> np.ndarray:
         bd = np.diagonal(base, axis1=-2, axis2=-1).transpose(2, 0, 1)
         np.subtract(bd[..., None], diag, out=diag)
         for a in range(r - 1):   # pairs (a, a + 1), ..., (a, r - 1) are adjacent
-            lo = a * (2 * r - a - 1) // 2
-            np.multiply(diag[a], diag[a + 1:], out=pair[lo:lo + r - 1 - a])
+            lo_a = a * (2 * r - a - 1) // 2
+            np.multiply(diag[a], diag[a + 1:], out=pair[lo_a:lo_a + r - 1 - a])
         np.sqrt(pair, out=pair)
         rho = diag[:i.size]
         np.multiply(q, (f[..., i] * f[..., j]).transpose(2, 0, 1)[..., None], out=rho)
@@ -353,27 +381,19 @@ def _plackett(corr: np.ndarray, nodes, work: np.ndarray, cond) -> np.ndarray:
             inner += rho[k]
         inner /= 2.0 ** (r - 1) * np.pi
         inner += 0.5 ** r
-    else:
-        cond = cond[:m]
-        ff = f[..., :, None] * f[..., None, :]
-        np.multiply(q[..., None, None], ff[:, :, None], out=cond)
-        np.subtract(base[:, :, None], cond, out=cond)
-        sd = np.sqrt(np.diagonal(cond, axis1=-2, axis2=-1))
-        np.divide(cond, sd[..., :, None] * sd[..., None, :], out=cond)
-        inner = _orthant_probabilities(cond.reshape(-1, r, r), nodes).reshape(m, d - 1, -1)
-    integral = 0.5 * top * (inner @ g)
-    return 0.5 * _orthant_probabilities(corr[:, 1:, 1:], nodes) + integral.sum(axis=1) / (2.0 * np.pi)
+        out[lo:lo + step] = (0.5 * top * (inner @ g)).sum(axis=1)
+    return tops, out if r <= 3 else None
 
 
 def _kudo_weights(corr: np.ndarray, prec: np.ndarray, nodes) -> np.ndarray:
     """Face decomposition (Kudô 1963) of the orthant weights of a correlation matrix.
 
     w_j = sum over |J| = j of P(N(0, ((C^-1)_JJ)^-1) >= 0) P(N(0, (C_J'J')^-1) >= 0),
-    J' the complement of J; prec is C^-1. Every orthant probability of one
-    dimension d, from either factor, is evaluated in one batch.
+    J' the complement of J; prec is C^-1. Every orthant probability of the
+    pass, from either factor and of every dimension, is evaluated in one walk.
     """
     p = corr.shape[0]
-    first, second = {}, {}
+    stacks = {}
     for d in range(p + 1):
         sub = _subsets(p, d)
         comp = sub[::-1]                     # complements of the (p - d)-subsets
@@ -383,9 +403,9 @@ def _kudo_weights(corr: np.ndarray, prec: np.ndarray, nodes) -> np.ndarray:
             inv = np.linalg.inv(blocks)
             sd = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
             blocks = inv / (sd[:, :, None] * sd[:, None, :])
-        probs = _orthant_probabilities(blocks, nodes)
-        first[d], second[p - d] = np.split(probs, [len(sub)])
-    return np.array([first[j] @ second[j] for j in range(p + 1)])
+        stacks[d] = blocks
+    probs, n = _orthant_probabilities(stacks, nodes), [math.comb(p, j) for j in range(p + 1)]
+    return np.array([probs[j][:n[j]] @ probs[p - j][n[j]:] for j in range(p + 1)])
 
 
 def weights_exact(psi) -> ChiBarWeights:
@@ -401,14 +421,14 @@ def weights_exact(psi) -> ChiBarWeights:
     left to Monte Carlo. A breach of the identities by more than 1e-12 in
     the weights returned raises InternalInvariantError. p above
     EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes about
-    0.8 s at p = 9 and 12 s at p = 10, nearly all of it in the Plackett
-    recursion, and each doubling multiplies that by about 12.
+    0.7 s at p = 9 and 11 s at p = 10, nearly all of it in the Plackett
+    integrals, and each doubling multiplies that by about 12.
 
-    One pass costs about 0.3 ms at p = 3, 1 ms at p = 5, 8 ms at p = 7 and
-    80 ms at p = 8 with 16 nodes, on one core with one BLAS thread. The
+    One pass costs about 0.1 ms at p = 3, 0.7 ms at p = 5, 6 ms at p = 7
+    and 70 ms at p = 8 with 16 nodes, on one core with one BLAS thread. The
     node rules and the subset and index tables are built once per size, on
-    first use, and shared read-only; each face dimension gathers all its
-    blocks in one step.
+    first use, and shared read-only; each face dimension gathers its blocks
+    in one step, and one walk evaluates them all (_orthant_probabilities).
 
     Parameters
     ----------
@@ -558,7 +578,7 @@ def _joint_sum(w: list[float], sf: list[float], cdf: list[float]) -> float:
 
 def _joint_at_zero(w: list[float], cdf2: list[float]) -> tuple[float, float]:
     """The joint tail at c1 = 0 and its limit as c1 -> 0+, without the apex's term."""
-    sup = _joint_sum(w, _chi2_tails(0.0, len(w) - 1)[0], cdf2)
+    sup = _joint_sum(w, [1.0] * len(w), cdf2)   # every P(chi2_df >= 0) is 1
     return sup, sup - w[0] * cdf2[-1]
 
 

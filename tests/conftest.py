@@ -458,7 +458,7 @@ def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
         w = weights.w.tolist()
         cdf2 = chibar._chi2_tails(c2, weights.p)[1]
         cdf2[0] = 1.0  # a zero residual is certified at every c2
-        sup = chibar._joint_sum(w, chibar._chi2_tails(0.0, weights.p)[0], cdf2)
+        sup = chibar._joint_sum(w, [1.0] * (weights.p + 1), cdf2)  # P(chi2_df >= 0) = 1
         if alpha > sup + min(1e-9, 1e-7 * alpha):
             raise InfeasibleLevelError("infeasible", attainable=sup)
         limit_above_zero = sup - weights.w[0] * (1.0 if weights.p == 0 else cdf2[weights.p])

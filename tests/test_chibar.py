@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -192,7 +193,7 @@ class TestExactWeights:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_orthant_helper_at_equicorrelation_half(self, d):
         nodes = np.polynomial.legendre.leggauss(16)
-        prob = _orthant_probabilities(equicorrelation(d, 0.5)[None], nodes)[0]
+        prob = _orthant_probabilities({d: equicorrelation(d, 0.5)[None]}, nodes)[d][0]
         assert prob == pytest.approx(1.0 / (d + 1), abs=1e-15)
 
     def test_near_singular_equicorrelation(self):
@@ -280,6 +281,17 @@ def test_near_singular_weights_match_the_reference_bit_for_bit():
                           weights_exact_oracle(equicorrelation(5, 0.99)))
 
 
+def test_node_doubling_at_p7_matches_the_reference_bit_for_bit():
+    """Equicorrelation 0.99 at p = 7 misses the identities at 16 and 32 nodes,
+    so weights_exact walks every Plackett level, d = 4 to 7, at 64 nodes."""
+    corr = equicorrelation(7, 0.99)
+    prec = np.linalg.inv(corr)
+    for n in (16, 32):
+        w = chibar._kudo_weights(corr, prec, chibar._gauss_legendre(n))
+        assert chibar._identity_residual(w) > chibar._EXACT_TOL
+    assert np.array_equal(weights_exact(corr).w, weights_exact_oracle(corr))
+
+
 def _leaf_cost(d, n):
     """Rough count of Sheppard evaluations behind one d x d orthant probability."""
     if d <= 3:
@@ -305,7 +317,7 @@ def _correlation_stack(rng, m, d, near_one=None, zeros=False):
 
 def _assert_orthant_bits(corr, n):
     nodes = np.polynomial.legendre.leggauss(n)
-    got = _orthant_probabilities(corr, nodes)
+    got = _orthant_probabilities({corr.shape[1]: corr}, nodes)[corr.shape[1]]
     assert np.all(np.isfinite(got))
     assert np.array_equal(got, orthant_probabilities_oracle(corr, nodes))
 
@@ -326,16 +338,43 @@ def test_orthant_probabilities_match_the_broadcast_form_bit_for_bit(d, data):
 
 @pytest.mark.parametrize("d", range(4, 8))
 def test_orthant_stacks_across_the_chunk_split_match_bit_for_bit(d):
-    """Stacks of step - 1 up to 2 step + 1 matrices, step the chunk size, with
-    the most nodes that keep the stack cheap (one node at d = 7): the
-    chunks share buffers, and the last one is short. At d = 8 the inner
-    stacks of d = 4 and 6 cross their splits in the test above."""
+    """Stacks of step - 1 up to 2 step + 1 matrices, step the chunk size read
+    from the module, with the most nodes that keep the stack cheap (one node
+    at d = 7): the chunks share buffers, and the last one is short. The
+    lower stacks of the walk cross their own splits on the way down."""
     n = next((n for n in (16, 8, 5, 3, 2)
               if (2 * chibar._ORTHANT_CHUNK // ((d - 1) * n) + 1) * _leaf_cost(d, n) <= 400_000), 1)
     step = max(1, chibar._ORTHANT_CHUNK // ((d - 1) * n))
     rng = np.random.default_rng(40 + d)
     for m in (step - 1, step, step + 1, 2 * step + 1):
         _assert_orthant_bits(_correlation_stack(rng, m, d, (1e-3, -1.0), zeros=m % 2 == 1), n)
+
+
+@pytest.mark.parametrize("d", range(4, 9))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_orthant_probability_bits_do_not_depend_on_the_stack(d, data):
+    """Every orthant probability has the bits of its matrix evaluated alone
+    when it sits in a shuffled stack beside stacks of every lower
+    dimension, with chunks and stack cuts of a few matrices, so that the
+    walk crosses chunk boundaries and cuts at every level."""
+    n = data.draw(st.sampled_from([1, 2, 3] if d == 8 else [1, 2, 3, 5]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    near_one = data.draw(st.none() | st.just((1e-3, -1.0)))
+    stacks = {k: _correlation_stack(rng, data.draw(st.integers(1 if k == d else 0, 4)), k, near_one,
+                                    data.draw(st.booleans())) for k in range(1, d + 1)}
+    nodes = np.polynomial.legendre.leggauss(n)
+    alone = {k: np.array([_orthant_probabilities({k: c[None]}, nodes)[k][0] for c in stack])
+             for k, stack in stacks.items()}
+    assert np.array_equal(alone[d], orthant_probabilities_oracle(stacks[d], nodes))
+    order = {k: rng.permutation(len(stack)) for k, stack in stacks.items()}
+    chunk = data.draw(st.integers(1, 3 * (d - 1) * n))
+    cut = data.draw(st.integers(1, 3 * (d - 1) * n * (d - 2) ** 2))
+    with mock.patch.object(chibar, "_ORTHANT_CHUNK", chunk), \
+            mock.patch.object(chibar, "_STACK_FLOATS", cut):
+        got = _orthant_probabilities({k: stacks[k][order[k]] for k in stacks}, nodes)
+    for k in stacks:
+        assert np.array_equal(got[k], alone[k][order[k]]), k
 
 
 @pytest.mark.parametrize("p", range(3, 9))

@@ -30,12 +30,17 @@ _IDENTITY_4 = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 _SIGMA_4 = [[1.0, 0.3, 0.1, 0.0], [0.3, 1.0, 0.3, 0.1],
             [0.1, 0.3, 1.0, 0.3], [0.0, 0.1, 0.3, 1.0]]
+#: Banded 9 x 9 covariance: a tree order on it has p = 8, so its exact
+#: weights evaluate orthant probabilities of every dimension 4 to 8.
+_SIGMA_9 = [[{0: 1.0, 1: 0.3, 2: 0.1}.get(abs(i - j), 0.0) for j in range(9)] for i in range(9)]
 
 DOCUMENTS = {
     "order-simple": {"s_n": [0.1, 0.4, 0.3, 0.9], "sigma_n": _SIGMA_4, "n": 40,
                      "order": "simple"},
     "order-tree": {"s_n": [-0.2, 0.5, 0.1, 0.7], "sigma_n": _IDENTITY_4, "n": 25,
                    "order": "tree"},
+    "order-tree-9": {"s_n": [0.25, 0.8, 0.15, 0.9, 0.5, 0.85, 1.0, 0.6, 0.75],
+                     "sigma_n": _SIGMA_9, "n": 20, "order": "tree"},
     "order-umbrella": {"s_n": [0.2, 0.8, 0.5, 0.1], "sigma_n": _SIGMA_4, "n": 30,
                        "order": {"umbrella": 1}, "alpha": 0.1},
     "restriction": {"s_n": [0.3, -0.1, 0.6], "sigma_n": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],

@@ -9,7 +9,6 @@ level, 4 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -26,17 +25,10 @@ from .chibar import (
 )
 from .errors import ContractViolationError, InternalInvariantError, NumericError, OrderSafeError
 from .geometry import ConeSpec, LinearSubspace, Metric
-from .studies import (
-    CS_TABLE5,
-    CS_TABLE6,
-    ContingencyTable2xK,
-    MEAN_LABELS,
-    build_stochastic_order,
-    doubled_table,
-    power_grid,
-    silvapulle_case,
-)
 from .testing import Statistic, WeightConfig, safe_test
+
+# Each process runs one command, and most never read `studies` or `csv`: the
+# commands that do import them where they use them, so the rest never load them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -128,6 +120,8 @@ def _load_problem(path):
     """Parse an input document into (statistic, sub, cone, document)."""
     doc = _load_document(path)
     if "control" in doc or "treatment" in doc:
+        from .studies import ContingencyTable2xK, build_stochastic_order
+
         control = _require(doc, "control", list, path)
         treatment = _require(doc, "treatment", list, path)
         labels = _require(doc, "labels", list, path) if "labels" in doc else None
@@ -168,6 +162,9 @@ def _levels_and_config(doc, args, where):
 
 def _case_problem(name):
     """Parse a built-in case into (statistic, sub, cone, inputs echo)."""
+    from .studies import (CS_TABLE5, CS_TABLE6, build_stochastic_order, doubled_table,
+                          silvapulle_case)
+
     if name == "silvapulle":
         stat, _ = silvapulle_case()
         sub = LinearSubspace.zero(2)
@@ -313,6 +310,8 @@ _POWER_COLUMNS = ("mean_label", "gamma", "n", "power_dt", "power_safe",
 
 
 def cmd_power(args) -> int:
+    from .studies import MEAN_LABELS, power_grid
+
     _check_out_path(args.out)
     means = args.means.split(",") if args.means else list(MEAN_LABELS)
     try:
@@ -339,6 +338,7 @@ def cmd_power(args) -> int:
 
 
 def _rows_to_csv(rows, columns) -> str:
+    import csv
     import io
 
     buf = io.StringIO()

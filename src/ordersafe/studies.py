@@ -10,7 +10,6 @@ of two trinomial samples under a stochastic-order alternative.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +162,8 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
                                             c_alpha, c_gamma, work)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(one_chunk, jobs))
     else:

@@ -424,15 +424,42 @@ class TestOptionsAreDeclaredWhereRead:
         assert exc.value.code == EXIT_INPUT
 
 
-def test_cli_import_loads_no_scipy():
-    """The runtime needs numpy only: importing the CLI loads no scipy module."""
+def _modules_loaded(args, cwd=None):
+    """Every module a fresh interpreter imports to run args, read from -X importtime."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ordersafe.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import ordersafe.cli, sys; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.split("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI and every other module loads no scipy."""
+    src = os.path.dirname(os.path.abspath(ordersafe.__file__))
+    modules = sorted("ordersafe." + name[:-3] for name in os.listdir(src)
+                     if name.endswith(".py") and name != "__init__.py")
+    loaded = _modules_loaded(["-c", "import " + ", ".join(modules)])
+    assert set(modules) <= loaded
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
+
+
+def test_a_bare_import_loads_neither_numpy_nor_a_submodule():
+    loaded = _modules_loaded(["-c", "import ordersafe"])
+    assert "ordersafe" in loaded
+    assert sorted(m for m in loaded if m == "numpy" or m.startswith("ordersafe.")) == []
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (["safe-test", "--input", "doc.json"],
+     {"ordersafe.studies", "concurrent.futures", "logging", "csv"}, {"ordersafe.testing"}),
+    (["case", "silvapulle"], {"concurrent.futures", "csv"}, {"ordersafe.studies"}),
+], ids=["safe-test-input", "case-silvapulle"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent, present):
+    (tmp_path / "doc.json").write_text(json.dumps(dict(_PROBLEM, order="simple")))
+    loaded = _modules_loaded(["-m", "ordersafe.cli", *argv], tmp_path)
+    assert present <= loaded and not absent & loaded
 
 
 _VALID_DOCUMENTS = [

@@ -4,9 +4,14 @@ Every argument rule lives in ordersafe._arguments, and a sweep over every
 exported callable checks that a bad argument raises only OrderSafeError."""
 
 import ast
+import importlib
+import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -70,16 +75,22 @@ RETIRED = {
     "face_dimension", "SingularMatrixError", "minmax_project",
     "tree_order_consistency", "umbrella_consistency", "UmbrellaCheck",
 }
+#: The 50 names the package exported when it imported every module eagerly.
+EXPORTED = {
+    "DEFAULT_MC_DRAWS", "DEFAULT_SEED", "ChiBarWeights", "joint_tail", "mixture_lower_tail",
+    "mixture_upper_tail", "safe_level_2d", "solve_critical", "solve_nominal_level",
+    "weights_closed_form_2d", "weights_monte_carlo", "CapabilityError", "ContractViolationError",
+    "DegenerateVarianceError", "InfeasibleLevelError", "InternalInvariantError",
+    "NotPositiveDefiniteError", "NumericError", "OrderSafeError", "ConeSpec", "LinearSubspace",
+    "Metric", "polar_complement", "project_cone", "project_subspace", "CS_TABLE5", "CS_TABLE6",
+    "ContingencyTable2xK", "PowerResult", "PowerScenario", "StochasticOrderProblem",
+    "build_stochastic_order", "doubled_table", "power_grid", "run_power_scenario",
+    "silvapulle_case", "simulation_means", "FULL_SPACE", "Conclusion", "ConsistencyCheck",
+    "SafeOutcome", "Statistic", "TestResult", "WeightConfig", "consistency_region", "delta",
+    "dt_type_a", "dt_type_b", "p_value", "safe_test",
+}
 ISOTONIC = {"WeightedSeries", "IsotonicFit", "av", "pava", "SplitCheck",
             "simple_order_consistency"}
-
-
-def _owners():
-    """Each re-exported name and the module __init__ imports it from."""
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    return {alias.asname or alias.name: node.module
-            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names}
 
 
 def _names_read(path):
@@ -101,13 +112,39 @@ def _readme_api():
 
 
 def test_every_exported_name_has_a_caller_or_is_documented():
-    owners = _owners()
+    owners = ordersafe._OWNERS
     reads = {path.stem: _names_read(path) for path in SRC.glob("*.py")
              if path.stem != "__init__"}
     api = _readme_api()
     orphans = [name for name in ordersafe.__all__ if name not in api and not any(
         name in names for module, names in reads.items() if module != owners[name])]
     assert orphans == []
+
+
+def test_each_lazy_name_is_its_owners_object():
+    """The namespace imports a name's owner on first use and hands out the
+    owner's own object; the surface is the one the eager imports exported."""
+    assert len(ordersafe.__all__) == len(EXPORTED) and set(ordersafe.__all__) == EXPORTED
+    for name in ordersafe.__all__:
+        owner = importlib.import_module(f"ordersafe.{ordersafe._OWNERS[name]}")
+        assert getattr(ordersafe, name) is getattr(owner, name)
+    assert not hasattr(ordersafe, "no_such_name")
+    with pytest.raises(AttributeError, match="module 'ordersafe' has no attribute 'no_such_name'"):
+        ordersafe.no_such_name
+    star = {}
+    exec("from ordersafe import *", star)
+    assert set(star) - {"__builtins__"} == EXPORTED
+
+
+def test_a_bare_import_lists_every_name_and_reaches_the_submodules():
+    code = ("import json, ordersafe; print(json.dumps([dir(ordersafe), [getattr(ordersafe, m)"
+            ".__name__ for m in ('chibar', 'geometry', 'testing', 'studies', 'errors')]]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(
+        SRC.parent)), capture_output=True, text=True, timeout=60, check=True)
+    listed, submodules = json.loads(proc.stdout)
+    assert EXPORTED <= set(listed)
+    assert submodules == [f"ordersafe.{m}" for m in (
+        "chibar", "geometry", "testing", "studies", "errors")]
 
 
 def test_retired_routes_and_isotonic_stay_out_of_the_namespace():

@@ -204,6 +204,31 @@ class TestDistanceStatistics:
         with pytest.raises(ContractViolationError):
             dt_type_a(gaussian_stat([1.0, 1.0], np.eye(2), 4), sub, ORTHANT2)
 
+    @pytest.mark.parametrize("order", ["simple", "tree", "umbrella"])
+    def test_distances_match_the_orthant_reduction(self, order):
+        """With z = R s and G = R sigma R', dt_type_b is n |z - P z|^2 and
+        dt_type_a is n |P z|^2 in the metric of G, for P the projection onto
+        the orthant: an oracle for project_cone that shares none of its code.
+        Each sigma gets a generic point, one inside the cone and one in its
+        polar cone, where dt_type_a is an atom at 0."""
+        rng = np.random.default_rng(["simple", "tree", "umbrella"].index(order) + 2030)
+        for k in range(3, 10):
+            cone = {"simple": ConeSpec.simple_order(k), "tree": ConeSpec.tree_order(k),
+                    "umbrella": ConeSpec.umbrella_order(k, int(rng.integers(k)))}[order]
+            r, sub = cone.restriction, LinearSubspace.span_of_ones(k)
+            for _ in range(5):
+                sigma = random_spd(rng, k)
+                g = Metric(r @ sigma @ r.T)
+                for s in (rng.standard_normal(k),
+                          r.T @ np.linalg.solve(r @ r.T, rng.exponential(size=k - 1)),
+                          -sigma @ r.T @ rng.exponential(size=k - 1)):
+                    stat = gaussian_stat(s, sigma, int(rng.integers(5, 200)))
+                    z = r @ s
+                    pz = project_orthant_batch(z[None, :], g)[0]
+                    bound = 1e-10 * (1.0 + stat.n * stat.sigma_n.norm_sq(s))
+                    assert abs(dt_type_b(stat, cone) - stat.n * g.norm_sq(z - pz)) <= bound
+                    assert abs(dt_type_a(stat, sub, cone) - stat.n * g.norm_sq(pz)) <= bound
+
     @pytest.mark.parametrize("s_n,n", [([np.nan, 1.0], 4), ([1.0, np.inf], 4),
                                        ([1.0, 1.0], True), ([1.0, 1.0], 0)])
     def test_statistic_rejects_invalid_values(self, s_n, n):

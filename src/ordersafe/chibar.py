@@ -418,7 +418,8 @@ def weights_exact(psi) -> ChiBarWeights:
     The weights are never renormalised: a psi that still misses the
     identities at _EXACT_MAX_NODES nodes (correlations very near +-1), or
     whose weights are not finite, raises NumericError, and its weights are
-    left to Monte Carlo. A breach of the identities by more than 1e-12 in
+    left to Monte Carlo, as does a psi whose correlation matrix is singular
+    in floating point. A breach of the identities by more than 1e-12 in
     the weights returned raises InternalInvariantError. p above
     EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes about
     0.7 s at p = 9 and 11 s at p = 10, nearly all of it in the Plackett
@@ -440,11 +441,16 @@ def weights_exact(psi) -> ChiBarWeights:
         raise CapabilityError(f"exact weights support p <= {EXACT_MAX_DIM}, not {metric.dim}")
     sd = np.sqrt(np.diag(metric.sigma))
     corr = metric.sigma / np.outer(sd, sd)
-    prec = np.linalg.inv(corr)
+    try:
+        prec = np.linalg.inv(corr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"psi is singular in floating point ({exc})") from exc
     n_nodes = EXACT_NODES
     while True:
         nodes = _gauss_legendre(n_nodes)
-        w = _kudo_weights(corr, prec, nodes)
+        # roundoff past |rho| = 1 or below a zero variance gives NaN, checked below
+        with np.errstate(invalid="ignore"):
+            w = _kudo_weights(corr, prec, nodes)
         residual = _identity_residual(w)
         if not np.isfinite(residual):
             raise NumericError(

@@ -25,7 +25,7 @@ from .chibar import (
 )
 from .errors import ContractViolationError, InternalInvariantError, NumericError, OrderSafeError
 from .geometry import ConeSpec, LinearSubspace, Metric
-from .testing import Statistic, WeightConfig, safe_test
+from .testing import Statistic, WeightConfig, _base_tests, safe_test
 
 # Each process runs one command, and most never read `studies` or `csv`: the
 # commands that do import them where they use them, so the rest never load them.
@@ -194,28 +194,30 @@ def _weights_block(weights):
     }
 
 
-def build_report(outcome, inputs_echo, seed):
-    """Machine report of a composite run; round-trips losslessly as JSON."""
+def _base_report(original, auxiliary, inputs_echo, seed):
+    """The keys of a report that the two base tests decide: the dt report."""
     return {
         "inputs": inputs_echo,
-        "t_n": outcome.original.statistic,
-        "t_prime": outcome.auxiliary.statistic,
-        "t_safe": outcome.t_safe,
-        "alpha_star": outcome.original.p_value,
-        "gamma_star": outcome.auxiliary.p_value,
-        "alpha": outcome.original.alpha,
-        "gamma": outcome.auxiliary.alpha,
-        "c_alpha": outcome.original.critical_value,
-        "c_gamma_prime": outcome.auxiliary.critical_value,
-        "c_alpha_safe": outcome.c_alpha_safe,
-        "alpha_safe": outcome.alpha_safe,
-        "d1": outcome.d1,
-        "d2": outcome.d2,
-        "conclusion": outcome.conclusion.value,
-        "weights": _weights_block(outcome.original.weights_used),
+        "t_n": original.statistic,
+        "t_prime": auxiliary.statistic,
+        "alpha_star": original.p_value,
+        "gamma_star": auxiliary.p_value,
+        "alpha": original.alpha,
+        "gamma": auxiliary.alpha,
+        "c_alpha": original.critical_value,
+        "c_gamma_prime": auxiliary.critical_value,
+        "weights": _weights_block(original.weights_used),
         "version": __version__,
         "seed": seed,
     }
+
+
+def build_report(outcome, inputs_echo, seed):
+    """Machine report of a composite run; round-trips losslessly as JSON."""
+    return {**_base_report(outcome.original, outcome.auxiliary, inputs_echo, seed),
+            "t_safe": outcome.t_safe, "c_alpha_safe": outcome.c_alpha_safe,
+            "alpha_safe": outcome.alpha_safe, "d1": outcome.d1, "d2": outcome.d2,
+            "conclusion": outcome.conclusion.value}
 
 
 def dumps_report(obj) -> str:
@@ -267,7 +269,8 @@ def _print_summary(outcome):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _run_composite(args):
+def _composite_problem(args):
+    """(statistic, sub, cone, inputs echo, alpha, gamma, WeightConfig) of a run."""
     _check_out_path(args.out)
     if args.case is not None and args.input is not None:
         raise InputError("give either --input FILE or --case NAME, not both")
@@ -279,29 +282,24 @@ def _run_composite(args):
         echo, where = doc, args.input
     else:
         raise InputError("provide --input FILE or --case NAME")
-    alpha, gamma, cfg = _levels_and_config(doc, args, where)
-    outcome = safe_test(stat, sub, cone, alpha, gamma, cfg)
-    return outcome, echo, cfg
+    return (stat, sub, cone, echo) + _levels_and_config(doc, args, where)
 
 
 def cmd_safe_test(args) -> int:
-    outcome, echo, cfg = _run_composite(args)
-    report = build_report(outcome, echo, cfg.seed)
-    _write_out(args.out, dumps_report(report))
+    stat, sub, cone, echo, alpha, gamma, cfg = _composite_problem(args)
+    outcome = safe_test(stat, sub, cone, alpha, gamma, cfg)
+    _write_out(args.out, dumps_report(build_report(outcome, echo, cfg.seed)))
     _print_summary(outcome)
     return EXIT_OK
 
 
 def cmd_dt(args) -> int:
-    outcome, echo, cfg = _run_composite(args)
-    report = build_report(outcome, echo, cfg.seed)
-    for key in ("t_safe", "c_alpha_safe", "alpha_safe", "d1", "d2", "conclusion"):
-        report.pop(key)
-    _write_out(args.out, dumps_report(report))
-    print(f"t_n = {outcome.original.statistic:.6g}   "
-          f"alpha* = {outcome.original.p_value:.6g}")
-    print(f"t'_n = {outcome.auxiliary.statistic:.6g}   "
-          f"gamma* = {outcome.auxiliary.p_value:.6g}")
+    """The two base tests only: the composite's joint solve never runs."""
+    stat, sub, cone, echo, alpha, gamma, cfg = _composite_problem(args)
+    original, auxiliary = _base_tests(stat, sub, cone, alpha, gamma, cfg)
+    _write_out(args.out, dumps_report(_base_report(original, auxiliary, echo, cfg.seed)))
+    print(f"t_n = {original.statistic:.6g}   alpha* = {original.p_value:.6g}")
+    print(f"t'_n = {auxiliary.statistic:.6g}   gamma* = {auxiliary.p_value:.6g}")
     return EXIT_OK
 
 

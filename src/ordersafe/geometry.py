@@ -273,10 +273,12 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
 
     The result is checked before it is returned: primal feasibility
     R theta >= -tol and dual feasibility lam >= 0, with tol =
-    1e-10 * (1 + ||x||). A breach raises InternalInvariantError; a solve
-    that needs more than 3p active-set steps raises NumericError. A cone
-    that is not a ConeSpec, or a metric that is not a Metric, raises
-    ContractViolationError.
+    1e-10 * (1 + ||x||). A breach raises InternalInvariantError, or
+    NumericError naming cond(G) where it lies within the roundoff of
+    R x + G lam, (m + 2p) u |R| (|x| + |sigma R'| lam) for unit roundoff u.
+    A solve that needs more than 3p active-set steps raises NumericError.
+    A cone that is not a ConeSpec, or a metric that is not a Metric,
+    raises ContractViolationError.
 
     This is the one exact cone projector. The distance tests dt_type_a,
     dt_type_b and safe_test call it once per Statistic and cone, through
@@ -347,10 +349,15 @@ def _dual_active_set(x, r, metric):
     theta = x + sigma_rt @ lam
     r_theta = r @ theta
     if (r_theta < -tol).any() or (lam < 0).any():
-        raise InternalInvariantError(
+        # a breach within the roundoff of the terms that R theta = R x + G lam
+        # cancels comes from an ill-conditioned G, not from a wrong face
+        slack = (r.shape[1] + 2 * p) * np.finfo(float).eps * (
+            np.abs(r) @ (np.abs(x) + np.abs(sigma_rt) @ lam))
+        roundoff = (lam >= 0).all() and (r_theta >= -tol - slack).all()
+        raise (NumericError if roundoff else InternalInvariantError)(
             "cone projection breaks its KKT conditions: "
-            f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}"
-        )
+            f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}, "
+            f"cond(G) = {np.linalg.cond(gram):.3g}")
     return theta
 
 
@@ -425,7 +432,10 @@ def _orthant_operators(metric: Metric) -> list:
             if sup:
                 k[sup, sup] = 1.0
                 # theta_S = x_S + (M_SS)^{-1} M_SC x_C
-                a = np.linalg.solve(minv[np.ix_(sup, sup)], minv[np.ix_(sup, comp)])
+                try:
+                    a = np.linalg.solve(minv[np.ix_(sup, sup)], minv[np.ix_(sup, comp)])
+                except np.linalg.LinAlgError as exc:
+                    raise NumericError(f"sigma is singular in floating point ({exc})") from exc
                 k[np.ix_(sup, comp)] = a
                 # mu_C = M_CS (theta_S - x_S) - M_CC x_C
                 m_cc = m_cc - minv[np.ix_(comp, sup)] @ a

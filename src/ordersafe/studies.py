@@ -22,7 +22,7 @@ from .chibar import (
     solve_critical,
     weights_closed_form_2d,
 )
-from .errors import ContractViolationError, DegenerateVarianceError
+from .errors import ContractViolationError, DegenerateVarianceError, InternalInvariantError
 from .geometry import (ConeSpec, LinearSubspace, Metric, _Workspace, _orthant_blocks,
                        _orthant_operators)
 from .testing import Statistic
@@ -111,55 +111,42 @@ def run_power_scenario(scenario: PowerScenario, workers: int = 1) -> PowerResult
 def _run_scenarios(scenarios, workers) -> list[PowerResult]:
     """All chunks of all scenarios through one pool; one result per scenario.
 
-    Critical values are solved once per distinct pair of mixture weights and
-    level, and the orthant projector's operator table is built once per
-    metric, keyed by the bytes of its matrix. Each thread that runs chunks
-    gets one workspace for the length of the call, sized for the largest
-    chunk: a chunk draws its (2, size) means into it and counts its
-    rejections over the projector's blocks in place (_count_rejections).
+    The scenarios share one metric (a mix is an internal error): its weights,
+    sigma^-1 and orthant operator table are made once, with one critical
+    value per distinct alpha and per distinct gamma. Each thread that runs
+    chunks gets one workspace for the call, sized for the largest chunk, in
+    which a chunk draws its (2, size) means and counts its rejections.
     """
     workers = check.integer(workers, 1, "workers")
-    critical, tables = {}, {}
-
-    def critical_value(weights, level):
-        key = (tuple(weights.w), level)
-        if key not in critical:
-            critical[key] = solve_critical(weights, level, "marginal")
-        return critical[key]
-
-    def operators(metric):
-        key = metric.sigma.tobytes()
-        if key not in tables:
-            tables[key] = _orthant_operators(metric)
-        return tables[key]
-
-    plans, jobs = [], []
-    for index, scenario in enumerate(scenarios):
-        w = weights_closed_form_2d(correlation_2x2(scenario.sigma.sigma))
-        plans.append((
-            scenario,
-            scenario.sigma.chol_lower / np.sqrt(scenario.n),
-            scenario.sigma.inverse(),
-            operators(scenario.sigma),
-            critical_value(w, scenario.alpha),
-            critical_value(w.complement(), scenario.gamma),
-        ))
-        jobs += [(index, child, size) for child, size
-                 in _seeded_chunks(scenario.seed, scenario.replications, _POWER_CHUNK)]
-    capacity = 2 * max((size for _, _, size in jobs), default=0)
+    if not scenarios:
+        return []
+    metric = scenarios[0].sigma
+    if any(not np.array_equal(s.sigma.sigma, metric.sigma) for s in scenarios):
+        raise InternalInvariantError("the scenarios of one power pass mix metrics")
+    w = weights_closed_form_2d(correlation_2x2(metric.sigma))
+    minv, table = metric.inverse(), _orthant_operators(metric)
+    polar = w.complement()
+    c_alpha = {a: solve_critical(w, a, "marginal") for a in {s.alpha for s in scenarios}}
+    c_gamma = {g: solve_critical(polar, g, "marginal") for g in {s.gamma for s in scenarios}}
+    jobs = [(index, child, size) for index, scenario in enumerate(scenarios)
+            for child, size in _seeded_chunks(scenario.seed, scenario.replications,
+                                              _POWER_CHUNK)]
+    capacity = 2 * max(size for _, _, size in jobs)
     local = threading.local()
 
     def one_chunk(job):
         index, child, size = job
-        scenario, chol, minv, table, c_alpha, c_gamma = plans[index]
+        scenario = scenarios[index]
         work = getattr(local, "work", None)
         if work is None:
             work = local.work = _Workspace(capacity)
         draws = np.random.default_rng(child).standard_normal(out=work.view("draws", (size, 2)))
+        chol = metric.chol_lower / np.sqrt(scenario.n)
         xbar = np.matmul(chol, draws.T, out=work.view("points", (2, size)))
         xbar += scenario.theta[:, None]
         return (index,) + _count_rejections(xbar, minv, scenario.n, table,
-                                            c_alpha, c_gamma, work)
+                                            c_alpha[scenario.alpha], c_gamma[scenario.gamma],
+                                            work)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -168,7 +155,7 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
             counts = list(pool.map(one_chunk, jobs))
     else:
         counts = [one_chunk(job) for job in jobs]
-    n_dt, n_safe = [0] * len(plans), [0] * len(plans)
+    n_dt, n_safe = [0] * len(scenarios), [0] * len(scenarios)
     for index, dt, safe in counts:
         n_dt[index] += dt
         n_safe[index] += safe
@@ -176,12 +163,8 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
     results = []
     for scenario, dt, safe in zip(scenarios, n_dt, n_safe):
         reps = scenario.replications
-        p_dt = dt / reps
-        p_safe = safe / reps
-        if reps > 1:
-            se = max(np.sqrt(p * (1.0 - p) / reps) for p in (p_dt, p_safe))
-        else:
-            se = 0.0
+        p_dt, p_safe = dt / reps, safe / reps
+        se = max(np.sqrt(p * (1.0 - p) / reps) for p in (p_dt, p_safe)) if reps > 1 else 0.0
         results.append(PowerResult(power_dt=p_dt, power_safe=p_safe, se=float(se),
                                    replications=reps, seed=scenario.seed))
     return results

@@ -1,12 +1,12 @@
 """Distance tests, their p-values, and the composite safe test.
 
-Two problem types are supported. Type A tests a linear-subspace null
-against a cone alternative containing it ("testing for an order"); type B
-tests a cone null against its complement ("testing against an order"). The
-composite safe test couples the type A test at level alpha with a type B
-certificate pre-test at level gamma, so the null is rejected only when the
-data are also compatible with the cone, protecting against rejections in
-directions outside both hypotheses (Type III errors).
+Two problem types are supported. Type A tests the null L = ker R against
+the cone C = {theta : R theta >= 0} ("testing for an order"); type B tests
+C against its complement ("testing against an order"). The composite safe
+test couples the type A test at level alpha with a type B certificate
+pre-test at level gamma, so the null is rejected only when the data are
+also compatible with the cone, protecting against rejections in directions
+outside both hypotheses (Type III errors).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .chibar import (
     DEFAULT_SEED,
     EXACT_MAX_DIM,
     ChiBarWeights,
+    _joint_at_zero,
+    _pretest_factors,
     correlation_2x2,
     joint_tail,
     mixture_upper_tail,
@@ -153,6 +155,9 @@ class SafeOutcome:
 
 
 def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
+    """R, once the null is ker R: the one pairing rule of type A, for which
+    alone the chi-bar law holds (dt_type_a, resolve_weights, delta and
+    consistency_region)."""
     check.instance(sub, LinearSubspace, "sub")
     r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
     if r.shape[1] != dim:
@@ -164,31 +169,22 @@ def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarr
         raise ContractViolationError(
             "null subspace is not contained in the cone (R @ basis != 0)"
         )
-    return r
-
-
-def _reduced_psi(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
-    """Covariance of the transformed problem eta = R theta on the orthant.
-
-    Requires the null subspace to be exactly the kernel of R, which is the
-    case for every supported pairing (a point null with a full-rank R, or
-    the equal-means diagonal with a difference matrix).
-    """
-    r = _validate_pairing(stat.dim, sub, cone)
-    if sub.dim != stat.dim - r.shape[0]:
+    # R has full row rank, so a subspace of ker R with its dimension is ker R
+    if sub.dim != dim - r.shape[0]:
         raise ContractViolationError(
-            "weights require the null subspace to equal the kernel of the "
-            f"restriction matrix (dim {stat.dim - r.shape[0]}, got {sub.dim})"
+            "the null subspace must be the kernel of the restriction matrix "
+            f"(dim {dim - r.shape[0]}, got {sub.dim})"
         )
-    return r @ stat.sigma_n.sigma @ r.T
+    return r
 
 
 def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
                     cfg: WeightConfig = WeightConfig()) -> ChiBarWeights:
-    """Mixture weights of the orthant-reduced problem under the given config."""
+    """Mixture weights of the orthant-reduced problem, Psi = R Sigma R', under the given config."""
     check.instance(stat, Statistic, "stat")
     check.instance(cfg, WeightConfig, "cfg")
-    psi = _reduced_psi(stat, sub, cone)
+    r = _validate_pairing(stat.dim, sub, cone)
+    psi = r @ stat.sigma_n.sigma @ r.T
     p = psi.shape[0]
     if p > EXACT_MAX_DIM:
         return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
@@ -205,9 +201,10 @@ def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
 def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
     """Distance test for a subspace null against a cone alternative.
 
-    n times the drop in squared metric distance when the null set is
-    enlarged to the cone; nonnegative by construction and clamped at zero
-    against roundoff. The distance to the cone comes from the Statistic's
+    The null must be the kernel of the cone's R (ContractViolationError
+    otherwise). n times the drop in squared metric distance when the null
+    set is enlarged to the cone; nonnegative by construction and clamped at
+    zero against roundoff. The distance to the cone comes from the Statistic's
     memo, so dt_type_b on the same Statistic and cone does not project again.
     """
     check.instance(stat, Statistic, "stat")
@@ -276,6 +273,22 @@ def p_value(statistic_value: float, weights: ChiBarWeights, problem: str) -> flo
     return mixture_upper_tail(weights, statistic_value)
 
 
+def _base_tests(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float,
+                gamma: float, weight_cfg: WeightConfig) -> tuple[TestResult, TestResult]:
+    """The two base tests of safe_test, and all that the dt command reports:
+    the type A test of t at alpha and the type B pre-test of t' at gamma,
+    each with its p-value and marginal critical value."""
+    check.instance(stat, Statistic, "stat")
+    alpha, gamma = check.level(alpha, "alpha"), check.level(gamma, "gamma")
+    weights = resolve_weights(stat, sub, cone, weight_cfg)
+    polar = weights.complement()
+    t, t_aux = dt_type_a(stat, sub, cone), dt_type_b(stat, cone)
+    return (TestResult(t, mixture_upper_tail(weights, t),
+                       solve_critical(weights, alpha, "marginal"), weights, alpha),
+            TestResult(t_aux, mixture_upper_tail(polar, t_aux),
+                       solve_critical(polar, gamma, "marginal"), polar, gamma))
+
+
 def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float,
               gamma: float, weight_cfg: WeightConfig = WeightConfig()) -> SafeOutcome:
     """Run the composite safe test at levels (alpha, gamma).
@@ -288,29 +301,22 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     (certificate issued, original null rejected), read by TestResult.reject.
     t and t' come from dt_type_a and dt_type_b, which share one cone
     projection through the Statistic's memo.
+
+    The composite region is {t >= c_alpha, t' < c'_gamma}, where the apex
+    (t = 0) never rejects and t' = 0 always certifies. alpha_safe is
+    joint_tail(c_alpha, c'_gamma), or at c_alpha = 0 (alpha >= 1 - w_0) its
+    limit as c -> 0+, since joint_tail at 0 counts the apex.
     """
-    check.instance(stat, Statistic, "stat")
-    alpha, gamma = check.level(alpha, "alpha"), check.level(gamma, "gamma")
-    weights = resolve_weights(stat, sub, cone, weight_cfg)
-    polar = weights.complement()
-    t_orig = dt_type_a(stat, sub, cone)
-    t_aux = dt_type_b(stat, cone)
-    alpha_star = mixture_upper_tail(weights, t_orig)
-    gamma_star = mixture_upper_tail(polar, t_aux)
-    c_alpha = solve_critical(weights, alpha, "marginal")
-    c_gamma = solve_critical(polar, gamma, "marginal")
+    original, auxiliary = _base_tests(stat, sub, cone, alpha, gamma, weight_cfg)
+    weights, alpha = original.weights_used, original.alpha
+    c_alpha, c_gamma = original.critical_value, auxiliary.critical_value
     c_alpha_safe = solve_critical(weights, alpha, "joint", c2=c_gamma)
-    alpha_safe = joint_tail(weights, c_alpha, c_gamma)
-    original = TestResult(
-        statistic=t_orig, p_value=alpha_star, critical_value=c_alpha,
-        weights_used=weights, alpha=alpha,
-    )
-    auxiliary = TestResult(
-        statistic=t_aux, p_value=gamma_star, critical_value=c_gamma,
-        weights_used=polar, alpha=gamma,
-    )
+    if c_alpha > 0.0:
+        alpha_safe = joint_tail(weights, c_alpha, c_gamma)
+    else:
+        alpha_safe = _joint_at_zero(weights.w.tolist(), _pretest_factors(c_gamma, weights.p))[1]
     d1, d2 = int(not auxiliary.reject), int(original.reject)
-    t_safe = t_orig if d1 else 0.0
+    t_safe = original.statistic if d1 else 0.0
     conclusion = _CONCLUSION_BY_DECISION[(d1, d2)]
     if conclusion is Conclusion.SAFE_REJECT and joint_tail(weights, t_safe, c_gamma) > alpha:
         raise InternalInvariantError(
@@ -322,14 +328,6 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
         conclusion=conclusion, alpha_safe=alpha_safe,
         c_alpha_safe=c_alpha_safe, t_safe=t_safe,
     )
-
-
-def _project_set(x, target, metric: Metric) -> np.ndarray:
-    if isinstance(target, LinearSubspace):
-        return project_subspace(x, target, metric)
-    if isinstance(target, ConeSpec):
-        return project_cone(x, target, metric)
-    return x  # FULL_SPACE
 
 
 def _set_kind(target) -> str:
@@ -349,7 +347,7 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
     sets; the test statistic grows like n times this quantity, so a strictly
     positive value predicts rejection with probability one in the
     large-sample limit; consistency_region decides that, with its own
-    threshold. Pass FULL_SPACE as the alternative for cone-null pairings.
+    threshold.
 
     Evaluated in Moreau form, ||P_alt theta||^2 - ||P_null theta||^2, which
     equals the difference of squared distances for any closed convex cone,
@@ -358,22 +356,25 @@ def delta(theta, null_set, alt_set, metric: Metric) -> float:
     polar cone gives a drift at the square of the projector's roundoff
     rather than at its first power.
 
-    Two pairings are defined: a subspace null against a cone alternative,
-    which must contain it, as for consistency_region; and a cone or
-    subspace null against FULL_SPACE. Any other pairing raises
-    ContractViolationError before anything is projected.
+    The paper's two pairings are defined: type A, a subspace null against a
+    cone alternative, where the null must be the kernel of the cone's R (the
+    rule of dt_type_a and consistency_region); and type B, a cone null
+    against FULL_SPACE. Any other pairing raises ContractViolationError
+    before anything is projected.
     """
     theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
     pairing = (_set_kind(null_set), _set_kind(alt_set))
     if pairing == ("subspace", "cone"):
         _validate_pairing(metric.dim, null_set, alt_set)
-    elif pairing not in (("cone", "FULL_SPACE"), ("subspace", "FULL_SPACE")):
+        value = (metric.norm_sq(project_cone(theta, alt_set, metric))
+                 - metric.norm_sq(project_subspace(theta, null_set, metric)))
+    elif pairing == ("cone", "FULL_SPACE"):
+        value = metric.norm_sq(theta) - metric.norm_sq(project_cone(theta, null_set, metric))
+    else:
         raise ContractViolationError(
-            f"delta is defined for a subspace null against a cone, or a cone or "
-            f"subspace null against FULL_SPACE; got a {pairing[0]} null against "
-            f"a {pairing[1]} alternative")
-    value = (metric.norm_sq(_project_set(theta, alt_set, metric))
-             - metric.norm_sq(_project_set(theta, null_set, metric)))
+            f"delta is defined for a subspace null against a cone, or a cone null "
+            f"against FULL_SPACE; got a {pairing[0]} null against a {pairing[1]} "
+            "alternative")
     return _clamped_drop(value, theta, metric)
 
 
@@ -397,8 +398,8 @@ def consistency_region(theta, sub: LinearSubspace, cone: ConeSpec,
     The test separates exactly when theta lies outside the polar of
     (cone intersect null-perp), that is when the drift delta(theta) is
     positive; the Type III regime additionally requires theta to be outside
-    the cone itself. The null must lie in the cone (ContractViolationError
-    otherwise), so sqrt(delta(theta)) is the distance from P_cone theta to
+    the cone itself. The null must be the kernel of the cone's R, which the
+    cone contains (ContractViolationError otherwise), so sqrt(delta(theta)) is the distance from P_cone theta to
     the null, and that distance is measured directly: a difference of two
     rounded squared norms would put roundoff (about 4e-16, past the 1e-8
     threshold once square-rooted) on a point whose cone projection lies in

@@ -262,6 +262,21 @@ class TestDtCommand:
         assert "t_n" in report and "t_prime" in report
         assert "conclusion" not in report and "d1" not in report
 
+    @pytest.mark.parametrize("case", ["cs-table5", "silvapulle"])
+    def test_answers_where_the_composite_level_is_infeasible(self, tmp_path, case):
+        """At alpha = 0.97 the joint solve of safe_test finds no critical
+        value (the composite region never reaches 0.97), but dt reports only
+        the base tests: c_alpha = 0 and the statistics and p-values of the
+        report at alpha = 0.05."""
+        base, high = tmp_path / "dt.json", tmp_path / "dt97.json"
+        assert run(["dt", "--case", case, "--out", str(base)]) == EXIT_OK
+        assert run(["dt", "--case", case, "--alpha", "0.97", "--out", str(high)]) == EXIT_OK
+        base, high = json.loads(base.read_text()), json.loads(high.read_text())
+        assert high["c_alpha"] == 0.0 and high["alpha"] == 0.97
+        for key in ("t_n", "t_prime", "alpha_star", "gamma_star", "c_gamma_prime", "weights"):
+            assert high[key] == base[key]
+        assert run(["safe-test", "--case", case, "--alpha", "0.97"]) == EXIT_NUMERIC
+
 
 class TestPowerCommand:
     def test_single_cell_null_level(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from ordersafe import studies
 from ordersafe.chibar import solve_critical, weights_closed_form_2d
-from ordersafe.errors import ContractViolationError, DegenerateVarianceError
+from ordersafe.errors import ContractViolationError, DegenerateVarianceError, InternalInvariantError
 from ordersafe.geometry import Metric
 from ordersafe.studies import (
     CS_TABLE5,
@@ -346,8 +346,7 @@ class TestPowerHarness:
         assert sorted(calls) == [0.01, 0.02, 0.05, 0.1]
 
     def test_operator_table_built_once_per_metric(self, monkeypatch):
-        """The 63 cells of the grid share one metric, so one table; two
-        scenarios under different metrics get one table each."""
+        """The 63 cells of the grid share one metric, so one table."""
         built = []
 
         def counting(metric):
@@ -358,12 +357,18 @@ class TestPowerHarness:
         monkeypatch.setattr(studies, "_orthant_operators", counting)
         rows = power_grid(replications=10)
         assert len(rows) == 63 and built == [[[1.0, 0.0], [0.0, 1.0]]]
-        built.clear()
+
+    def test_one_pass_takes_one_metric(self):
+        """power_grid and run_power_scenario build every pass under one
+        metric; a list that mixes metrics is an internal error, and an empty
+        list is an empty pass."""
         scenarios = [PowerScenario(theta=np.zeros(2), sigma=Metric(sigma), n=10, alpha=0.05,
                                    gamma=0.05, replications=10, seed=1)
-                     for sigma in (np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2))]
-        studies._run_scenarios(scenarios, 1)
-        assert built == [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]]
+                     for sigma in (np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]))]
+        with pytest.raises(InternalInvariantError, match="mix metrics"):
+            studies._run_scenarios(scenarios, 1)
+        assert studies._run_scenarios([], 1) == []
+        assert power_grid(replications=10, mean_labels=()) == []
 
 
 #: Rejection counts of power_grid(replications=32768, seed=1729, gammas=(0.05,),

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from ordersafe.chibar import (
     weights_closed_form_2d,
     weights_exact,
 )
-from ordersafe.errors import ContractViolationError, InfeasibleLevelError, NumericError
+from ordersafe.errors import (
+    ContractViolationError,
+    InfeasibleLevelError,
+    InternalInvariantError,
+    NumericError,
+    OrderSafeError,
+)
 from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
@@ -28,7 +35,7 @@ from ordersafe.geometry import (
     project_subspace,
 )
 from ordersafe.isotonic import WeightedSeries, simple_order_consistency
-from ordersafe.studies import silvapulle_case
+from ordersafe.studies import PowerScenario, run_power_scenario, silvapulle_case
 from ordersafe.testing import (
     FULL_SPACE,
     Conclusion,
@@ -199,6 +206,21 @@ class TestDistanceStatistics:
         expected = 5 * (9.0 + 4.0)
         assert dt_type_b(stat, ORTHANT2) == pytest.approx(expected, abs=1e-9)
 
+    def test_null_must_be_the_whole_kernel(self, rng):
+        """{0} lies inside ker R of the simple order, the span of ones, but
+        is not ker R: the chi-bar law of the weights does not hold for it,
+        so every type A entry point refuses it and names the kernel."""
+        metric = Metric(random_spd(rng, 3))
+        sub, cone = LinearSubspace.zero(3), ConeSpec.simple_order(3)
+        theta = [0.3, -0.2, 1.0]
+        stat = Statistic(s_n=theta, sigma_n=metric, n=20)
+        for call in (lambda: dt_type_a(stat, sub, cone),
+                     lambda: resolve_weights(stat, sub, cone),
+                     lambda: delta(theta, sub, cone, metric),
+                     lambda: consistency_region(theta, sub, cone, metric)):
+            with pytest.raises(ContractViolationError, match=r"kernel .*\(dim 1, got 0\)"):
+                call()
+
     def test_null_not_inside_cone_rejected(self):
         sub = LinearSubspace.from_basis(np.array([[1.0], [0.0]]))
         with pytest.raises(ContractViolationError):
@@ -326,6 +348,26 @@ class TestSafeTest:
             stat = gaussian_stat(rng.standard_normal(2), sigma, 10)
             out = safe_test(stat, ZERO2, ORTHANT2, alpha=0.05, gamma=0.2)
             assert out.alpha_safe <= 0.05 + 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.76, 0.8, 0.9])
+    def test_attained_level_on_the_apex_side(self, alpha):
+        """At alpha >= 1 - w_0 = 0.75 on the quadrant c_alpha = 0, and the
+        region {t > 0, t' < c'_gamma or t' = 0} leaves out the apex, which
+        the p-value never rejects: its level is w_1 P(chi2_1 < c'_gamma) +
+        w_2, below alpha, and the power study's count of the same region
+        agrees with it."""
+        stat = gaussian_stat([1.0, 0.5], np.eye(2), 10)
+        out = safe_test(stat, ZERO2, ORTHANT2, alpha=alpha, gamma=0.05)
+        assert out.original.critical_value == 0.0
+        c_gamma = out.auxiliary.critical_value
+        region = 0.5 * math.erf(math.sqrt(0.5 * c_gamma)) + 0.25
+        assert out.alpha_safe <= alpha
+        assert out.alpha_safe == pytest.approx(region, rel=1e-14)
+        assert out.alpha_safe == pytest.approx(0.7301492886662272, rel=1e-12)
+        power = run_power_scenario(PowerScenario(
+            theta=np.zeros(2), sigma=Metric(np.eye(2)), n=10, alpha=alpha, gamma=0.05,
+            replications=50_000, seed=11))
+        assert abs(power.power_safe - out.alpha_safe) <= 4 * power.se
 
     def test_conclusion_table_mapping(self):
         # interior positive mean, strongly ordered: certificate plus rejection
@@ -529,7 +571,8 @@ class TestDelta:
         (ORTHANT2, ZERO2, "cone null against a subspace"),
         (ORTHANT2, ConeSpec.simple_order(2), "cone null against a cone"),
         (FULL_SPACE, ORTHANT2, "FULL_SPACE null against a cone"),
-    ], ids=["cone-vs-subspace", "cone-vs-cone", "full-space-null"])
+        (ZERO2, FULL_SPACE, "subspace null against a FULL_SPACE alternative"),
+    ], ids=["cone-vs-subspace", "cone-vs-cone", "full-space-null", "subspace-vs-full-space"])
     def test_undocumented_pairings_are_refused_before_projecting(self, monkeypatch, null_set,
                                                                  alt_set, named):
         """These used to raise InternalInvariantError ("distance drop negative
@@ -554,7 +597,6 @@ class TestDelta:
                 full = metric.norm_sq(theta)
                 assert delta(theta, sub, cone, metric) == max(on_cone - on_sub, 0.0)
                 assert delta(theta, cone, FULL_SPACE, metric) == max(full - on_cone, 0.0)
-                assert delta(theta, sub, FULL_SPACE, metric) == max(full - on_sub, 0.0)
 
 
 class TestLargeScale:
@@ -717,3 +759,37 @@ class TestAsymptoticBehavior:
             [0.53033, 0.53033], 50, 50_000, 0.05, 0.01, seed=10, mode="plain"
         )
         assert abs(res["dt"] - res["safe"]) <= 0.01
+
+
+class TestNearSingularSigma:
+    def test_only_library_errors_and_no_warning(self):
+        """Sigma = Q diag(1, ..., 1, eps) Q' at p = 3..7 for eps = 1e-2 down
+        to 1e-16, on the orthant and the simple order (320 calls). Roundoff
+        then pushes conditioned correlations past +-1, makes a correlation
+        matrix or an operator block singular, and breaks the projector's KKT
+        check by the roundoff of its cancelled terms: each must end in an
+        OrderSafeError, never a RuntimeWarning, a LinAlgError or an internal
+        error. At cond(Sigma) = 1e2 every call answers."""
+        outcomes = []
+        for p in range(3, 8):
+            for seed in range(4):
+                rng = np.random.default_rng(1000 * p + seed)
+                q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+                for e in range(1, 9):
+                    sigma = q @ np.diag([1.0] * (p - 1) + [10.0 ** (-2 * e)]) @ q.T
+                    for sub, cone in ((LinearSubspace.zero(p), ConeSpec.orthant(p)),
+                                      (LinearSubspace.span_of_ones(p),
+                                       ConeSpec.simple_order(p))):
+                        s = rng.standard_normal(p)
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error", RuntimeWarning)
+                            try:
+                                stat = Statistic(s_n=s, sigma_n=Metric(sigma), n=50)
+                                safe_test(stat, sub, cone, 0.05, 0.05,
+                                          WeightConfig(n_draws=2000))
+                                outcomes.append((e, "ok"))
+                            except OrderSafeError as exc:
+                                assert not isinstance(exc, InternalInvariantError), exc
+                                outcomes.append((e, type(exc).__name__))
+        assert len(outcomes) == 320
+        assert [kind for e, kind in outcomes if e == 1] == ["ok"] * 40

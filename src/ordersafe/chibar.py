@@ -3,13 +3,12 @@
 The squared metric norm of a Gaussian vector projected onto a convex cone
 is distributed as a mixture of chi-square laws whose weights are the
 probabilities of landing on a face of each dimension. This module provides
-the closed-form weights for one- and two-dimensional orthants, exact
-weights up to p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with
-Plackett's orthant reduction (weights_exact, deterministic, the
-weights of the safe test for 3 <= p <= 8), Monte Carlo weight
-estimation by face counting (the estimator beyond p = 8, where the exact
-quadrature fails, on request at any p, and the oracle the exact weights are
-tested against), upper/joint tail evaluation, and critical values.
+the closed-form weights for two-dimensional orthants, exact weights up to
+p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with Plackett's orthant
+reduction (weights_exact, deterministic), Monte Carlo weight estimation by
+face counting (weights_monte_carlo, on request at any p, and the oracle the
+exact weights are tested against), the one rule that picks among them
+(orthant_weights), upper/joint tail evaluation, and critical values.
 
 A critical value is the point a plain bisection returns: bracket doubling
 from 1, then halving from 0 until a midpoint's tail is within
@@ -219,11 +218,6 @@ def weights_closed_form_2d(rho: float) -> ChiBarWeights:
         raise ContractViolationError(f"rho must lie in (-1, 1), not {rho!r}")
     w0 = float(np.arccos(rho) / (2.0 * np.pi))
     return ChiBarWeights(w=np.array([w0, 0.5, 0.5 - w0]))
-
-
-def weights_closed_form_1d() -> ChiBarWeights:
-    """One-dimensional weights (1/2, 1/2), exact by symmetry."""
-    return ChiBarWeights(w=np.array([0.5, 0.5]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -449,8 +443,11 @@ def weights_exact(psi) -> ChiBarWeights:
     while True:
         nodes = _gauss_legendre(n_nodes)
         # roundoff past |rho| = 1 or below a zero variance gives NaN, checked below
-        with np.errstate(invalid="ignore"):
-            w = _kudo_weights(corr, prec, nodes)
+        try:
+            with np.errstate(invalid="ignore"):
+                w = _kudo_weights(corr, prec, nodes)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"a face block of psi is singular in floating point ({exc})") from exc
         residual = _identity_residual(w)
         if not np.isfinite(residual):
             raise NumericError(
@@ -470,6 +467,41 @@ def weights_exact(psi) -> ChiBarWeights:
             f"exact weights break the sum and parity identities by {residual!r}"
         )
     return ChiBarWeights(w=w, source="exact")
+
+
+def orthant_weights(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAULT_SEED) -> ChiBarWeights:
+    """Orthant weights of an SPD array psi by the one rule of the library.
+
+    - p = 1: (1/2, 1/2), exact by symmetry;
+    - p = 2: weights_closed_form_2d, where the correlation that
+      correlation_2x2 reads from psi as given lies in (-1, 1);
+    - 3 <= p <= EXACT_MAX_DIM: weights_exact;
+    - everything else, weights_monte_carlo(psi, n_draws, seed): p above
+      EXACT_MAX_DIM, a NumericError of weights_exact (correlations very
+      near +-1, or a correlation matrix or face block singular in floating
+      point), and a p = 2 correlation that rounds to +-1.
+
+    n_draws and seed are checked at every p. psi must be a finite, non-empty
+    square matrix with, at p = 2, a positive diagonal (ContractViolationError);
+    a psi handed on, a p = 1 psi <= 0 included, must pass Metric.
+    """
+    n_draws, seed = check.integer(n_draws, 1, "n_draws"), check.integer(seed, 0, "seed")
+    sigma = check.array(psi, "psi", 2)
+    p = sigma.shape[0]
+    if sigma.shape != (p, p) or p == 0:
+        raise ContractViolationError(f"psi must be a non-empty square matrix, not {sigma.shape}")
+    if p == 1 and sigma[0, 0] > 0.0:
+        return ChiBarWeights(w=np.array([0.5, 0.5]))
+    if p == 2:
+        rho = correlation_2x2(sigma)
+        if -1.0 < rho < 1.0:
+            return weights_closed_form_2d(rho)
+    elif p <= EXACT_MAX_DIM:
+        try:
+            return weights_exact(sigma)
+        except NumericError:
+            pass
+    return weights_monte_carlo(sigma, n_draws, seed)
 
 
 def _identity_residual(w: np.ndarray) -> float:
@@ -603,8 +635,9 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
     """Critical value: the bisection for tail(c) = alpha, replayed from certified band edges.
 
     mode="joint" returns c with joint_tail(c, c2) = alpha and raises
-    InfeasibleLevelError, naming the attainable supremum, when alpha exceeds
-    joint_tail(0, c2) by more than min(1e-9, 1e-7 alpha). mode="marginal"
+    InfeasibleLevelError when alpha exceeds joint_tail(0, c2), which counts
+    the apex, by more than min(1e-9, 1e-7 alpha); its attainable is the
+    level the region reaches as c -> 0+. mode="marginal"
     returns c with mixture_upper_tail(c) = alpha, the joint tail with every
     pre-test factor 1 (c2 = inf). When alpha is at or above the tail's limit
     from the right at zero (1 - w_0 in the marginal mode) the solution
@@ -638,8 +671,9 @@ def solve_critical(weights: ChiBarWeights, alpha: float, mode: str = "marginal",
         # as feasible; an absolute slack would admit 100x a supremum of 1e-12
         if alpha > sup + 10.0 * min(_BISECT_TOL, _BISECT_REL_TOL * alpha):
             raise InfeasibleLevelError(
-                f"requested level {alpha} exceeds the attainable supremum {sup:.12g}",
-                attainable=sup,
+                f"requested level {alpha} exceeds {sup:.12g}, the joint tail at c = 0, which "
+                f"counts the apex; the region reaches {limit_above_zero:.12g} as c -> 0+",
+                attainable=limit_above_zero,
             )
     if alpha >= limit_above_zero:
         return 0.0

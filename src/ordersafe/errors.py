@@ -24,7 +24,8 @@ class NotPositiveDefiniteError(NumericError):
 class InfeasibleLevelError(NumericError):
     """A requested significance level is not attainable.
 
-    Carries the attainable supremum so callers can adjust.
+    Carries the supremum of the levels the region attains, as attainable,
+    so callers can adjust.
     """
 
     def __init__(self, message, attainable):

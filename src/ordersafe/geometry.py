@@ -330,7 +330,11 @@ def _dual_active_set(x, r, metric):
                 )
             idx = passive.nonzero()[0]
             z = np.zeros(p)
-            z_idx = np.linalg.solve(gram[idx[:, None], idx], -rx[idx])
+            try:
+                z_idx = np.linalg.solve(gram[idx[:, None], idx], -rx[idx])
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"cone projection met a passive system singular in "
+                                   f"floating point, cond(G) = {np.linalg.cond(gram):.3g}") from exc
             z[idx] = z_idx
             if (z_idx > 0).all():
                 lam = z

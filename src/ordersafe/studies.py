@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arguments as check
-from .chibar import (
-    DEFAULT_SEED,
-    _seeded_chunks,
-    correlation_2x2,
-    solve_critical,
-    weights_closed_form_2d,
-)
+from .chibar import DEFAULT_SEED, _seeded_chunks, orthant_weights, solve_critical
 from .errors import ContractViolationError, DegenerateVarianceError, InternalInvariantError
 from .geometry import (ConeSpec, LinearSubspace, Metric, _Workspace, _orthant_blocks,
                        _orthant_operators)
@@ -123,7 +117,7 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
     metric = scenarios[0].sigma
     if any(not np.array_equal(s.sigma.sigma, metric.sigma) for s in scenarios):
         raise InternalInvariantError("the scenarios of one power pass mix metrics")
-    w = weights_closed_form_2d(correlation_2x2(metric.sigma))
+    w = orthant_weights(metric.sigma)
     minv, table = metric.inverse(), _orthant_operators(metric)
     polar = w.complement()
     c_alpha = {a: solve_critical(w, a, "marginal") for a in {s.alpha for s in scenarios}}

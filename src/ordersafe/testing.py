@@ -20,18 +20,13 @@ from . import _arguments as check
 from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
-    EXACT_MAX_DIM,
     ChiBarWeights,
     _joint_at_zero,
     _pretest_factors,
-    correlation_2x2,
     joint_tail,
     mixture_upper_tail,
+    orthant_weights,
     solve_critical,
-    weights_closed_form_1d,
-    weights_closed_form_2d,
-    weights_exact,
-    weights_monte_carlo,
 )
 from .errors import ContractViolationError, InternalInvariantError, NumericError
 from .geometry import ConeSpec, LinearSubspace, Metric, project_cone, project_subspace
@@ -80,17 +75,8 @@ class Statistic:
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """The Monte Carlo settings of resolve_weights.
-
-    resolve_weights uses the closed forms for one- and two-dimensional
-    orthant reductions, Kudô's exact face decomposition (weights_exact) for
-    3 <= p <= EXACT_MAX_DIM (8), and Monte Carlo face counting beyond and
-    wherever the exact quadrature fails (correlations very near +-1);
-    n_draws and seed matter only where Monte Carlo runs, whose KKT
-    certificate decides each draw's face and whose chunk streams come from
-    the one seeding helper it shares with the power harness. Monte Carlo
-    weights at any p come from calling weights_monte_carlo.
-    """
+    """The Monte Carlo settings of resolve_weights, used only where
+    chibar.orthant_weights, which states the weight rule, runs Monte Carlo."""
 
     n_draws: int = DEFAULT_MC_DRAWS
     seed: int = DEFAULT_SEED
@@ -180,22 +166,12 @@ def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarr
 
 def resolve_weights(stat: Statistic, sub: LinearSubspace, cone: ConeSpec,
                     cfg: WeightConfig = WeightConfig()) -> ChiBarWeights:
-    """Mixture weights of the orthant-reduced problem, Psi = R Sigma R', under the given config."""
+    """Mixture weights of the orthant-reduced problem, Psi = R Sigma R', by
+    chibar.orthant_weights under the given config."""
     check.instance(stat, Statistic, "stat")
     check.instance(cfg, WeightConfig, "cfg")
     r = _validate_pairing(stat.dim, sub, cone)
-    psi = r @ stat.sigma_n.sigma @ r.T
-    p = psi.shape[0]
-    if p > EXACT_MAX_DIM:
-        return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
-    if p > 2:
-        try:
-            return weights_exact(psi)
-        except NumericError:
-            return weights_monte_carlo(psi, n_draws=cfg.n_draws, seed=cfg.seed)
-    if p == 1:
-        return weights_closed_form_1d()
-    return weights_closed_form_2d(correlation_2x2(psi))
+    return orthant_weights(r @ stat.sigma_n.sigma @ r.T, cfg.n_draws, cfg.seed)
 
 
 def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
@@ -245,10 +221,18 @@ def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
 def _clamped_drop(drop: float, x, metric: Metric, n: int = 1) -> float:
     """max(drop, 0) for drop = n (dist^2(x, null) - dist^2(x, alt)), which
     exact arithmetic keeps nonnegative. Both sets hold 0, so both distances
-    and their roundoff scale with ||x||^2: only a drop below
-    -1e-10 (1 + n ||x||^2) is an error, and ||x||^2 is computed only then."""
-    if drop < -1e-10 and drop < -1e-10 * (1.0 + n * metric.norm_sq(x)):
-        raise InternalInvariantError(f"distance drop is negative beyond tolerance: {drop}")
+    and their roundoff scale with s = 1 + n ||x||^2: a drop below -1e-10 s
+    is a breach. Within u cond(Sigma) s, for unit roundoff u, it is the
+    roundoff of an ill-conditioned Sigma and raises NumericError; beyond, it
+    raises InternalInvariantError. s and cond(Sigma) are computed only then."""
+    if drop < -1e-10:
+        scale = 1.0 + n * metric.norm_sq(x)
+        if drop < -1e-10 * scale:
+            cond = np.linalg.cond(metric.sigma)
+            if drop >= -np.finfo(float).eps * cond * scale:
+                raise NumericError(f"distance drop is negative ({drop:.3g}) within the "
+                                   f"roundoff of an ill-conditioned sigma, cond {cond:.3g}")
+            raise InternalInvariantError(f"distance drop is negative beyond tolerance: {drop}")
     return max(drop, 0.0)
 
 

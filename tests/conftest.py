@@ -503,3 +503,21 @@ def solve_nominal_level_oracle(weights, target_level, c2):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+#: Three orthant problems at n = 10 on which roundoff decides, as (s_n, sigma_n).
+ROUNDOFF_CASES = {
+    # Cholesky accepts sigma, but the correlation of Psi = sigma rounds to -1
+    "rho": ([-0.3634260488797557, -0.10591112305144375],
+            [[0.0396463741094641, -0.19512698206408177],
+             [-0.19512698206408177, 0.9603536258905353]]),
+    # cond(sigma) = 2.0e7: the projection is the apex, but theta is roundoff
+    # of x + sigma lambda and the drop reads -0.152, within u cond(sigma) (1 + n ||x||^2)
+    "apex": ([-0.5731292157665655, -0.6077406304422468],
+             [[0.8351906894929751, -0.37100834671375466],
+              [-0.37100834671375466, 0.16480936114706835]]),
+    # cond(sigma) = 1.4e16: a passive block of G is singular in floating point
+    "singular": ([-1.6183674582291454, 1.4314317534265486],
+                 [[0.23860394129114867, -0.42623010275141143],
+                  [-0.42623010275141143, 0.7613960587088514]]),
+}

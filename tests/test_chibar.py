@@ -21,10 +21,10 @@ from ordersafe.chibar import (
     joint_tail,
     mixture_lower_tail,
     mixture_upper_tail,
+    orthant_weights,
     safe_level_2d,
     solve_critical,
     solve_nominal_level,
-    weights_closed_form_1d,
     weights_closed_form_2d,
     weights_exact,
     weights_monte_carlo,
@@ -33,11 +33,18 @@ from ordersafe.errors import (
     CapabilityError,
     ContractViolationError,
     InfeasibleLevelError,
+    NotPositiveDefiniteError,
     NumericError,
 )
 from ordersafe.geometry import ConeSpec
 
-from conftest import mp_chi2_sf, orthant_probabilities_oracle, random_spd, weights_exact_oracle
+from conftest import (
+    ROUNDOFF_CASES,
+    mp_chi2_sf,
+    orthant_probabilities_oracle,
+    random_spd,
+    weights_exact_oracle,
+)
 
 QUADRANT = weights_closed_form_2d(0.0)
 
@@ -174,8 +181,7 @@ def mp_equicorrelated_orthant(d, rho):
 
 class TestExactWeights:
     def test_low_dimensions_match_closed_forms(self):
-        np.testing.assert_allclose(weights_exact(np.eye(1)).w, weights_closed_form_1d().w,
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights_exact(np.eye(1)).w, [0.5, 0.5], rtol=0, atol=1e-15)
         for rho in (-0.95, -0.3, 0.0, 0.45, 0.9, 0.99):
             psi = np.array([[4.0, 2.0 * rho * 0.7], [2.0 * rho * 0.7, 0.49]])
             np.testing.assert_allclose(weights_exact(psi).w, weights_closed_form_2d(rho).w,
@@ -439,6 +445,79 @@ class TestExactTables:
         assert len(sizes) >= 4 and set(sizes.values()) == {0}, sizes
 
 
+#: A 2 x 2 covariance that Cholesky accepts but whose correlation rounds to -1.
+RHO_ROUNDS_TO_ONE = np.array(ROUNDOFF_CASES["rho"][1])
+
+
+def _same(a, b):
+    """Same weight bits, source label and Monte Carlo settings."""
+    return (a.w.tolist(), a.source, a.n_draws, a.seed) == (b.w.tolist(), b.source, b.n_draws,
+                                                            b.seed)
+
+
+class TestOrthantWeights:
+    """The one weight rule: each branch hands back its engine's weights,
+    bit for bit and with its label."""
+
+    def test_p1_is_one_half_each(self):
+        w = orthant_weights([[3.0]], n_draws=64, seed=3)
+        assert (w.w.tolist(), w.source, w.n_draws, w.seed) == ([0.5, 0.5], "closed_form", None,
+                                                               None)
+
+    def test_p2_is_the_closed_form_of_psi_as_given(self):
+        # the last bit of psi_10 differs from psi_01, and only psi_01 is read
+        psi = np.array([[4.0, 1.26], [np.nextafter(1.26, 2.0), 0.49]])
+        w = orthant_weights(psi, n_draws=64, seed=3)
+        assert _same(w, weights_closed_form_2d(correlation_2x2(psi)))
+        assert w.source == "closed_form"
+
+    @pytest.mark.parametrize("p", [3, 5, EXACT_MAX_DIM])
+    def test_exact_from_three_to_the_cap(self, p):
+        psi = random_spd(np.random.default_rng(p), p)
+        w = orthant_weights(psi, n_draws=64, seed=3)
+        assert _same(w, weights_exact(psi)) and w.source == "exact"
+
+    def test_monte_carlo_beyond_the_cap(self):
+        psi = random_spd(np.random.default_rng(9), EXACT_MAX_DIM + 1)
+        w = orthant_weights(psi, n_draws=500, seed=3)
+        assert _same(w, weights_monte_carlo(psi, n_draws=500, seed=3))
+        assert (w.source, w.n_draws, w.seed) == ("monte_carlo", 500, 3)
+
+    def test_monte_carlo_where_the_exact_quadrature_fails(self):
+        psi = equicorrelation(4, 1.0 - 1e-6)
+        with pytest.raises(NumericError):
+            weights_exact(psi)
+        w = orthant_weights(psi, n_draws=500, seed=3)
+        assert _same(w, weights_monte_carlo(psi, n_draws=500, seed=3))
+
+    def test_monte_carlo_where_a_p2_correlation_rounds_to_one(self):
+        """Cholesky accepts this psi, but its correlation rounds to -1, where
+        the closed form is undefined: Monte Carlo answers, like p >= 3."""
+        assert correlation_2x2(RHO_ROUNDS_TO_ONE) == -1.0
+        w = orthant_weights(RHO_ROUNDS_TO_ONE, n_draws=500, seed=3)
+        assert _same(w, weights_monte_carlo(RHO_ROUNDS_TO_ONE, n_draws=500, seed=3))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(psi=None), dict(psi="a"), dict(psi=[1.0, 2.0]), dict(psi=np.zeros((2, 3))),
+        dict(psi=np.zeros((0, 0))), dict(psi=np.zeros((2, 2, 2))), dict(psi=[[math.nan]]),
+        dict(psi=[[1.0, math.inf], [math.inf, 1.0]]), dict(psi=np.eye(2, dtype=bool)),
+        dict(psi=[[0.0, 0.0], [0.0, 1.0]]), dict(psi=[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                                      [0.0, 0.0, 1.0]]),
+        dict(psi=np.eye(1), n_draws=0), dict(psi=np.eye(2), n_draws=True),
+        dict(psi=np.eye(3), n_draws=2.5), dict(psi=np.eye(2), seed=-1),
+        dict(psi=np.eye(3), seed="1"),
+    ])
+    def test_bad_arguments_raise_contract_violations(self, kwargs):
+        with pytest.raises(ContractViolationError):
+            orthant_weights(**kwargs)
+
+    @pytest.mark.parametrize("psi", [[[-1.0]], [[0.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                     [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+    def test_a_psi_that_is_not_positive_definite(self, psi):
+        with pytest.raises(NotPositiveDefiniteError):
+            orthant_weights(psi, n_draws=64)
+
+
 class TestMixtureTails:
     def test_nan_weight_rejected(self):
         with pytest.raises(ContractViolationError, match="sum to nan"):
@@ -552,11 +631,17 @@ class TestSolveCritical:
         assert c <= solve_critical(QUADRANT, 0.05)
 
     def test_joint_mode_infeasible_names_supremum(self):
+        """The refusal compares the joint tail at 0, which counts the apex,
+        and names the level the region reaches as c -> 0+,
+        w_1 P(chi2_1 < c2) + w_2, which is lower by w_0 P(chi2_2 < c2)."""
         c2 = solve_critical(QUADRANT.complement(), 0.1)
         sup = joint_tail(QUADRANT, 0.0, c2)
-        with pytest.raises(InfeasibleLevelError) as err:
+        reached = 0.5 * chibar.chi2_cdf(c2, 1) + 0.25
+        assert reached == pytest.approx(sup - 0.25 * chibar.chi2_cdf(c2, 2), abs=1e-15)
+        with pytest.raises(InfeasibleLevelError, match="as c -> 0[+]") as err:
             solve_critical(QUADRANT, sup + 0.01, mode="joint", c2=c2)
-        assert err.value.attainable == pytest.approx(sup)
+        assert err.value.attainable == pytest.approx(reached, abs=1e-15)
+        assert joint_tail(QUADRANT, 1e-12, c2) == pytest.approx(reached, abs=1e-6)
 
     def test_joint_mode_slack_is_relative_to_the_level(self):
         """A level 100 times the supremum is infeasible, however small both are."""
@@ -565,7 +650,7 @@ class TestSolveCritical:
         assert sup == pytest.approx(1e-12, rel=1e-3)
         with pytest.raises(InfeasibleLevelError) as err:
             solve_critical(w, 1e-10, "joint", c2=1e-30)
-        assert err.value.attainable == sup
+        assert err.value.attainable == sup - 0.5 * chibar.chi2_cdf(1e-30, 2)
 
     def test_alpha_range_validated(self):
         with pytest.raises(ContractViolationError):

@@ -16,6 +16,8 @@ import ordersafe
 from ordersafe.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, dumps_report, main
 from ordersafe.errors import NumericError
 
+from conftest import ROUNDOFF_CASES
+
 _PROBLEM = {"s_n": [1.0, 2.0, 3.0], "sigma_n": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "n": 5}
 
 
@@ -192,6 +194,18 @@ class TestSafeTestCommand:
         assert not out.exists()
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(ROUNDOFF_CASES))
+    def test_roundoff_cases_exit_3_without_output(self, tmp_path, capsys, case):
+        """Never an input error about a correlation the document does not
+        hold, nor an internal error, nor numpy's LinAlgError."""
+        s_n, sigma_n = ROUNDOFF_CASES[case]
+        path, out = tmp_path / "doc.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"s_n": s_n, "sigma_n": sigma_n, "n": 10,
+                                    "restriction": [[1.0, 0.0], [0.0, 1.0]]}))
+        code = run(["safe-test", "--input", str(path), "--out", str(out), "--mc-n", "1000"])
+        assert code == EXIT_NUMERIC and not out.exists()
+        assert "cond" in capsys.readouterr().err
+
     def test_report_is_strict_json(self):
         with pytest.raises(NumericError):
             dumps_report({"t_n": float("inf")})
@@ -217,6 +231,14 @@ class TestSafeTestCommand:
                     "--alpha", "0.97", "--gamma", "0.05", "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert not out.exists()
+
+    def test_infeasible_joint_level_names_both_bounds(self, capsys):
+        """The refusal compares the joint tail at c = 0, which counts the
+        apex, and names the level the region reaches as c -> 0+."""
+        assert run(["safe-test", "--case", "cs-table5", "--alpha", "0.97"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "exceeds 0.950000000031, the joint tail at c = 0" in err
+        assert "the region reaches 0.767782741206 as c -> 0+" in err
 
     def test_bad_output_path_rejected_before_compute(self, tmp_path):
         out = tmp_path / "no_such_dir" / "report.json"

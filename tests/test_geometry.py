@@ -27,6 +27,7 @@ from ordersafe.isotonic import WeightedSeries, pava
 from ordersafe.testing import Statistic, dt_type_a, dt_type_b
 
 from conftest import (
+    ROUNDOFF_CASES,
     dual_active_set_oracle,
     enumerate_cone_oracle,
     face_dimension,
@@ -310,8 +311,24 @@ class TestProjectSubspace:
         for col in sub.basis.T:
             assert abs(m.inner(res, col)) < 1e-8
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ContractViolationError, match="subspace and metric dimensions disagree"):
+            project_subspace([1.0, 2.0, 3.0], LinearSubspace.span_of_ones(2), Metric(np.eye(3)))
+
 
 class TestProjectCone:
+    def test_dimension_mismatch(self):
+        with pytest.raises(ContractViolationError, match="cone lives in dimension 2, metric in 3"):
+            project_cone([1.0, 2.0, 3.0], ConeSpec.orthant(2), Metric(np.eye(3)))
+
+    def test_a_singular_passive_system_is_a_numeric_error(self):
+        """At cond(Sigma) = 1.4e16 a passive block of G is singular in
+        floating point: the error names cond(G) instead of leaking numpy's
+        LinAlgError."""
+        x, sigma = ROUNDOFF_CASES["singular"]
+        with pytest.raises(NumericError, match=r"singular in floating point, cond\(G\) = "):
+            project_cone(x, ConeSpec.orthant(2), Metric(sigma))
+
     def test_interior_point_fixed(self):
         m = Metric(np.eye(2))
         np.testing.assert_allclose(

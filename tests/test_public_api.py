@@ -94,13 +94,12 @@ ISOTONIC = {"WeightedSeries", "IsotonicFit", "av", "pava", "SplitCheck",
 
 
 def _names_read(path):
-    """Every identifier a module reads: names, attributes and imports."""
+    """Every identifier a module reads by name or imports; an attribute such
+    as result.p_value is a field of some object, not a read of an export."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     return names

@@ -50,7 +50,7 @@ from ordersafe.testing import (
     safe_test,
 )
 
-from conftest import dual_active_set_oracle, in_polar_orthant, random_spd
+from conftest import ROUNDOFF_CASES, dual_active_set_oracle, in_polar_orthant, random_spd
 
 ORTHANT2 = ConeSpec.orthant(2)
 ZERO2 = LinearSubspace.zero(2)
@@ -99,6 +99,23 @@ def test_mistyped_objects_are_contract_violations(call):
     """A wrong type at the distance-test boundary is the caller's error,
     named as such, not an AttributeError from deep inside."""
     with pytest.raises(ContractViolationError, match="must be a"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dt_type_a(_STAT3, _SUB3, ConeSpec.simple_order(4)), "cone and statistic"),
+    (lambda: dt_type_a(_STAT3, LinearSubspace.span_of_ones(4), _CONE3), "subspace and statistic"),
+    (lambda: resolve_weights(_STAT3, _SUB3, ConeSpec.simple_order(4)), "cone and statistic"),
+    (lambda: resolve_weights(_STAT3, LinearSubspace.span_of_ones(4), _CONE3),
+     "subspace and statistic"),
+    (lambda: dt_type_b(_STAT3, ConeSpec.orthant(2)), "cone and statistic"),
+    (lambda: delta(_S3, _SUB3, ConeSpec.simple_order(4), _METRIC3), "cone and statistic"),
+    (lambda: delta(_S3, LinearSubspace.span_of_ones(4), _CONE3, _METRIC3),
+     "subspace and statistic"),
+], ids=["type-a-cone", "type-a-subspace", "weights-cone", "weights-subspace", "type-b-cone",
+        "delta-cone", "delta-subspace"])
+def test_dimension_mismatches_are_contract_violations(call, message):
+    with pytest.raises(ContractViolationError, match=f"{message} dimensions disagree"):
         call()
 
 
@@ -315,6 +332,20 @@ class TestWeightResolution:
     def test_config_rejects_invalid_values(self, kwargs):
         with pytest.raises(ContractViolationError):
             WeightConfig(**kwargs)
+
+    def test_one_half_each_for_a_two_level_simple_order(self):
+        stat = gaussian_stat([0.3, 0.1], np.array([[2.0, 0.4], [0.4, 1.0]]), 5)
+        w = resolve_weights(stat, LinearSubspace.span_of_ones(2), ConeSpec.simple_order(2))
+        assert (w.w.tolist(), w.source, w.n_draws, w.seed) == ([0.5, 0.5], "closed_form", None,
+                                                               None)
+
+    def test_monte_carlo_where_a_p2_correlation_rounds_to_one(self):
+        """The rule of p >= 3 holds at p = 2 too: no input error about a rho
+        that the caller never gave."""
+        s, sigma = ROUNDOFF_CASES["rho"]
+        stat = gaussian_stat(s, sigma, 10)
+        w = resolve_weights(stat, ZERO2, ORTHANT2, WeightConfig(n_draws=1000, seed=5))
+        assert (w.source, w.n_draws, w.seed) == ("monte_carlo", 1000, 5)
 
     def test_subspace_must_be_restriction_kernel(self):
         # one equality direction too few: dim L = 0 but kernel has dim 1
@@ -793,3 +824,43 @@ class TestNearSingularSigma:
                                 outcomes.append((e, type(exc).__name__))
         assert len(outcomes) == 320
         assert [kind for e, kind in outcomes if e == 1] == ["ok"] * 40
+
+    @pytest.mark.parametrize("case, message", [
+        ("rho", r"singular in floating point, cond\(G\) = 9.85e\+16"),
+        ("apex", r"within the roundoff of an ill-conditioned sigma, cond 1.97e\+07"),
+        ("singular", r"singular in floating point, cond\(G\) = 1.35e\+16"),
+    ])
+    def test_roundoff_cases_are_numeric_errors(self, case, message):
+        s, sigma = ROUNDOFF_CASES[case]
+        stat = gaussian_stat(s, sigma, 10)
+        with pytest.raises(NumericError, match=message):
+            safe_test(stat, ZERO2, ORTHANT2, 0.05, 0.05, WeightConfig(n_draws=1000))
+
+    def test_ill_conditioned_orthant_sweep(self):
+        """Sigma = Q diag(1, ..., 1/c) Q' with log10 c uniform on [7, 10], at
+        p = 2 and 3 on the orthant, 200 seeded draws each. Roundoff may leave
+        no answer, a NumericError, but never an internal error, a raw numpy
+        error or a RuntimeWarning: a distance drop or a KKT breach within the
+        roundoff of cond(Sigma) names it, and p = 2 weights whose correlation
+        rounds to +-1 come from Monte Carlo."""
+        outcomes = {}
+        for p in (2, 3):
+            rng = np.random.default_rng(100 + p)
+            for _ in range(200):
+                q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+                eig = np.exp(rng.uniform(0.0, 1.0, p))
+                eig[0], eig[-1] = 1.0, 10.0 ** -rng.uniform(7.0, 10.0)
+                sigma = q @ np.diag(eig) @ q.T
+                stat = Statistic(s_n=rng.standard_normal(p),
+                                 sigma_n=Metric(0.5 * (sigma + sigma.T)), n=10)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        safe_test(stat, LinearSubspace.zero(p), ConeSpec.orthant(p), 0.05,
+                                  0.05, WeightConfig(n_draws=2000))
+                        kind = "ok"
+                    except NumericError:
+                        kind = "numeric"
+                outcomes[p, kind] = outcomes.get((p, kind), 0) + 1
+        assert set(outcomes) <= {(p, kind) for p in (2, 3) for kind in ("ok", "numeric")}
+        assert outcomes[2, "ok"] >= 100 and outcomes[3, "ok"] >= 100, outcomes

@@ -8,7 +8,7 @@ p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with Plackett's orthant
 reduction (weights_exact, deterministic), Monte Carlo weight estimation by
 face counting (weights_monte_carlo, on request at any p, and the oracle the
 exact weights are tested against), the one rule that picks among them
-(orthant_weights), upper/joint tail evaluation, and critical values.
+(orthant_weights), upper/joint tails, attained_level, and critical values.
 
 A critical value is the point a plain bisection returns: bracket doubling
 from 1, then halving from 0 until a midpoint's tail is within
@@ -35,6 +35,10 @@ terms), and the lower tail is its complement. Both tails are therefore
 complementary to the rounding of one subtraction. The series of df is a
 prefix of that of df + 2, so one pass per parity gives the upper series of
 every df a mixture needs, and every tail reads from that one evaluator.
+Where a direct form leaves the doubles (x^a or Gamma(a + 1) overflows, or
+e^-x falls below the normal range), its term x^b e^-x / Gamma(b + 1) is
+evaluated in logs, so the tails hold to any df; everywhere else they keep
+the direct form's bits.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +90,8 @@ _CERT_MARGIN = 1e-12
 _CERT_MAX_DIM = 100
 _CERT_MIN_LEVEL = 1e-200
 _NEWTON_MAX_ITER = 40
+# largest x at which e^-x is a normal double
+_EXP_NORMAL = -math.log(sys.float_info.min)
 
 
 def chi2_sf(t: float, df: int) -> float:
@@ -122,7 +129,8 @@ def _chi2_tails(t: float, p: int) -> tuple[list[float], list[float]]:
 
 
 def _lower_gamma_series(x: float, a: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by its power series (x <= a + 1)."""
+    """Regularized lower incomplete gamma P(a, x) by its power series (x <= a + 1);
+    where x^a or Gamma(a + 1) overflows, its prefactor is _poisson_term(a, x)."""
     if x <= 0.0:
         return 0.0
     term = total = 1.0
@@ -131,17 +139,29 @@ def _lower_gamma_series(x: float, a: float) -> float:
         n += 1.0
         term *= x / n
         total += term
-    return total * x ** a * math.exp(-x) / math.gamma(a + 1.0)
+    try:
+        v = total * x ** a * math.exp(-x) / math.gamma(a + 1.0)
+        if v <= 1.0:        # a probability; an overflow left inf
+            return v
+    except OverflowError:   # x^a or Gamma(a + 1) past the doubles
+        pass
+    return total * _poisson_term(a, x)
 
 
 def _upper_series(x: float, m: int) -> list[float]:
     """P(chi2_df >= 2x) for df = 1..m, at index df - 1, by Abramowitz & Stegun
     26.4.4 (odd df) and 26.4.5 (even df). The series of df is a prefix of that
-    of df + 2, so each parity is summed once and read off after each term."""
+    of df + 2, so each parity is summed once and read off after each term.
+    Where e^-x is below the normal range, each df adds its last term,
+    x^b e^-x / Gamma(b + 1) with b = df/2 - 1, to the sum of df - 2 in logs."""
     out = [0.0] * m
     if m == 0 or math.isinf(x):
         return out
     total = out[0] = math.erfc(math.sqrt(x))
+    if x > _EXP_NORMAL:
+        for df in range(2, m + 1):
+            out[df - 1] = (out[df - 3] if df > 2 else 0.0) + _poisson_term(0.5 * df - 1.0, x)
+        return out
     term = 2.0 * math.sqrt(x / math.pi) * math.exp(-x)
     for r in range(1, (m + 1) // 2):
         total += term
@@ -153,6 +173,29 @@ def _upper_series(x: float, m: int) -> list[float]:
         term *= x / r
         out[2 * r - 1] = total
     return out
+
+
+def _poisson_term(b: float, x: float) -> float:
+    """x^b e^-x / Gamma(b + 1) for b >= 0 and x > 0, from its logarithm. From
+    b = 15 on it is Loader's (2000) saddle-point form, whose exponent does not
+    cancel: exp(-stirlerr(b) - bd0) / sqrt(2 pi b) with bd0 = b log(b/x) + x - b,
+    summed as a series in v = (b - x) / (b + x) where |v| < 0.1, and stirlerr the
+    remainder of Stirling's log Gamma(b + 1), by its asymptotic series."""
+    if b < 15.0:
+        return math.exp(b * math.log(x) - x - math.lgamma(b + 1.0))
+    if abs(x - b) < 0.1 * (x + b):
+        v = (b - x) / (b + x)
+        bd0, term = (b - x) * v, 2.0 * b * v
+        for k in itertools.count(3, 2):
+            term *= v * v
+            if bd0 + term / k == bd0:
+                break
+            bd0 += term / k
+    else:
+        bd0 = b * math.log(b / x) + x - b
+    b2 = b * b
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * b2)) / b2) / b2) / b2) / b
+    return math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * b)
 
 
 @dataclass(frozen=True)
@@ -479,7 +522,9 @@ def orthant_weights(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAULT_SE
     - everything else, weights_monte_carlo(psi, n_draws, seed): p above
       EXACT_MAX_DIM, a NumericError of weights_exact (correlations very
       near +-1, or a correlation matrix or face block singular in floating
-      point), and a p = 2 correlation that rounds to +-1.
+      point), and a p = 2 correlation that rounds to +-1. Monte Carlo ends
+      at p = 16 (its projection table holds 2^p operators): p > 16 raises
+      CapabilityError.
 
     n_draws and seed are checked at every p. psi must be a finite, non-empty
     square matrix with, at p = 2, a positive diagonal (ContractViolationError);
@@ -521,7 +566,10 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     its 2^p support operators and one workspace built once per call: each
     chunk is drawn and transformed into the workspace, and the certificate
     decides each face, a support of size j adding its block's size to the
-    count of w_j. No projection is put back into row order.
+    count of w_j. No projection is put back into row order. Each draw adds
+    +-1 to N sum_j (-1)^j w_j, whose true value is 0, so a parity beyond six
+    of its standard errors, 6 / sqrt(N), raises NumericError naming
+    cond(psi): roundoff in the projection, not chance.
 
     Parameters
     ----------
@@ -545,6 +593,12 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
         xt = np.matmul(chol, draws.T, out=work.view("points", (p, size)))
         for x, _, face, _ in _orthant_blocks(xt, table, work):
             counts[face] += x.shape[1]
+    parity = int(counts[::2].sum() - counts[1::2].sum())
+    if abs(parity) > 6.0 * math.sqrt(n_draws):
+        raise NumericError(
+            f"Monte Carlo weights miss the parity identity by {parity / n_draws:.3g} "
+            f"({abs(parity) / math.sqrt(n_draws):.3g} standard errors); psi is "
+            f"ill-conditioned, cond {np.linalg.cond(metric.sigma):.3g}")
     return ChiBarWeights(
         w=counts / float(n_draws), source="monte_carlo", n_draws=n_draws, seed=seed
     )
@@ -575,12 +629,7 @@ def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
     """P(mixture < t); complements mixture_upper_tail including the atom at 0."""
     check.instance(weights, ChiBarWeights, "weights")
     t = check.real(t, "t", nonnegative=True)
-    w = weights.w.tolist()
-    cdf = _chi2_tails(t, weights.p)[1]
-    total = w[0] * cdf[0]
-    for j in range(1, len(w)):
-        total += w[j] * cdf[j]
-    return total
+    return _joint_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[1], [1.0] * (weights.p + 1))
 
 
 def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
@@ -599,14 +648,27 @@ def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
                       _pretest_factors(c2, weights.p))
 
 
+def attained_level(weights: ChiBarWeights, c_alpha: float, c_gamma: float) -> float:
+    """Level of the composite region {t >= c_alpha, t > 0} and {t' < c_gamma or
+    t' = 0}: joint_tail(c_alpha, c_gamma) where c_alpha > 0, and at c_alpha = 0
+    its limit as c -> 0+, since joint_tail at 0 counts the apex (t = 0)."""
+    check.instance(weights, ChiBarWeights, "weights")
+    c_alpha = check.real(c_alpha, "c_alpha", nonnegative=True)
+    c_gamma = check.real(c_gamma, "c_gamma", nonnegative=True)
+    w, cdf2 = weights.w.tolist(), _pretest_factors(c_gamma, weights.p)
+    if c_alpha > 0.0:
+        return _joint_sum(w, _chi2_tails(c_alpha, weights.p)[0], cdf2)
+    return _joint_at_zero(w, cdf2)[1]
+
+
 def _pretest_factors(c2: float, p: int) -> list[float]:
     """P(chi2_df < c2 or chi2_df = 0) for df = 0..p: the pre-test factors of joint_tail."""
     return [1.0, *_chi2_tails(c2, p)[1][1:]]
 
 
 def _joint_sum(w: list[float], sf: list[float], cdf: list[float]) -> float:
-    """joint_tail from its tails: sum_j w[j] sf[j] cdf[p - j] with sf at c1 and
-    cdf at c2; with cdf all ones it is mixture_upper_tail at c1 > 0."""
+    """sum_j w[j] sf[j] cdf[p - j], every weighted chi-bar sum: joint_tail with sf
+    at c1 and cdf at c2, or with cdf all ones a mixture's tail or density."""
     p = len(w) - 1
     total = 0.0
     for j in range(p + 1):
@@ -755,14 +817,12 @@ def _locate_band(evaluate, coef: list[float], alpha: float, tol: float) -> None:
     """Newton steps on log tail towards tail = alpha, then one evaluation a
     quarter band beyond each band edge; evaluate records what each value
     certifies (see _solve_band)."""
-    p = len(coef) - 1
+    p, ones = len(coef) - 1, [1.0] * len(coef)
     lo, hi = 0.0, math.inf                  # tail(lo) > alpha >= tail(hi)
     c, last = _newton_start(coef, alpha), 0.0
     for _ in range(_NEWTON_MAX_ITER):
         val = evaluate(c)
-        dens = 0.0
-        for a, f in zip(coef, _chi2_densities(c, p)):
-            dens += a * f
+        dens = _joint_sum(coef, _chi2_densities(c, p), ones)
         if val > alpha:
             lo = c
         else:
@@ -817,7 +877,7 @@ def solve_nominal_level(weights: ChiBarWeights, target_level: float, c2: float) 
     c2 = check.real(c2, "c2", nonnegative=True)
     c = solve_critical(weights, target_level, "joint", c2)
     if c == 0.0:
-        reached = _joint_at_zero(weights.w.tolist(), _pretest_factors(c2, weights.p))[1]
+        reached = attained_level(weights, 0.0, c2)
         raise InfeasibleLevelError(
             f"target level {target_level} is not below {reached:.12g}, the level "
             "the composite region reaches as its critical value falls to 0",

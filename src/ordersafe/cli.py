@@ -362,8 +362,9 @@ def cmd_weights(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     est = weights_monte_carlo(sigma, n_draws=n_draws, seed=seed)
     closed = None
-    if est.p == 2:
-        closed = weights_closed_form_2d(correlation_2x2(sigma))
+    # echoed where the weight rule (chibar.orthant_weights) uses the closed form
+    if est.p == 2 and -1.0 < (rho := correlation_2x2(sigma)) < 1.0:
+        closed = weights_closed_form_2d(rho)
     rows = []
     for j in range(est.p + 1):
         rows.append({

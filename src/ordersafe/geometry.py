@@ -421,7 +421,8 @@ def _orthant_operators(metric: Metric) -> list:
     """
     p = metric.dim
     if p > _EXACT_MAX_ROWS:
-        raise CapabilityError(f"batch projection supports p <= {_EXACT_MAX_ROWS}")
+        raise CapabilityError(f"Monte Carlo weights and the batch orthant projection "
+                              f"support p <= {_EXACT_MAX_ROWS}, not {p}")
     # K_S is unchanged when the Cholesky factor is scaled by a power of two,
     # which is exact; at unit scale no entry of sigma^{-1} is subnormal
     chol = metric.chol_lower * 2.0 ** -math.frexp(np.abs(metric.chol_lower).max())[1]

@@ -21,9 +21,7 @@ from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
     ChiBarWeights,
-    _joint_at_zero,
-    _pretest_factors,
-    joint_tail,
+    attained_level,
     mixture_upper_tail,
     orthant_weights,
     solve_critical,
@@ -287,22 +285,18 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     projection through the Statistic's memo.
 
     The composite region is {t >= c_alpha, t' < c'_gamma}, where the apex
-    (t = 0) never rejects and t' = 0 always certifies. alpha_safe is
-    joint_tail(c_alpha, c'_gamma), or at c_alpha = 0 (alpha >= 1 - w_0) its
-    limit as c -> 0+, since joint_tail at 0 counts the apex.
+    (t = 0) never rejects and t' = 0 always certifies; alpha_safe is its
+    level, chibar.attained_level(weights, c_alpha, c'_gamma).
     """
     original, auxiliary = _base_tests(stat, sub, cone, alpha, gamma, weight_cfg)
     weights, alpha = original.weights_used, original.alpha
     c_alpha, c_gamma = original.critical_value, auxiliary.critical_value
     c_alpha_safe = solve_critical(weights, alpha, "joint", c2=c_gamma)
-    if c_alpha > 0.0:
-        alpha_safe = joint_tail(weights, c_alpha, c_gamma)
-    else:
-        alpha_safe = _joint_at_zero(weights.w.tolist(), _pretest_factors(c_gamma, weights.p))[1]
+    alpha_safe = attained_level(weights, c_alpha, c_gamma)
     d1, d2 = int(not auxiliary.reject), int(original.reject)
     t_safe = original.statistic if d1 else 0.0
     conclusion = _CONCLUSION_BY_DECISION[(d1, d2)]
-    if conclusion is Conclusion.SAFE_REJECT and joint_tail(weights, t_safe, c_gamma) > alpha:
+    if conclusion is Conclusion.SAFE_REJECT and attained_level(weights, t_safe, c_gamma) > alpha:
         raise InternalInvariantError(
             "safe rejection reported but the gated statistic's joint tail "
             f"exceeds alpha ({t_safe} against c'_gamma = {c_gamma})"

@@ -460,7 +460,9 @@ def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
         cdf2[0] = 1.0  # a zero residual is certified at every c2
         sup = chibar._joint_sum(w, [1.0] * (weights.p + 1), cdf2)  # P(chi2_df >= 0) = 1
         if alpha > sup + min(1e-9, 1e-7 * alpha):
-            raise InfeasibleLevelError("infeasible", attainable=sup)
+            # the region's level as c -> 0+: every face but the apex, P(chi2_j > 0+) = 1
+            reached = math.fsum(w[j] * cdf2[weights.p - j] for j in range(1, weights.p + 1))
+            raise InfeasibleLevelError("infeasible", attainable=reached)
         limit_above_zero = sup - weights.w[0] * (1.0 if weights.p == 0 else cdf2[weights.p])
         if alpha >= limit_above_zero:
             return 0.0
@@ -504,6 +506,16 @@ def solve_nominal_level_oracle(weights, target_level, c2):
             hi = mid
     return 0.5 * (lo + hi)
 
+
+#: A 4 x 4 Psi of cond 1.2e16: a face block of weights_exact is singular in
+#: floating point, and Monte Carlo's projection misreads nearly every draw, so
+#: its weights read a parity sum_j (-1)^j w_j of about -0.99.
+PARITY_PSI = [
+    [0.8087129717681796, -0.2864401107391496, -0.2694826565597921, 0.005240404114182768],
+    [-0.2864401107391496, 0.5710742239101406, -0.40353307122174475, 0.007847170551289442],
+    [-0.2694826565597921, -0.40353307122174475, 0.6203563678216922, 0.007382612585864613],
+    [0.005240404114182768, 0.007847170551289442, 0.007382612585864613, 0.9998564364999875],
+]
 
 #: Three orthant problems at n = 10 on which roundoff decides, as (s_n, sigma_n).
 ROUNDOFF_CASES = {

@@ -17,6 +17,7 @@ from ordersafe.chibar import (
     EXACT_MAX_DIM,
     ChiBarWeights,
     _orthant_probabilities,
+    attained_level,
     correlation_2x2,
     joint_tail,
     mixture_lower_tail,
@@ -39,6 +40,7 @@ from ordersafe.errors import (
 from ordersafe.geometry import ConeSpec
 
 from conftest import (
+    PARITY_PSI,
     ROUNDOFF_CASES,
     mp_chi2_sf,
     orthant_probabilities_oracle,
@@ -154,6 +156,15 @@ class TestMonteCarloWeights:
         want = weights_monte_carlo(psi, n_draws=40_000, seed=11).w
         np.testing.assert_array_equal(
             weights_monte_carlo(scale * psi, n_draws=40_000, seed=11).w, want)
+
+    def test_a_parity_breach_is_a_numeric_error_naming_cond(self):
+        """Each draw adds +-1 to N sum_j (-1)^j w_j. On PARITY_PSI the exact
+        weights end in a singular face block, and Monte Carlo's projection
+        misreads nearly every draw: 990 standard errors at N = 1e6."""
+        with pytest.raises(NumericError, match="face block"):
+            weights_exact(PARITY_PSI)
+        with pytest.raises(NumericError, match=r"parity identity by -0\.99 .*cond 1\.22e\+16"):
+            orthant_weights(PARITY_PSI)
 
     def test_three_dimensional_weights_sum_to_one(self, rng):
         sigma = random_spd(rng, 3)
@@ -602,6 +613,23 @@ class TestJointTail:
         lhs = joint_tail(QUADRANT, c1, c2)
         rhs = mixture_upper_tail(QUADRANT, c1) - 2.0 * phibar(math.sqrt(c1)) * phibar(math.sqrt(c2))
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+class TestAttainedLevel:
+    @pytest.mark.parametrize("c", [1e-8, 0.5, 4.0])
+    def test_is_the_joint_tail_above_zero(self, c):
+        c2 = solve_critical(QUADRANT.complement(), 0.05)
+        assert attained_level(QUADRANT, c, c2) == joint_tail(QUADRANT, c, c2)
+
+    def test_leaves_the_apex_out_at_zero(self):
+        """w_1 P(chi2_1 < c2) + w_2: the joint tail at 0 less the apex's
+        w_0 P(chi2_2 < c2), and the limit of the joint tail as c -> 0+."""
+        c2 = solve_critical(QUADRANT.complement(), 0.05)
+        level = attained_level(QUADRANT, 0.0, c2)
+        assert level == pytest.approx(0.5 * chibar.chi2_cdf(c2, 1) + 0.25, abs=1e-15)
+        assert level == pytest.approx(0.7301492887, abs=1e-10)
+        assert level == pytest.approx(joint_tail(QUADRANT, 1e-12, c2), abs=1e-6)
+        assert level < joint_tail(QUADRANT, 0.0, c2)
 
 
 def weights_for_df(p):

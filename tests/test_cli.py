@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordersafe
-from ordersafe.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, dumps_report, main
-from ordersafe.errors import NumericError
+from ordersafe.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, dumps_report, main
+from ordersafe.errors import InternalInvariantError, NumericError
 
-from conftest import ROUNDOFF_CASES
+from conftest import PARITY_PSI, ROUNDOFF_CASES
 
 _PROBLEM = {"s_n": [1.0, 2.0, 3.0], "sigma_n": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "n": 5}
 
@@ -206,6 +206,41 @@ class TestSafeTestCommand:
         assert code == EXIT_NUMERIC and not out.exists()
         assert "cond" in capsys.readouterr().err
 
+    def test_a_monte_carlo_parity_breach_exits_3_without_output(self, tmp_path, capsys):
+        """PARITY_PSI's Monte Carlo weights read a parity of -0.99; they used
+        to be reported with "Safely, reject the Null." and exit 0."""
+        path, out = tmp_path / "doc.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"s_n": [0.5, 0.4, 0.3, 0.2], "sigma_n": PARITY_PSI, "n": 20,
+                                    "restriction": [[float(i == j) for j in range(4)]
+                                                    for i in range(4)]}))
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "parity identity" in err and "cond 1.22e+16" in err
+
+    def test_orders_past_the_monte_carlo_range_name_it(self, tmp_path, capsys):
+        """K = 18 gives p = 17, which only Monte Carlo could answer."""
+        path, out = tmp_path / "doc.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"s_n": [0.1 * i for i in range(18)], "n": 10,
+                                    "sigma_n": [[float(i == j) for j in range(18)]
+                                                for i in range(18)], "order": "simple"}))
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert "Monte Carlo weights and the batch orthant projection support p <= 16, not 17" in (
+            capsys.readouterr().err)
+
+    def test_an_internal_invariant_breach_exits_4_without_output(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def breach(*args):
+            raise InternalInvariantError("planted")
+
+        monkeypatch.setattr("ordersafe.testing.attained_level", breach)
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--case", "silvapulle", "--out", str(out)]) == EXIT_INTERNAL
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err == "internal invariant breach: planted\n" and captured.out == ""
+
     def test_report_is_strict_json(self):
         with pytest.raises(NumericError):
             dumps_report({"t_n": float("inf")})
@@ -382,6 +417,24 @@ class TestWeightsCommand:
         want = capsys.readouterr().out
         assert run(["weights", "--input", str(path)] + options) == EXIT_OK
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_closed_form_echo_where_rho_rounds_to_one(self, tmp_path, capsys, fmt):
+        """Cholesky accepts the sigma of ROUNDOFF_CASES["rho"], whose
+        correlation rounds to -1: the weight rule gives it Monte Carlo
+        weights, so there is no closed form to echo (this exited 2)."""
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"sigma": ROUNDOFF_CASES["rho"][1]}))
+        assert run(["weights", "--input", str(path), "--mc-n", "1000",
+                    "--format", fmt]) == EXIT_OK
+        text = capsys.readouterr().out
+        if fmt == "csv":
+            rows = list(csv.DictReader(text.splitlines()))
+            assert [row["j"] for row in rows] == ["0", "1", "2"]
+            assert {row["closed_form"] for row in rows} == {""}
+        else:
+            payload = json.loads(text)
+            assert len(payload["weights"]) == 3 and "closed_form" not in payload
 
     def test_non_spd_exits_3(self, tmp_path):
         path = tmp_path / "sigma.json"

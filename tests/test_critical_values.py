@@ -27,6 +27,8 @@ from ordersafe.chibar import (
     weights_exact,
 )
 from ordersafe.errors import InfeasibleLevelError
+from ordersafe.studies import CS_TABLE5, build_stochastic_order
+from ordersafe.testing import resolve_weights
 
 from conftest import solve_critical_oracle, solve_nominal_level_oracle
 
@@ -242,3 +244,31 @@ def test_the_quadrant_at_1e_13():
     c = solve_critical(QUADRANT, 1e-13)
     assert c == pytest.approx(57.4709, abs=1e-4)
     assert abs(mixture_upper_tail(QUADRANT, c) - 1e-13) <= 1e-21
+
+
+def attainable(solver, *args):
+    with pytest.raises(InfeasibleLevelError) as err:
+        solver(*args)
+    return err.value.attainable
+
+
+def test_infeasible_levels_name_the_oracle_attainable_on_cs_table5():
+    """The oracle sums the faces but the apex itself; solve_critical and
+    solve_nominal_level read chibar's one c -> 0+ limit."""
+    problem = build_stochastic_order(CS_TABLE5)
+    weights = resolve_weights(problem.statistic(), problem.subspace(), problem.cone())
+    c2 = solve_critical(weights.complement(), 0.05)
+    got = attainable(solve_critical, weights, 0.97, "joint", c2)
+    assert f"{got:.12g}" == "0.767782741206"
+    assert got == pytest.approx(attainable(solve_critical_oracle, weights, 0.97, "joint", c2),
+                                rel=1e-15, abs=0.0)
+    assert attainable(solve_nominal_level, weights, 0.9, c2) == got
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_infeasible_levels_name_the_oracle_attainable(seed):
+    weights = random_weights(seed, 1 + seed % 10)
+    c2 = solve_critical(weights.complement(), 0.05)
+    alpha = 0.5 * (joint_tail(weights, 0.0, c2) + 1.0)
+    assert attainable(solve_critical, weights, alpha, "joint", c2) == pytest.approx(
+        attainable(solve_critical_oracle, weights, alpha, "joint", c2), rel=1e-15, abs=0.0)

@@ -62,7 +62,7 @@ from ordersafe import (
     weights_closed_form_2d,
     weights_monte_carlo,
 )
-from ordersafe.chibar import chi2_cdf, chi2_sf, correlation_2x2, weights_exact
+from ordersafe.chibar import attained_level, chi2_cdf, chi2_sf, correlation_2x2, weights_exact
 from ordersafe.geometry import project_orthant_batch
 from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
 from ordersafe.testing import resolve_weights
@@ -196,6 +196,15 @@ def test_argument_rules_have_one_owner():
                 assert borrowed == [], (name, node.module)
 
 
+def test_testing_reads_no_chibar_private():
+    """The composite region's level has one owner, chibar.attained_level."""
+    tree = ast.parse((SRC / "testing.py").read_text())
+    borrowed = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "chibar"
+                for alias in node.names if alias.name.startswith("_")]
+    assert borrowed == []
+
+
 # ---------------------------------------------------------------------------
 # The contract sweep: one cheap base call per exported callable, each argument
 # replaced in turn by a bad value.
@@ -298,6 +307,7 @@ BASE_CALLS = {
 MODULE_CALLS = [
     (chi2_sf, dict(t=1.0, df=2)),
     (chi2_cdf, dict(t=1.0, df=2)),
+    (attained_level, dict(weights=_W, c_alpha=1.0, c_gamma=2.0)),
     (correlation_2x2, dict(psi=[[2.0, 0.5], [0.5, 1.0]])),
     (weights_exact, dict(psi=np.eye(3))),
     (project_orthant_batch, dict(points=[[1.0, -1.0], [-1.0, 2.0]], metric=_M2)),

@@ -3,7 +3,9 @@
 The tails feed every p-value, critical value and attained level, so they
 are checked as black boxes: monotone in t, complementary, and equal to an
 independent mpmath evaluation to 1e-13 relative over df 1..12 and t in
-[1e-8, 200].
+[1e-8, 200], and to 1e-12 relative (or below 1e-290 with the true value)
+over df 1..2000, where x^(df/2), Gamma(df/2 + 1) and e^(-t/2) leave the
+doubles.
 """
 
 import math
@@ -15,13 +17,17 @@ from hypothesis import strategies as st
 
 from ordersafe.chibar import (
     ChiBarWeights,
+    attained_level,
     chi2_cdf,
     chi2_sf,
     joint_tail,
     mixture_lower_tail,
     mixture_upper_tail,
+    solve_critical,
+    solve_nominal_level,
 )
 from ordersafe.errors import ContractViolationError
+from ordersafe.testing import p_value
 
 from conftest import (
     chi2_cdf_oracle,
@@ -69,6 +75,57 @@ def test_chi2_tails_match_mpmath_on_a_grid():
         for t in np.geomspace(1e-8, 200.0, 61):
             assert _rel(chi2_sf(t, df), mp_chi2_sf(t, df)) <= 1e-13, (df, t)
             assert _rel(chi2_cdf(t, df), mp_chi2_cdf(t, df)) <= 1e-13, (df, t)
+
+
+def _close_or_tiny(got, want):
+    """Within 1e-12 relative, or below 1e-290 where the true value is."""
+    return abs(got - want) <= 1e-12 * want if want >= 1e-290 else 0.0 <= got <= 1e-290
+
+
+@st.composite
+def _large_df_points(draw):
+    """df up to 2000 and t around df, or anywhere up to 6000 (x = t/2 up to
+    3000, past the e^-x underflow at 745)."""
+    df = draw(st.integers(1, 2000))
+    return df, draw(st.one_of(st.floats(0.0, 3.0).map(lambda u: u * df), st.floats(0.0, 6000.0)))
+
+
+@SUITE
+@given(_large_df_points())
+def test_chi2_tails_match_mpmath_at_large_df(point):
+    df, t = point
+    assert _close_or_tiny(chi2_sf(t, df), mp_chi2_sf(t, df)), point
+    assert _close_or_tiny(chi2_cdf(t, df), mp_chi2_cdf(t, df)), point
+
+
+@pytest.mark.parametrize("t, df", [(286.0, 285), (288.0, 286), (0.1, 342), (1504.0, 1500),
+                                   (1460.0, 1440), (1416.8, 1400), (1e6, 2000), (5e-324, 2000)])
+def test_chi2_tails_where_the_direct_form_leaves_the_doubles(t, df):
+    """x^a past the doubles (df 285 and 286), Gamma(a + 1) past them (from df
+    342), e^-x zero or subnormal (x = 752 and 730); these read -inf, raised
+    OverflowError, or read 0.0 or off by 1.8e-7 relative."""
+    assert _close_or_tiny(chi2_sf(t, df), mp_chi2_sf(t, df))
+    assert _close_or_tiny(chi2_cdf(t, df), mp_chi2_cdf(t, df))
+
+
+def test_mixtures_of_287_components_are_probabilities():
+    weights = ChiBarWeights(w=np.full(287, 1.0 / 287))
+    for value in (mixture_upper_tail(weights, 286.0), mixture_lower_tail(weights, 286.0),
+                  joint_tail(weights, 286.0, 2.0), attained_level(weights, 0.0, 2.0),
+                  p_value(286.0, weights, "type_b")):
+        assert 0.0 < value < 1.0
+    c2 = solve_critical(weights.complement(), 0.05)
+    assert abs(joint_tail(weights, solve_critical(weights, 0.05, "joint", c2), c2)
+               - 0.05) <= 1e-10
+    assert 0.05 < solve_nominal_level(weights, 0.05, c2) < 1.0
+
+
+def test_a_level_of_1e_300_is_solved_to_the_true_tail():
+    """At p = 50 the solve used to return c = 1490.27, whose true tail is 8.4e-281."""
+    weights = ChiBarWeights(w=np.full(51, 1.0 / 51))
+    c = solve_critical(weights, 1e-300)
+    true_tail = math.fsum(mp_chi2_sf(c, df) for df in range(1, 51)) / 51
+    assert abs(true_tail - 1e-300) <= 1e-7 * 1e-300
 
 
 @st.composite

@@ -27,9 +27,9 @@ _OWNERS = {name: owner for owner, names in {
     "studies": ("CS_TABLE5", "CS_TABLE6", "ContingencyTable2xK", "PowerResult", "PowerScenario",
                 "StochasticOrderProblem", "build_stochastic_order", "doubled_table",
                 "power_grid", "run_power_scenario", "silvapulle_case", "simulation_means"),
-    "testing": ("FULL_SPACE", "Conclusion", "ConsistencyCheck", "SafeOutcome", "Statistic",
-                "TestResult", "WeightConfig", "consistency_region", "delta", "dt_type_a",
-                "dt_type_b", "p_value", "safe_test"),
+    "testing": ("Conclusion", "ConsistencyCheck", "SafeOutcome", "Statistic", "TestResult",
+                "WeightConfig", "consistency_region", "delta", "dt_type_a", "dt_type_b",
+                "p_value", "safe_test"),
 }.items() for name in names}
 
 __all__ = list(_OWNERS)

@@ -299,16 +299,17 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
         raise ContractViolationError(
             f"cone lives in dimension {r.shape[1]}, metric in {metric.dim}"
         )
-    return _dual_active_set(x, r, metric)
+    return _dual_active_set(x, r, metric)[0]
 
 
 def _dual_active_set(x, r, metric):
+    """(theta, lam) of project_cone: the projection and its KKT multipliers."""
     # array methods and index arrays in place of np.all, np.argmin, np.ix_ and
     # np.flatnonzero: the same arithmetic, without their Python wrappers
     tol = _activity_tol(x[:, None])[0]
     rx = r @ x
     if (rx >= -tol).all():
-        return x.copy()
+        return x.copy(), np.zeros(r.shape[0])
     p = r.shape[0]
     sigma_rt = metric.sigma @ r.T  # columns sigma r_i
     gram = r @ sigma_rt
@@ -362,7 +363,7 @@ def _dual_active_set(x, r, metric):
             "cone projection breaks its KKT conditions: "
             f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}, "
             f"cond(G) = {np.linalg.cond(gram):.3g}")
-    return theta
+    return theta, lam
 
 
 def polar_complement(x, cone: ConeSpec, metric: Metric) -> np.ndarray:

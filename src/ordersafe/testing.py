@@ -27,10 +27,14 @@ from .chibar import (
     solve_critical,
 )
 from .errors import ContractViolationError, InternalInvariantError, NumericError
-from .geometry import ConeSpec, LinearSubspace, Metric, project_cone, project_subspace
-
-#: Sentinel for the unconstrained alternative of a type B pairing.
-FULL_SPACE = "full_space"
+from .geometry import (
+    ConeSpec,
+    LinearSubspace,
+    Metric,
+    _dual_active_set,
+    project_cone,
+    project_subspace,
+)
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,7 @@ class SafeOutcome:
 
 def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarray:
     """R, once the null is ker R: the one pairing rule of type A, for which
-    alone the chi-bar law holds (dt_type_a, resolve_weights, delta and
-    consistency_region)."""
+    alone the chi-bar law holds (dt_type_a and resolve_weights)."""
     check.instance(sub, LinearSubspace, "sub")
     r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
     if r.shape[1] != dim:
@@ -216,7 +219,7 @@ def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
     return d_cone
 
 
-def _clamped_drop(drop: float, x, metric: Metric, n: int = 1) -> float:
+def _clamped_drop(drop: float, x, metric: Metric, n: int) -> float:
     """max(drop, 0) for drop = n (dist^2(x, null) - dist^2(x, alt)), which
     exact arithmetic keeps nonnegative. Both sets hold 0, so both distances
     and their roundoff scale with s = 1 + n ||x||^2: a drop below -1e-10 s
@@ -308,57 +311,29 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     )
 
 
-def _set_kind(target) -> str:
-    if isinstance(target, LinearSubspace):
-        return "subspace"
-    if isinstance(target, ConeSpec):
-        return "cone"
-    if isinstance(target, str) and target == FULL_SPACE:
-        return "FULL_SPACE"
-    return type(target).__name__
-
-
-def delta(theta, null_set, alt_set, metric: Metric) -> float:
-    """Population drift of the distance test at a fixed parameter value.
-
-    The difference of squared metric distances to the null and alternative
-    sets; the test statistic grows like n times this quantity, so a strictly
-    positive value predicts rejection with probability one in the
-    large-sample limit; consistency_region decides that, with its own
-    threshold.
-
-    Evaluated in Moreau form, ||P_alt theta||^2 - ||P_null theta||^2, which
-    equals the difference of squared distances for any closed convex cone,
-    subspace or the full space because dist^2(theta, S) = ||theta||^2 -
-    ||P_S theta||^2. The common ||theta||^2 never enters, so a theta in the
-    polar cone gives a drift at the square of the projector's roundoff
-    rather than at its first power.
-
-    The paper's two pairings are defined: type A, a subspace null against a
-    cone alternative, where the null must be the kernel of the cone's R (the
-    rule of dt_type_a and consistency_region); and type B, a cone null
-    against FULL_SPACE. Any other pairing raises ContractViolationError
-    before anything is projected.
-    """
+def delta(theta, cone: ConeSpec, metric: Metric, problem: str) -> float:
+    """Population drift at theta of the type A or type B distance test (the
+    problem word of p_value): the statistic grows like n times it, and
+    consistency_region reads it. From one projection P_C theta with KKT
+    multipliers lam: type B is ||theta - P_C theta||^2; type A is
+    d(P_C theta, ker R)^2 = y' G^-1 y with y = R P_C theta, G = R sigma R',
+    and y exactly 0 on the rows where lam > 0 (complementarity)."""
     theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
-    pairing = (_set_kind(null_set), _set_kind(alt_set))
-    if pairing == ("subspace", "cone"):
-        _validate_pairing(metric.dim, null_set, alt_set)
-        value = (metric.norm_sq(project_cone(theta, alt_set, metric))
-                 - metric.norm_sq(project_subspace(theta, null_set, metric)))
-    elif pairing == ("cone", "FULL_SPACE"):
-        value = metric.norm_sq(theta) - metric.norm_sq(project_cone(theta, null_set, metric))
-    else:
-        raise ContractViolationError(
-            f"delta is defined for a subspace null against a cone, or a cone null "
-            f"against FULL_SPACE; got a {pairing[0]} null against a {pairing[1]} "
-            "alternative")
-    return _clamped_drop(value, theta, metric)
+    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
+    if r.shape[1] != metric.dim:
+        raise ContractViolationError("cone and metric dimensions disagree")
+    problem = check.choice(problem, ("type_a", "type_b"), "problem kind")
+    proj, lam = _dual_active_set(theta, r, metric)
+    if problem == "type_b":
+        return metric.norm_sq(theta - proj)
+    y = r @ proj
+    y[lam > 0] = 0.0
+    return Metric(r @ metric.sigma @ r.T).norm_sq(y)
 
 
 @dataclass(frozen=True)
 class ConsistencyCheck:
-    """Whether the subspace-vs-cone test separates at theta, and how.
+    """Whether the type A test separates at theta, and how.
 
     consistent means rejection probability tends to one; type3_risk means
     that happens although theta is outside the cone, so rejecting would
@@ -369,23 +344,9 @@ class ConsistencyCheck:
     type3_risk: bool
 
 
-def consistency_region(theta, sub: LinearSubspace, cone: ConeSpec,
-                       metric: Metric) -> ConsistencyCheck:
-    """Classify theta by the asymptotic behavior of the subspace-vs-cone test.
-
-    The test separates exactly when theta lies outside the polar of
-    (cone intersect null-perp), that is when the drift delta(theta) is
-    positive; the Type III regime additionally requires theta to be outside
-    the cone itself. The null must be the kernel of the cone's R, which the
-    cone contains (ContractViolationError otherwise), so sqrt(delta(theta)) is the distance from P_cone theta to
-    the null, and that distance is measured directly: a difference of two
-    rounded squared norms would put roundoff (about 4e-16, past the 1e-8
-    threshold once square-rooted) on a point whose cone projection lies in
-    the null.
-    """
-    theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
-    _validate_pairing(metric.dim, sub, cone)
-    proj = project_cone(theta, cone, metric)
-    consistent = metric.norm(proj - project_subspace(proj, sub, metric)) > 1e-8
-    outside_cone = metric.norm(theta - proj) > 1e-8
-    return ConsistencyCheck(consistent=consistent, type3_risk=consistent and outside_cone)
+def consistency_region(theta, cone: ConeSpec, metric: Metric) -> ConsistencyCheck:
+    """Classify theta by its type A drift, and its type B drift for the Type
+    III regime, each positive past (1e-8)^2."""
+    consistent = delta(theta, cone, metric, "type_a") > 1e-8 ** 2
+    type3_risk = consistent and delta(theta, cone, metric, "type_b") > 1e-8 ** 2
+    return ConsistencyCheck(consistent=consistent, type3_risk=type3_risk)

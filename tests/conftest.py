@@ -76,11 +76,12 @@ def enumerate_cone_oracle(x, r, metric):
 def dual_active_set_oracle(x, r, metric):
     """Reference form of geometry._dual_active_set: the Lawson-Hanson loop
     written with np.all, np.argmin, np.ix_ and np.flatnonzero. The library's
-    loop must return the same bits after the same np.linalg.solve calls."""
+    loop must return the same bits of (theta, lam) after the same
+    np.linalg.solve calls."""
     tol = _activity_tol(x[:, None])[0]
     rx = r @ x
     if np.all(rx >= -tol):
-        return x.copy()
+        return x.copy(), np.zeros(r.shape[0])
     p = r.shape[0]
     sigma_rt = metric.sigma @ r.T  # columns sigma r_i
     gram = r @ sigma_rt
@@ -123,7 +124,7 @@ def dual_active_set_oracle(x, r, metric):
             "cone projection breaks its KKT conditions: "
             f"min R theta = {r_theta.min():.3e}, min lambda = {lam.min():.3e}"
         )
-    return theta
+    return theta, lam
 
 
 @pytest.fixture

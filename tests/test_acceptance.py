@@ -418,8 +418,7 @@ class TestCriterion5PropertySuites:
             w = rng.uniform(0.2, 2.0, size=k)
             theta = rng.standard_normal(k) * 2
             split = simple_order_consistency(WeightedSeries(theta, w))
-            drift = delta(theta, LinearSubspace.span_of_ones(k),
-                          ConeSpec.simple_order(k), Metric(np.diag(1.0 / w)))
+            drift = delta(theta, ConeSpec.simple_order(k), Metric(np.diag(1.0 / w)), "type_a")
             agree &= split.consistent == (drift > 1e-8)
         _report("5f", "split condition equals positive drift, 200 instances",
                 [("checker and drift agree on every instance", agree)])

@@ -218,6 +218,12 @@ def test_tail_passes_per_solve():
                 old.append(len(calls))
     assert new == PINNED_PASSES
     assert 3 * sum(new) <= sum(old)
+    # a level far below 1e-20 is still certified: without the certificate
+    # the same value takes 41 passes
+    with counted_tails() as calls:
+        got = solve_critical(QUADRANT, 1e-30)
+    assert len(calls) == 5
+    assert got == solve_critical_oracle(QUADRANT, 1e-30)
 
 
 def test_upper_tails_at_zero_are_exactly_one():

@@ -20,6 +20,7 @@ from ordersafe.geometry import (
     project_orthant_batch,
     project_subspace,
     _Workspace,
+    _dual_active_set,
     _orthant_blocks,
     _orthant_operators,
 )
@@ -69,6 +70,11 @@ class TestMetric:
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractViolationError):
             Metric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    def test_asymmetry_of_1e_minus_8_relative_is_refused(self):
+        """The symmetry tolerance is 1e-10 relative, far below 1e-8."""
+        with pytest.raises(ContractViolationError, match="not symmetric"):
+            Metric([[1.0, 1e-8], [0.0, 1.0]])
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e150])
     def test_symmetry_test_is_scale_free(self, scale):
@@ -147,6 +153,12 @@ class TestConeSpec:
     def test_rank_deficient_restriction_rejected(self):
         with pytest.raises(ContractViolationError):
             ConeSpec.polyhedral([[1.0, 0.0], [2.0, 0.0]])
+
+    def test_singular_value_ratio_of_5e_minus_9_is_full_rank(self):
+        """The rank tolerance is 1e-10 relative, below this R's ratio 5e-9."""
+        r = ConeSpec([[1.0, 0.0], [1.0, 1e-8]]).restriction
+        sv = np.linalg.svd(r, compute_uv=False)
+        assert sv[-1] / sv[0] == pytest.approx(5e-9, rel=1e-6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_restriction_rejected(self, bad):
@@ -765,8 +777,8 @@ def _projection_problems(draw):
 @given(_projection_problems())
 def test_projection_matches_the_reference_loop_bit_for_bit(problem):
     """project_cone returns the reference loop's bits after as many
-    np.linalg.solve calls, and the distance tests give the reference
-    path's values. At 2^-40 most points fall under the absolute activity
+    np.linalg.solve calls, the multipliers are the loop's bits too, and the
+    distance tests give the reference path's values. At 2^-40 most points fall under the absolute activity
     floor and come back unchanged, so 450 examples leave well over 100
     that run the loop."""
     r, sigma, x = problem
@@ -774,9 +786,10 @@ def test_projection_matches_the_reference_loop_bit_for_bit(problem):
     with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
         theta = project_cone(x, cone, metric)
         solves = solve.call_count
-        want = dual_active_set_oracle(x, r, metric)
+        want, want_lam = dual_active_set_oracle(x, r, metric)
     assert np.array_equal(theta, want)
     assert solves == solve.call_count - solves
+    assert np.array_equal(_dual_active_set(x, r, metric)[1], want_lam)
     sub = LinearSubspace.from_constraint(r)
     stat = Statistic(s_n=x, sigma_n=metric, n=50)
     d_cone = metric.norm_sq(x - want)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import ordersafe
 import ordersafe.isotonic
 from ordersafe import (
-    FULL_SPACE,
     ChiBarWeights,
     Conclusion,
     ConeSpec,
@@ -73,9 +72,10 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 RETIRED = {
     "acceptance_member_type_a", "acceptance_member_type_b", "in_polar_orthant",
     "face_dimension", "SingularMatrixError", "minmax_project",
-    "tree_order_consistency", "umbrella_consistency", "UmbrellaCheck",
+    "tree_order_consistency", "umbrella_consistency", "UmbrellaCheck", "FULL_SPACE",
 }
-#: The 50 names the package exported when it imported every module eagerly.
+#: The 50 names the package exported when it imported every module eagerly,
+#: less FULL_SPACE, which delta's problem word replaced.
 EXPORTED = {
     "DEFAULT_MC_DRAWS", "DEFAULT_SEED", "ChiBarWeights", "joint_tail", "mixture_lower_tail",
     "mixture_upper_tail", "safe_level_2d", "solve_critical", "solve_nominal_level",
@@ -85,7 +85,7 @@ EXPORTED = {
     "Metric", "polar_complement", "project_cone", "project_subspace", "CS_TABLE5", "CS_TABLE6",
     "ContingencyTable2xK", "PowerResult", "PowerScenario", "StochasticOrderProblem",
     "build_stochastic_order", "doubled_table", "power_grid", "run_power_scenario",
-    "silvapulle_case", "simulation_means", "FULL_SPACE", "Conclusion", "ConsistencyCheck",
+    "silvapulle_case", "simulation_means", "Conclusion", "ConsistencyCheck",
     "SafeOutcome", "Statistic", "TestResult", "WeightConfig", "consistency_region", "delta",
     "dt_type_a", "dt_type_b", "p_value", "safe_test",
 }
@@ -144,6 +144,25 @@ def test_a_bare_import_lists_every_name_and_reaches_the_submodules():
     assert EXPORTED <= set(listed)
     assert submodules == [f"ordersafe.{m}" for m in (
         "chibar", "geometry", "testing", "studies", "errors")]
+
+
+def test_the_library_example_prints_what_its_comments_state():
+    """The python block under "## Library" in README runs in a fresh
+    interpreter, and each print gives the value its comment states (a
+    trailing "..." marks a prefix)."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("#", 1)[1].strip().strip('"') for line in code.splitlines()
+                if line.startswith("print(")]
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(
+        SRC.parent)), capture_output=True, text=True, timeout=60, check=True)
+    printed = proc.stdout.splitlines()
+    assert len(printed) == len(expected) == 2
+    for line, want in zip(printed, expected):
+        if want.endswith("..."):
+            assert line.startswith(want[:-3])
+        else:
+            assert line == want
 
 
 def test_retired_routes_and_isotonic_stay_out_of_the_namespace():
@@ -212,7 +231,7 @@ def test_testing_reads_no_chibar_private():
 
 _W = ChiBarWeights([0.25, 0.5, 0.25])
 _M2, _M3 = Metric(np.eye(2)), Metric(np.eye(3))
-_ORTHANT2, _ZERO2 = ConeSpec.orthant(2), LinearSubspace.zero(2)
+_ORTHANT2 = ConeSpec.orthant(2)
 _SUB3, _CONE3 = LinearSubspace.span_of_ones(3), ConeSpec.simple_order(3)
 _STAT3 = Statistic(s_n=[1.0, 0.0, 2.0], sigma_n=_M3, n=5)
 _CFG = WeightConfig(n_draws=64, seed=1)
@@ -269,11 +288,11 @@ BASE_CALLS = {
                                      weights_used=_W, alpha=0.05))],
     "WeightConfig": [(WeightConfig, dict(n_draws=64, seed=1))],
     "build_stochastic_order": [(build_stochastic_order, dict(table=_TABLE))],
-    "consistency_region": [(consistency_region, dict(theta=[1.0, 0.0, 2.0], sub=_SUB3,
-                                                     cone=_CONE3, metric=_M3))],
+    "consistency_region": [(consistency_region, dict(theta=[1.0, 0.0, 2.0], cone=_CONE3,
+                                                     metric=_M3))],
     "delta": [
-        (delta, dict(theta=[1.0, -1.0], null_set=_ZERO2, alt_set=_ORTHANT2, metric=_M2)),
-        (delta, dict(theta=[1.0, -1.0], null_set=_ORTHANT2, alt_set=FULL_SPACE, metric=_M2)),
+        (delta, dict(theta=[1.0, -1.0], cone=_ORTHANT2, metric=_M2, problem="type_a")),
+        (delta, dict(theta=[1.0, -1.0], cone=_ORTHANT2, metric=_M2, problem="type_b")),
     ],
     "doubled_table": [(doubled_table, dict(table=_TABLE))],
     "dt_type_a": [(dt_type_a, dict(stat=_STAT3, sub=_SUB3, cone=_CONE3))],

@@ -37,7 +37,6 @@ from ordersafe.geometry import (
 from ordersafe.isotonic import WeightedSeries, simple_order_consistency
 from ordersafe.studies import PowerScenario, run_power_scenario, silvapulle_case
 from ordersafe.testing import (
-    FULL_SPACE,
     Conclusion,
     Statistic,
     WeightConfig,
@@ -109,11 +108,9 @@ def test_mistyped_objects_are_contract_violations(call):
     (lambda: resolve_weights(_STAT3, LinearSubspace.span_of_ones(4), _CONE3),
      "subspace and statistic"),
     (lambda: dt_type_b(_STAT3, ConeSpec.orthant(2)), "cone and statistic"),
-    (lambda: delta(_S3, _SUB3, ConeSpec.simple_order(4), _METRIC3), "cone and statistic"),
-    (lambda: delta(_S3, LinearSubspace.span_of_ones(4), _CONE3, _METRIC3),
-     "subspace and statistic"),
+    (lambda: delta(_S3, ConeSpec.simple_order(4), _METRIC3, "type_a"), "cone and metric"),
 ], ids=["type-a-cone", "type-a-subspace", "weights-cone", "weights-subspace", "type-b-cone",
-        "delta-cone", "delta-subspace"])
+        "delta-cone"])
 def test_dimension_mismatches_are_contract_violations(call, message):
     with pytest.raises(ContractViolationError, match=f"{message} dimensions disagree"):
         call()
@@ -232,9 +229,7 @@ class TestDistanceStatistics:
         theta = [0.3, -0.2, 1.0]
         stat = Statistic(s_n=theta, sigma_n=metric, n=20)
         for call in (lambda: dt_type_a(stat, sub, cone),
-                     lambda: resolve_weights(stat, sub, cone),
-                     lambda: delta(theta, sub, cone, metric),
-                     lambda: consistency_region(theta, sub, cone, metric)):
+                     lambda: resolve_weights(stat, sub, cone)):
             with pytest.raises(ContractViolationError, match=r"kernel .*\(dim 1, got 0\)"):
                 call()
 
@@ -278,8 +273,8 @@ class TestDistanceStatistics:
 class TestPValues:
     def test_conventions_at_zero(self):
         w = weights_closed_form_2d(0.3)
-        assert p_value(0.0, w, "type_b") == pytest.approx(1.0)
-        assert p_value(0.0, w, "type_a") == pytest.approx(1.0)
+        assert p_value(0.0, w, "type_b") == 1.0
+        assert p_value(0.0, w, "type_a") == 1.0
         assert p_value(1e-12, w, "type_a") == pytest.approx(1.0 - w.w[0], abs=1e-6)
 
     def test_negative_mean_example_pvalues(self):
@@ -365,6 +360,15 @@ class TestSafeTest:
             assert out.t_safe == 0.0
             assert out.auxiliary.statistic > out.auxiliary.critical_value
 
+    def test_levels_equal_to_the_p_values_reject(self):
+        """reject is p_value <= level: at alpha = alpha* the null is rejected
+        (d2 = 1) and at gamma = gamma* the certificate is refused (d1 = 0)."""
+        stat, _ = silvapulle_case()
+        alpha, gamma = 0.00084334335623196, 2.1996698011000224e-11
+        out = safe_test(stat, ZERO2, ORTHANT2, alpha=alpha, gamma=gamma)
+        assert (out.original.p_value, out.auxiliary.p_value) == (alpha, gamma)
+        assert (out.d1, out.d2) == (0, 1)
+
     def test_gated_statistic_never_exceeds_original(self, rng):
         sigma = random_spd(rng, 2)
         for _ in range(25):
@@ -393,8 +397,8 @@ class TestSafeTest:
         c_gamma = out.auxiliary.critical_value
         region = 0.5 * math.erf(math.sqrt(0.5 * c_gamma)) + 0.25
         assert out.alpha_safe <= alpha
-        assert out.alpha_safe == pytest.approx(region, rel=1e-14)
-        assert out.alpha_safe == pytest.approx(0.7301492886662272, rel=1e-12)
+        assert out.alpha_safe == pytest.approx(region, rel=1e-14, abs=0.0)
+        assert out.alpha_safe == pytest.approx(0.7301492886662272, rel=1e-12, abs=0.0)
         power = run_power_scenario(PowerScenario(
             theta=np.zeros(2), sigma=Metric(np.eye(2)), n=10, alpha=alpha, gamma=0.05,
             replications=50_000, seed=11))
@@ -564,70 +568,63 @@ class TestSafeTest:
 class TestDelta:
     def test_zero_on_null_subspace(self, rng):
         metric = Metric(random_spd(rng, 3))
-        sub = LinearSubspace.span_of_ones(3)
         cone = ConeSpec.simple_order(3)
-        assert delta([1.5, 1.5, 1.5], sub, cone, metric) == pytest.approx(0.0, abs=1e-12)
+        assert delta([1.5, 1.5, 1.5], cone, metric, "type_a") == 0.0
 
     def test_zero_on_cone_for_type_b_pairing(self):
         metric = Metric(np.eye(2))
-        assert delta([1.0, 2.0], ORTHANT2, FULL_SPACE, metric) == pytest.approx(0.0)
+        assert delta([1.0, 2.0], ORTHANT2, metric, "type_b") == 0.0
 
     def test_positive_for_up_down_mean_pattern(self):
         """Equal-weights three-group case with a high middle mean drifts."""
         metric = Metric(np.eye(3))
-        sub = LinearSubspace.span_of_ones(3)
         cone = ConeSpec.simple_order(3)
-        drift = delta([0.0, 2.0, 1.0], sub, cone, metric)
+        drift = delta([0.0, 2.0, 1.0], cone, metric, "type_a")
         assert drift > 1e-8
         # oracle: fitted (0, 1.5, 1.5) vs the grand mean 1
         expected = (0 - 1) ** 2 + 2 * (1.5 - 1) ** 2
         assert drift == pytest.approx(expected, abs=1e-10)
 
-    def test_null_outside_the_cone_is_a_contract_violation(self):
-        """The caller's pairing is at fault, not the library: the drop
-        ||P_C theta||^2 - ||P_L theta||^2 = 0 - 1 used to raise
-        InternalInvariantError."""
-        sub = LinearSubspace.from_basis([[1.0], [0.0]])
-        with pytest.raises(ContractViolationError, match="not contained in the cone"):
-            delta([-1.0, 0.0], sub, ORTHANT2, Metric(np.eye(2)))
-
     def test_cone_null_against_the_full_space_is_unchanged(self):
-        """FULL_SPACE pairings carry no subspace to check: the drift is the
-        squared distance to the cone, as before."""
+        """Type B, the cone null against the full space, is the squared
+        distance to the cone."""
         metric = Metric(np.eye(2))
-        assert delta([-1.0, 0.0], ORTHANT2, FULL_SPACE, metric) == 1.0
-        assert delta([-3.0, -4.0], ORTHANT2, FULL_SPACE, metric) == 25.0
+        assert delta([-1.0, 0.0], ORTHANT2, metric, "type_b") == 1.0
+        assert delta([-3.0, -4.0], ORTHANT2, metric, "type_b") == 25.0
 
-    @pytest.mark.parametrize("null_set, alt_set, named", [
-        (ORTHANT2, ZERO2, "cone null against a subspace"),
-        (ORTHANT2, ConeSpec.simple_order(2), "cone null against a cone"),
-        (FULL_SPACE, ORTHANT2, "FULL_SPACE null against a cone"),
-        (ZERO2, FULL_SPACE, "subspace null against a FULL_SPACE alternative"),
-    ], ids=["cone-vs-subspace", "cone-vs-cone", "full-space-null", "subspace-vs-full-space"])
-    def test_undocumented_pairings_are_refused_before_projecting(self, monkeypatch, null_set,
-                                                                 alt_set, named):
-        """These used to raise InternalInvariantError ("distance drop negative
-        beyond tolerance: -1.0") for the caller's input."""
-        def never(*args):
-            raise AssertionError("projected before the pairing was checked")
+    def test_problem_word_is_required_and_checked(self):
+        with pytest.raises(ContractViolationError, match="problem kind"):
+            delta([1.0, -1.0], ORTHANT2, Metric(np.eye(2)), "type_c")
+        with pytest.raises(TypeError):
+            delta([1.0, -1.0], ORTHANT2, Metric(np.eye(2)))
 
-        monkeypatch.setattr(testing_module, "project_cone", never)
-        monkeypatch.setattr(testing_module, "project_subspace", never)
-        with pytest.raises(ContractViolationError, match=named):
-            delta([1.0, -1.0], null_set, alt_set, Metric(np.eye(2)))
-
-    def test_documented_pairings_keep_their_bits(self, rng):
-        """The Moreau form of each documented pairing, to the bit."""
+    def test_matches_the_subspace_projection_oracle(self, rng):
+        """Type A is ||P_C theta - P_L P_C theta||^2 for L = ker R, through the
+        kernel's SVD basis and project_subspace; type B is
+        ||theta - P_C theta||^2."""
         for k in (3, 5):
             metric = Metric(random_spd(rng, k))
-            sub, cone = LinearSubspace.span_of_ones(k), ConeSpec.simple_order(k)
-            for _ in range(10):
-                theta = 3.0 * rng.standard_normal(k)
-                on_cone = metric.norm_sq(project_cone(theta, cone, metric))
-                on_sub = metric.norm_sq(project_subspace(theta, sub, metric))
-                full = metric.norm_sq(theta)
-                assert delta(theta, sub, cone, metric) == max(on_cone - on_sub, 0.0)
-                assert delta(theta, cone, FULL_SPACE, metric) == max(full - on_cone, 0.0)
+            for cone in (ConeSpec.simple_order(k), ConeSpec.tree_order(k)):
+                sub = LinearSubspace.from_constraint(cone.restriction)
+                for _ in range(10):
+                    theta = 3.0 * rng.standard_normal(k)
+                    proj = project_cone(theta, cone, metric)
+                    scale = 1.0 + metric.norm_sq(theta)
+                    on_null = metric.norm_sq(proj - project_subspace(proj, sub, metric))
+                    assert abs(delta(theta, cone, metric, "type_a") - on_null) <= 1e-13 * scale
+                    assert delta(theta, cone, metric, "type_b") == metric.norm_sq(theta - proj)
+
+    @pytest.mark.parametrize("c", [0.0, 1e3, 1e6, 1e9])
+    def test_constant_projection_has_zero_drift(self, c):
+        """The projection of a decreasing theta onto the simple order is
+        constant, so it lies in the null: y = R P_C theta is 0 on every
+        active row, for every shift c along the null up to 1e9. A difference of two squared norms of size c^2 read 512.0
+        at c = 1e9, and called that point consistent with a Type III risk."""
+        theta = np.array([0.3, 0.1, -0.2, -0.4]) + c
+        cone, metric = ConeSpec.simple_order(4), Metric(np.eye(4))
+        assert delta(theta, cone, metric, "type_a") == 0.0
+        check = consistency_region(theta, cone, metric)
+        assert (check.consistent, check.type3_risk) == (False, False)
 
 
 class TestLargeScale:
@@ -639,31 +636,50 @@ class TestLargeScale:
         s, metric = 2.0**40 * np.array([6.0, -3.0]), Metric(np.diag([2.0, 1.0]))
         sub, cone = LinearSubspace.span_of_ones(2), ConeSpec.simple_order(2)
         assert dt_type_a(Statistic(s_n=s, sigma_n=metric, n=50), sub, cone) == 0.0
-        assert delta(s, sub, cone, metric) == 0.0
+        assert delta(s, cone, metric, "type_a") == 0.0
 
 
 class TestConsistencyRegion:
     def test_negative_quadrant_is_blind_spot(self):
         metric = Metric(np.eye(2))
-        check = consistency_region([-1.0, -1.0], ZERO2, ORTHANT2, metric)
+        check = consistency_region([-1.0, -1.0], ORTHANT2, metric)
         assert (check.consistent, check.type3_risk) == (False, False)
 
     def test_mixed_quadrant_risks_wrong_rejection(self):
         metric = Metric(np.eye(2))
-        check = consistency_region([1.0, -1.0], ZERO2, ORTHANT2, metric)
+        check = consistency_region([1.0, -1.0], ORTHANT2, metric)
         assert (check.consistent, check.type3_risk) == (True, True)
 
     def test_inside_cone_consistent_without_risk(self):
         metric = Metric(np.eye(2))
-        check = consistency_region([1.0, 2.0], ZERO2, ORTHANT2, metric)
+        check = consistency_region([1.0, 2.0], ORTHANT2, metric)
         assert (check.consistent, check.type3_risk) == (True, False)
+
+    @pytest.mark.parametrize("theta, consistent, type3_risk", [
+        ([1e-7, -1.0], True, True),
+        ([1e-9, -1.0], False, False),
+        ([1.0, -1e-7], True, True),
+        ([1.0, -1e-9], True, False),
+    ])
+    def test_drift_thresholds_are_1e_minus_16(self, theta, consistent, type3_risk):
+        """On the 2-d orthant with Sigma = I the type A drift is the sum of
+        the positive parts squared and the type B drift that of the negative
+        parts: 1e-14 is past the (1e-8)^2 threshold and 1e-18 is not. A
+        threshold of (1e-6)^2 on either would flip a True here."""
+        metric = Metric(np.eye(2))
+        for problem, part in (("type_a", np.maximum), ("type_b", np.minimum)):
+            want = float(np.sum(part(theta, 0.0) ** 2))
+            assert delta(theta, ORTHANT2, metric, problem) == pytest.approx(want, rel=1e-12,
+                                                                            abs=0.0)
+        check = consistency_region(theta, ORTHANT2, metric)
+        assert (check.consistent, check.type3_risk) == (consistent, type3_risk)
 
     def test_agrees_with_polar_membership(self, rng):
         for _ in range(40):
             sigma = random_spd(rng, 2)
             metric = Metric(sigma)
             theta = rng.standard_normal(2) * 1.5
-            check = consistency_region(theta, ZERO2, ORTHANT2, metric)
+            check = consistency_region(theta, ORTHANT2, metric)
             assert check.consistent == (not in_polar_orthant(theta, np.eye(2), metric))
 
     def test_polar_points_are_not_consistent_seeded_sweep(self):
@@ -676,13 +692,13 @@ class TestConsistencyRegion:
         rng = np.random.default_rng(60002)
         n_polar = 0
         for p in (2, 3, 4):
-            sub, cone = LinearSubspace.zero(p), ConeSpec.orthant(p)
+            cone = ConeSpec.orthant(p)
             for _ in range(2000):
                 metric = Metric(random_spd(rng, p))
                 theta = rng.standard_normal(p) * 1.5
                 polar = in_polar_orthant(theta, np.eye(p), metric)
                 n_polar += polar
-                check = consistency_region(theta, sub, cone, metric)
+                check = consistency_region(theta, cone, metric)
                 assert check.consistent == (not polar), (p, theta.tolist())
         assert n_polar > 600
 
@@ -696,13 +712,13 @@ class TestConsistencyRegion:
         rng = np.random.default_rng(60003)
         n_split = 0
         for k in (2, 3, 4, 5, 6):
-            sub, cone = LinearSubspace.span_of_ones(k), ConeSpec.simple_order(k)
+            cone = ConeSpec.simple_order(k)
             for i in range(400):
                 w = np.ones(k) if i % 2 else rng.uniform(0.2, 3.0, k)
                 theta = rng.standard_normal(k) * 2
                 split = simple_order_consistency(WeightedSeries(theta, w)).consistent
                 n_split += split
-                check = consistency_region(theta, sub, cone, Metric(np.diag(1.0 / w)))
+                check = consistency_region(theta, cone, Metric(np.diag(1.0 / w)))
                 assert check.consistent == split, (k, w.tolist(), theta.tolist())
         assert 200 < n_split < 1800
 
@@ -723,27 +739,19 @@ class TestConsistencyRegion:
         """The test separates iff the cone projection leaves the equal-means line."""
         k = len(theta)
         metric = Metric(np.eye(k))
-        check = consistency_region(theta, LinearSubspace.span_of_ones(k), cone, metric)
+        check = consistency_region(theta, cone, metric)
         proj = project_cone(theta, cone, metric)
         assert check.consistent == consistent == bool(np.ptp(proj) > 1e-8)
 
-    def test_null_must_lie_in_the_cone(self):
-        """The distance from the cone projection to the null is the drift only
-        when the null lies in the cone."""
-        sub = LinearSubspace.from_basis(np.array([[1.0], [0.0]]))
-        with pytest.raises(ContractViolationError, match="not contained in the cone"):
-            consistency_region([-1.0, 1.0], sub, ORTHANT2, Metric(np.eye(2)))
-
     def test_matches_split_checker_through_drift(self, rng):
         """Simple-order split fires exactly when the drift is positive."""
-        sub = LinearSubspace.span_of_ones(4)
         cone = ConeSpec.simple_order(4)
         for _ in range(60):
             k = 4
             w = rng.uniform(0.3, 2.0, size=k)
             theta = rng.standard_normal(k) * 2
             metric = Metric(np.diag(1.0 / w))
-            drift = delta(theta, sub, cone, metric)
+            drift = delta(theta, cone, metric, "type_a")
             split = simple_order_consistency(WeightedSeries(theta, w))
             assert split.consistent == (drift > 1e-8)
 
@@ -795,12 +803,13 @@ class TestAsymptoticBehavior:
 class TestNearSingularSigma:
     def test_only_library_errors_and_no_warning(self):
         """Sigma = Q diag(1, ..., 1, eps) Q' at p = 3..7 for eps = 1e-2 down
-        to 1e-16, on the orthant and the simple order (320 calls). Roundoff
-        then pushes conditioned correlations past +-1, makes a correlation
-        matrix or an operator block singular, and breaks the projector's KKT
-        check by the roundoff of its cancelled terms: each must end in an
-        OrderSafeError, never a RuntimeWarning, a LinAlgError or an internal
-        error. At cond(Sigma) = 1e2 every call answers."""
+        to 1e-16, on the orthant and the simple order (320 inputs), each
+        through safe_test, delta of both problems and consistency_region.
+        Roundoff then pushes conditioned correlations past +-1, makes a
+        correlation matrix or an operator block singular, and breaks the
+        projector's KKT check by the roundoff of its cancelled terms: each
+        must end in an OrderSafeError, never a RuntimeWarning, a LinAlgError
+        or an internal error. At cond(Sigma) = 1e2 every call answers."""
         outcomes = []
         for p in range(3, 8):
             for seed in range(4):
@@ -812,18 +821,24 @@ class TestNearSingularSigma:
                                       (LinearSubspace.span_of_ones(p),
                                        ConeSpec.simple_order(p))):
                         s = rng.standard_normal(p)
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("error", RuntimeWarning)
-                            try:
-                                stat = Statistic(s_n=s, sigma_n=Metric(sigma), n=50)
-                                safe_test(stat, sub, cone, 0.05, 0.05,
-                                          WeightConfig(n_draws=2000))
-                                outcomes.append((e, "ok"))
-                            except OrderSafeError as exc:
-                                assert not isinstance(exc, InternalInvariantError), exc
-                                outcomes.append((e, type(exc).__name__))
-        assert len(outcomes) == 320
-        assert [kind for e, kind in outcomes if e == 1] == ["ok"] * 40
+                        metric = Metric(sigma)
+                        for call in (
+                            lambda: safe_test(Statistic(s_n=s, sigma_n=metric, n=50), sub,
+                                              cone, 0.05, 0.05, WeightConfig(n_draws=2000)),
+                            lambda: delta(s, cone, metric, "type_a"),
+                            lambda: delta(s, cone, metric, "type_b"),
+                            lambda: consistency_region(s, cone, metric),
+                        ):
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("error", RuntimeWarning)
+                                try:
+                                    call()
+                                    outcomes.append((e, "ok"))
+                                except OrderSafeError as exc:
+                                    assert not isinstance(exc, InternalInvariantError), exc
+                                    outcomes.append((e, type(exc).__name__))
+        assert len(outcomes) == 4 * 320
+        assert [kind for e, kind in outcomes if e == 1] == ["ok"] * 160
 
     @pytest.mark.parametrize("case, message", [
         ("rho", r"singular in floating point, cond\(G\) = 9.85e\+16"),

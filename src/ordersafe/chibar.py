@@ -5,9 +5,10 @@ is distributed as a mixture of chi-square laws whose weights are the
 probabilities of landing on a face of each dimension. This module provides
 the closed-form weights for two-dimensional orthants, exact weights up to
 p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with Plackett's orthant
-reduction (weights_exact, deterministic), Monte Carlo weight estimation by
-face counting (weights_monte_carlo, on request at any p, and the oracle the
-exact weights are tested against), the one rule that picks among them
+reduction (weights_exact, deterministic, in quadrature passes of 16, 32,
+64 and 128 nodes), Monte Carlo weight estimation by face counting
+(weights_monte_carlo, on request at any p, and the oracle the exact
+weights are tested against), the one rule that picks among them
 (orthant_weights), upper/joint tails, attained_level, and critical values.
 
 A critical value is the point a plain bisection returns: bracket doubling
@@ -56,7 +57,6 @@ from .errors import (
     CapabilityError,
     ContractViolationError,
     InfeasibleLevelError,
-    InternalInvariantError,
     NumericError,
 )
 from .geometry import Metric, _Workspace, _orthant_blocks, _orthant_operators
@@ -71,10 +71,8 @@ DEFAULT_MC_DRAWS = 1_000_000
 #: (one core, one BLAS thread).
 EXACT_MAX_DIM = 8
 
-#: Gauss-Legendre nodes per Plackett integral on the first pass of weights_exact.
-EXACT_NODES = 16
-
-_EXACT_MAX_NODES = 128
+# Gauss-Legendre nodes per Plackett integral on each pass of weights_exact
+_NODE_COUNTS = (16, 32, 64, 128)
 _EXACT_TOL = 1e-13
 # node rows, (matrix, pair) times nodes, in one chunk of the orthant
 # reduction: each float64 node buffer of a chunk holds at most 128 KiB
@@ -271,7 +269,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 # Index and node tables of the exact weights, built on first use and shared
 # read-only; importing the module builds none of them. Their keys are bounded
-# (n <= _EXACT_MAX_NODES, p <= EXACT_MAX_DIM), so the caches are too.
+# (n in _NODE_COUNTS, p <= EXACT_MAX_DIM), so the caches are too.
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,15 +448,14 @@ def weights_exact(psi) -> ChiBarWeights:
 
     Only the correlation of psi matters. Orthant probabilities of dimension
     four and up are Plackett integrals evaluated by Gauss-Legendre
-    quadrature, starting from EXACT_NODES nodes and doubling the count until
-    the identities sum_j w_j = 1 and sum_j (-1)^j w_j = 0 both hold to 1e-13.
-    The weights are never renormalised: a psi that still misses the
-    identities at _EXACT_MAX_NODES nodes (correlations very near +-1), or
-    whose weights are not finite, raises NumericError, and its weights are
-    left to Monte Carlo, as does a psi whose correlation matrix is singular
-    in floating point. A breach of the identities by more than 1e-12 in
-    the weights returned raises InternalInvariantError. p above
-    EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes about
+    quadrature, in one pass per node count of _NODE_COUNTS = (16, 32, 64,
+    128). The first pass whose weights meet sum_j w_j = 1 and
+    sum_j (-1)^j w_j = 0 to 1e-13 returns them; they are never
+    renormalised. NumericError is raised, and the weights left to Monte
+    Carlo, by the first pass whose weights are not finite, by a 128-node
+    pass that still misses the identities (correlations very near +-1),
+    and by a correlation matrix or face block singular in floating point.
+    p above EXACT_MAX_DIM raises CapabilityError: one 16-node pass takes about
     0.7 s at p = 9 and 11 s at p = 10, nearly all of it in the Plackett
     integrals, and each doubling multiplies that by about 12.
 
@@ -482,13 +479,11 @@ def weights_exact(psi) -> ChiBarWeights:
         prec = np.linalg.inv(corr)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"psi is singular in floating point ({exc})") from exc
-    n_nodes = EXACT_NODES
-    while True:
-        nodes = _gauss_legendre(n_nodes)
+    for n_nodes in _NODE_COUNTS:
         # roundoff past |rho| = 1 or below a zero variance gives NaN, checked below
         try:
             with np.errstate(invalid="ignore"):
-                w = _kudo_weights(corr, prec, nodes)
+                w = _kudo_weights(corr, prec, _gauss_legendre(n_nodes))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"a face block of psi is singular in floating point ({exc})") from exc
         residual = _identity_residual(w)
@@ -498,18 +493,11 @@ def weights_exact(psi) -> ChiBarWeights:
                 "use weights_monte_carlo"
             )
         if residual <= _EXACT_TOL:
-            break
-        if n_nodes >= _EXACT_MAX_NODES:
-            raise NumericError(
-                f"exact weights missed the sum and parity identities by {residual:.3g} "
-                f"at {n_nodes} quadrature nodes; use weights_monte_carlo"
-            )
-        n_nodes *= 2
-    if residual > 1e-12:
-        raise InternalInvariantError(
-            f"exact weights break the sum and parity identities by {residual!r}"
-        )
-    return ChiBarWeights(w=w, source="exact")
+            return ChiBarWeights(w=w, source="exact")
+    raise NumericError(
+        f"exact weights missed the sum and parity identities by {residual:.3g} "
+        f"at {n_nodes} quadrature nodes; use weights_monte_carlo"
+    )
 
 
 def orthant_weights(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAULT_SEED) -> ChiBarWeights:

@@ -346,7 +346,13 @@ class ConsistencyCheck:
 
 def consistency_region(theta, cone: ConeSpec, metric: Metric) -> ConsistencyCheck:
     """Classify theta by its type A drift, and its type B drift for the Type
-    III regime, each positive past (1e-8)^2."""
-    consistent = delta(theta, cone, metric, "type_a") > 1e-8 ** 2
-    type3_risk = consistent and delta(theta, cone, metric, "type_b") > 1e-8 ** 2
+    III regime, each positive past (1e-8)^2 s. s = (R theta)' G^-1 (R theta),
+    G = R sigma R', is theta's own squared distance from ker R: it scales
+    with theta as both drifts do and, like them, ignores shifts along ker R."""
+    drift_a = delta(theta, cone, metric, "type_a")
+    r = cone.as_polyhedral()
+    s = Metric(r @ metric.sigma @ r.T).norm_sq(r @ np.asarray(theta, dtype=float))
+    floor = 1e-8 ** 2 * s
+    consistent = drift_a > floor
+    type3_risk = consistent and delta(theta, cone, metric, "type_b") > floor
     return ConsistencyCheck(consistent=consistent, type3_risk=type3_risk)

@@ -166,6 +166,16 @@ class TestMonteCarloWeights:
         with pytest.raises(NumericError, match=r"parity identity by -0\.99 .*cond 1\.22e\+16"):
             orthant_weights(PARITY_PSI)
 
+    def test_the_parity_bound_is_six_standard_errors(self):
+        """The bound is |N sum_j (-1)^j w_j| <= 6 sqrt(N). PARITY_PSI at
+        N = 400 reads -398, 19.9 standard errors, which a bound of 60 would
+        pass. Psi = I at p = 3, N = 64, seed 9272 reads -34, 4.25 standard
+        errors: chance, which a bound of 4 would refuse."""
+        with pytest.raises(NumericError, match=r"by -0\.995 \(19\.9 standard errors\)"):
+            weights_monte_carlo(PARITY_PSI, n_draws=400, seed=1729)
+        w = weights_monte_carlo(np.eye(3), n_draws=64, seed=9272)
+        assert round(64 * (w.w @ (-1.0) ** np.arange(4))) == -34
+
     def test_three_dimensional_weights_sum_to_one(self, rng):
         sigma = random_spd(rng, 3)
         w = weights_monte_carlo(sigma, n_draws=50_000, seed=5)
@@ -240,6 +250,22 @@ class TestExactWeights:
         monkeypatch.setattr(chibar, "_kudo_weights", lambda corr, prec, nodes: np.full(5, np.nan))
         with pytest.raises(NumericError, match="not finite"):
             weights_exact(np.eye(4))
+
+    @pytest.mark.parametrize("psi, passes", [
+        (np.eye(3), [16]),
+        (equicorrelation(7, 0.99), [16, 32, 64]),
+    ])
+    def test_node_schedule_exits(self, monkeypatch, psi, passes):
+        """Each pass runs once, in order, and the first to meet the identities
+        returns. A psi that misses them at every pass is
+        test_monte_carlo_where_the_exact_quadrature_fails."""
+        kudo, seen = chibar._kudo_weights, []
+        def counted(corr, prec, nodes):
+            seen.append(nodes[0].size)
+            return kudo(corr, prec, nodes)
+        monkeypatch.setattr(chibar, "_kudo_weights", counted)
+        assert weights_exact(psi).source == "exact"
+        assert seen == passes
 
     @pytest.mark.parametrize("p", range(3, 8))
     @pytest.mark.parametrize("order", ["simple", "tree"])
@@ -496,7 +522,8 @@ class TestOrthantWeights:
 
     def test_monte_carlo_where_the_exact_quadrature_fails(self):
         psi = equicorrelation(4, 1.0 - 1e-6)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="missed the sum and parity identities "
+                                               "by .* at 128 quadrature nodes"):
             weights_exact(psi)
         w = orthant_weights(psi, n_draws=500, seed=3)
         assert _same(w, weights_monte_carlo(psi, n_draws=500, seed=3))

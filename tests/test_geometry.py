@@ -46,7 +46,7 @@ def interclass(rho):
 class TestMetric:
     def test_identity_inner_orthogonal_axes(self):
         m = Metric(np.eye(2))
-        assert m.inner([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+        assert m.inner([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_inner_matches_explicit_2x2_inverse(self):
         """Oracle: invert the 2 x 2 interclass matrix by the adjugate formula."""
@@ -158,7 +158,7 @@ class TestConeSpec:
         """The rank tolerance is 1e-10 relative, below this R's ratio 5e-9."""
         r = ConeSpec([[1.0, 0.0], [1.0, 1e-8]]).restriction
         sv = np.linalg.svd(r, compute_uv=False)
-        assert sv[-1] / sv[0] == pytest.approx(5e-9, rel=1e-6)
+        assert sv[-1] / sv[0] == pytest.approx(5e-9, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_restriction_rejected(self, bad):

@@ -674,6 +674,35 @@ class TestConsistencyRegion:
         check = consistency_region(theta, ORTHANT2, metric)
         assert (check.consistent, check.type3_risk) == (consistent, type3_risk)
 
+    def test_thresholds_scale_with_theta(self):
+        """Both thresholds are (1e-8)^2 s, s = (R theta)' G^-1 (R theta), so
+        theta c answers alike at every c = 2^k, k = -30..40: on the 2-d
+        orthant with Sigma = I, (1e-7, -1) c has drifts 1e-14 s and 1 s, and
+        (1e-9, -1) c a type A drift of 1e-18 s. An absolute (1e-8)^2 says
+        (False, False) for the first at c = 1e-2. Below about c = 2^-34 the
+        projector's absolute floor 1e-10 (1 + ||x||) calls theta inside the
+        cone; that floor is not this threshold's."""
+        metric = Metric(np.eye(2))
+        for k in range(-30, 41):
+            for theta, want in (([1e-7, -1.0], (True, True)), ([1e-9, -1.0], (False, False))):
+                check = consistency_region(np.array(theta) * 2.0 ** k, ORTHANT2, metric)
+                assert (check.consistent, check.type3_risk) == want, (k, theta)
+
+    @pytest.mark.parametrize("theta, want", [
+        ([3e-4, 1e-4, -2e-4, -4e-4], (False, False)),
+        ([-4e-4, -2e-4, 1e-4, 3e-4], (True, False)),
+        ([-4e-4, 3e-4, -2e-4, 5e-4], (True, True)),
+    ])
+    def test_null_shifts_keep_the_answer(self, theta, want):
+        """s ignores a shift c 1 along ker R, as both drifts do, so the K = 4
+        simple order answers alike for |c| <= 1e6. A threshold of (1e-8)^2
+        times ||theta + c 1||^2 would read (False, False) for the last two at
+        c = 1e6."""
+        cone, metric = ConeSpec.simple_order(4), Metric(np.eye(4))
+        for c in (0.0, 1.0, 1e3, 1e6, -1e6):
+            check = consistency_region(np.array(theta) + c, cone, metric)
+            assert (check.consistent, check.type3_risk) == want, c
+
     def test_agrees_with_polar_membership(self, rng):
         for _ in range(40):
             sigma = random_spd(rng, 2)

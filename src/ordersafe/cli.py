@@ -86,62 +86,61 @@ def _numeric_array(value, key, path, ndim):
         raise InputError(f"{path}: field {key!r} must be a {shape} of numbers") from None
 
 
-def _cone_and_subspace(doc, dim, path):
+def _cone_and_subspace(doc, dim, where):
     if "restriction" in doc and "order" in doc:
-        raise InputError(f"{path}: give either 'restriction' or 'order', not both")
+        raise InputError(f"{where}: give either 'restriction' or 'order', not both")
     if "restriction" in doc:
-        r = _numeric_array(doc["restriction"], "restriction", path, 2)
-        try:
-            cone = ConeSpec.polyhedral(r)
-            sub = LinearSubspace.from_constraint(r)
-        except OrderSafeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        return cone, sub
-    if "order" in doc:
-        order = doc["order"]
-        try:
-            if order == "simple":
-                cone = ConeSpec.simple_order(dim)
-            elif order == "tree":
-                cone = ConeSpec.tree_order(dim)
-            elif isinstance(order, dict) and set(order) == {"umbrella"}:
-                cone = ConeSpec.umbrella_order(dim, order["umbrella"])
-            else:
-                raise InputError(
-                    f"{path}: 'order' must be 'simple', 'tree', or {{'umbrella': peak}}"
-                )
-        except OrderSafeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        return cone, LinearSubspace.span_of_ones(dim)
-    raise InputError(f"{path}: need a 'restriction' matrix or an 'order' name")
-
-
-def _load_problem(path):
-    """Parse an input document into (statistic, sub, cone, document)."""
-    doc = _load_document(path)
-    if "control" in doc or "treatment" in doc:
-        from .studies import ContingencyTable2xK, build_stochastic_order
-
-        control = _require(doc, "control", list, path)
-        treatment = _require(doc, "treatment", list, path)
-        labels = _require(doc, "labels", list, path) if "labels" in doc else None
-        try:
-            table = ContingencyTable2xK(control, treatment, labels)
-            problem = build_stochastic_order(table)
-        except OrderSafeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        stat, sub, cone = problem.statistic(), problem.subspace(), problem.cone()
+        r = _numeric_array(doc["restriction"], "restriction", where, 2)
+        return ConeSpec.polyhedral(r), LinearSubspace.from_constraint(r)
+    if "order" not in doc:
+        raise InputError(f"{where}: need a 'restriction' matrix or an 'order' name")
+    order = doc["order"]
+    if order == "simple":
+        cone = ConeSpec.simple_order(dim)
+    elif order == "tree":
+        cone = ConeSpec.tree_order(dim)
+    elif isinstance(order, dict) and set(order) == {"umbrella"}:
+        cone = ConeSpec.umbrella_order(dim, order["umbrella"])
     else:
-        s_n = _numeric_array(_require(doc, "s_n", list, path), "s_n", path, 1)
-        sigma = _numeric_array(_require(doc, "sigma_n", list, path), "sigma_n", path, 2)
-        n = _require(doc, "n", int, path)
-        try:
-            metric = Metric(sigma)
-            stat = Statistic(s_n=s_n, sigma_n=metric, n=n)
-        except OrderSafeError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        cone, sub = _cone_and_subspace(doc, s_n.size, path)
-    return stat, sub, cone, doc
+        raise InputError(f"{where}: 'order' must be 'simple', 'tree', or {{'umbrella': peak}}")
+    return cone, LinearSubspace.span_of_ones(dim)
+
+
+def _problem(doc, where):
+    """(statistic, sub, cone) of a problem document, read from a file or a
+    built-in case; where the library refuses it, that is an input error."""
+    try:
+        if "control" in doc or "treatment" in doc:
+            from .studies import ContingencyTable2xK, build_stochastic_order
+
+            control = _require(doc, "control", list, where)
+            treatment = _require(doc, "treatment", list, where)
+            labels = _require(doc, "labels", list, where) if "labels" in doc else None
+            problem = build_stochastic_order(ContingencyTable2xK(control, treatment, labels))
+            return problem.statistic(), problem.subspace(), problem.cone()
+        s_n = _numeric_array(_require(doc, "s_n", list, where), "s_n", where, 1)
+        sigma = _numeric_array(_require(doc, "sigma_n", list, where), "sigma_n", where, 2)
+        n = _require(doc, "n", int, where)
+        stat = Statistic(s_n=s_n, sigma_n=Metric(sigma), n=n)
+        cone, sub = _cone_and_subspace(doc, s_n.size, where)
+        return stat, sub, cone
+    except OrderSafeError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def _case_document(name):
+    """A built-in case as (the document an --input file would hold, its report echo)."""
+    from .studies import CS_TABLE5, CS_TABLE6, doubled_table, silvapulle_case
+
+    if name == "silvapulle":
+        stat, _ = silvapulle_case()
+        doc = {"s_n": stat.s_n.tolist(), "sigma_n": stat.sigma_n.sigma.tolist(), "n": stat.n}
+        return {**doc, "restriction": [[1.0, 0.0], [0.0, 1.0]]}, {"case": name, **doc}
+    table = {"cs-table5": CS_TABLE5, "cs-table6": CS_TABLE6,
+             "cs-table5-doubled": doubled_table(CS_TABLE5)}[name]
+    doc = {"control": list(table.control), "treatment": list(table.treatment),
+           "labels": list(table.labels)}
+    return doc, {"case": name, **doc}
 
 
 def _levels_and_config(doc, args, where):
@@ -158,27 +157,6 @@ def _levels_and_config(doc, args, where):
             n_draws=n_draws, seed=seed)
     except OrderSafeError as exc:
         raise InputError(f"{where}: {exc}") from exc
-
-
-def _case_problem(name):
-    """Parse a built-in case into (statistic, sub, cone, inputs echo)."""
-    from .studies import (CS_TABLE5, CS_TABLE6, build_stochastic_order, doubled_table,
-                          silvapulle_case)
-
-    if name == "silvapulle":
-        stat, _ = silvapulle_case()
-        sub = LinearSubspace.zero(2)
-        cone = ConeSpec.orthant(2)
-        echo = {"case": name, "s_n": stat.s_n.tolist(), "n": stat.n,
-                "sigma_n": stat.sigma_n.sigma.tolist()}
-    else:
-        table = {"cs-table5": CS_TABLE5, "cs-table6": CS_TABLE6,
-                 "cs-table5-doubled": doubled_table(CS_TABLE5)}[name]
-        problem = build_stochastic_order(table)
-        stat, sub, cone = problem.statistic(), problem.subspace(), problem.cone()
-        echo = {"case": name, "control": list(table.control),
-                "treatment": list(table.treatment), "labels": list(table.labels)}
-    return stat, sub, cone, echo
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +253,13 @@ def _composite_problem(args):
     if args.case is not None and args.input is not None:
         raise InputError("give either --input FILE or --case NAME, not both")
     if args.case is not None:
-        stat, sub, cone, echo = _case_problem(args.case)
-        doc, where = {}, args.case
+        doc, echo = _case_document(args.case)
     elif args.input is not None:
-        stat, sub, cone, doc = _load_problem(args.input)
-        echo, where = doc, args.input
+        doc = echo = _load_document(args.input)
     else:
         raise InputError("provide --input FILE or --case NAME")
-    return (stat, sub, cone, echo) + _levels_and_config(doc, args, where)
+    where = args.case or args.input
+    return (*_problem(doc, where), echo, *_levels_and_config(doc, args, where))
 
 
 def cmd_safe_test(args) -> int:
@@ -323,28 +300,7 @@ def cmd_power(args) -> int:
         alpha=args.alpha if args.alpha is not None else 0.05,
         gammas=gammas, ns=ns, mean_labels=means, workers=args.workers,
     )
-    if args.format == "json":
-        text = dumps_report(rows)
-    else:
-        text = _rows_to_csv(rows, _POWER_COLUMNS)
-    _write_out(args.out, text)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
-
-
-def _rows_to_csv(rows, columns) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
-    return buf.getvalue()
+    return _emit(args, rows, rows, _POWER_COLUMNS, f"{len(rows)} rows")
 
 
 def cmd_weights(args) -> int:
@@ -374,19 +330,33 @@ def cmd_weights(args) -> int:
             "n_draws": n_draws,
             "seed": seed,
         })
+    payload = {"weights": [float(x) for x in est.w], "n_draws": n_draws,
+               "seed": seed, "version": __version__}
+    if closed is not None:
+        payload["closed_form"] = [float(x) for x in closed.w]
+    return _emit(args, payload, rows, ("j", "weight", "closed_form", "n_draws", "seed"),
+                 "weights")
+
+
+def _emit(args, payload, rows, columns, what) -> int:
+    """payload as JSON or rows as CSV, per --format: to --out, else to stdout."""
     if args.format == "json":
-        payload = {"weights": [float(x) for x in est.w], "n_draws": n_draws,
-                   "seed": seed, "version": __version__}
-        if closed is not None:
-            payload["closed_form"] = [float(x) for x in closed.w]
         text = dumps_report(payload)
     else:
-        text = _rows_to_csv(rows, ("j", "weight", "closed_form", "n_draws", "seed"))
-    _write_out(args.out, text)
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row[c] for c in columns])
+        text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
     else:
-        print(f"wrote weights to {args.out}")
+        _write_out(args.out, text)
+        print(f"wrote {what} to {args.out}")
     return EXIT_OK
 
 

@@ -311,6 +311,21 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
     )
 
 
+def _checked(theta, cone, metric):
+    """theta as a float vector and the R of cone, checked against metric."""
+    theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
+    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
+    if r.shape[1] != metric.dim:
+        raise ContractViolationError("cone and metric dimensions disagree")
+    return theta, r
+
+
+def _type_a_drift(r, proj, lam, g):
+    y = r @ proj
+    y[lam > 0] = 0.0
+    return g.norm_sq(y)
+
+
 def delta(theta, cone: ConeSpec, metric: Metric, problem: str) -> float:
     """Population drift at theta of the type A or type B distance test (the
     problem word of p_value): the statistic grows like n times it, and
@@ -318,17 +333,12 @@ def delta(theta, cone: ConeSpec, metric: Metric, problem: str) -> float:
     multipliers lam: type B is ||theta - P_C theta||^2; type A is
     d(P_C theta, ker R)^2 = y' G^-1 y with y = R P_C theta, G = R sigma R',
     and y exactly 0 on the rows where lam > 0 (complementarity)."""
-    theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
-    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
-    if r.shape[1] != metric.dim:
-        raise ContractViolationError("cone and metric dimensions disagree")
+    theta, r = _checked(theta, cone, metric)
     problem = check.choice(problem, ("type_a", "type_b"), "problem kind")
     proj, lam = _dual_active_set(theta, r, metric)
     if problem == "type_b":
         return metric.norm_sq(theta - proj)
-    y = r @ proj
-    y[lam > 0] = 0.0
-    return Metric(r @ metric.sigma @ r.T).norm_sq(y)
+    return _type_a_drift(r, proj, lam, Metric(r @ metric.sigma @ r.T))
 
 
 @dataclass(frozen=True)
@@ -348,11 +358,19 @@ def consistency_region(theta, cone: ConeSpec, metric: Metric) -> ConsistencyChec
     """Classify theta by its type A drift, and its type B drift for the Type
     III regime, each positive past (1e-8)^2 s. s = (R theta)' G^-1 (R theta),
     G = R sigma R', is theta's own squared distance from ker R: it scales
-    with theta as both drifts do and, like them, ignores shifts along ker R."""
-    drift_a = delta(theta, cone, metric, "type_a")
-    r = cone.as_polyhedral()
-    s = Metric(r @ metric.sigma @ r.T).norm_sq(r @ np.asarray(theta, dtype=float))
-    floor = 1e-8 ** 2 * s
-    consistent = drift_a > floor
-    type3_risk = consistent and delta(theta, cone, metric, "type_b") > floor
+    with theta as both drifts do and, like them, ignores shifts along ker R.
+    Both drifts and s come from one projection and one factorization of G.
+
+    theta is on ker R, so not consistent, where every |(R theta)_i| is at
+    most (m + 1) u (|R| |theta|)_i, u = 2^-53 and m = len(theta): to first
+    order in u, that bounds R theta for a kernel vector whose entries were
+    rounded to doubles (u) and then multiplied out in m-term sums (m u)."""
+    theta, r = _checked(theta, cone, metric)
+    proj, lam = _dual_active_set(theta, r, metric)
+    g = Metric(r @ metric.sigma @ r.T)
+    r_theta = r @ theta
+    on_null = (abs(r_theta) <= (theta.size + 1) * 2.0**-53 * (abs(r) @ abs(theta))).all()
+    floor = 1e-8 ** 2 * g.norm_sq(r_theta)
+    consistent = not on_null and _type_a_drift(r, proj, lam, g) > floor
+    type3_risk = consistent and metric.norm_sq(theta - proj) > floor
     return ConsistencyCheck(consistent=consistent, type3_risk=type3_risk)

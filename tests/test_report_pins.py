@@ -1,12 +1,13 @@
 """CLI reports pinned byte for byte against committed golden files.
 
-The invocations reach every ConeSpec constructor (orthant, simple, tree,
-umbrella and polyhedral orders) and every LinearSubspace constructor
-(zero, from_basis through span_of_ones, from_constraint). Each pin
-compares the --out report and the printed summary with the files under
-tests/golden/; one more pins the CSV of a two-mean power grid at one, two
-and three workers. To regenerate them after an intended change of output,
-run
+The invocations reach the simple, tree, umbrella and polyhedral cones and
+the two nulls the CLI builds, span_of_ones (through from_basis) and
+from_constraint; every built-in case is a document read like an --input
+file, so the CLI no longer reaches LinearSubspace.zero, which the bench and
+other tests still call. Each pin compares the --out report and the printed
+summary with the files under tests/golden/; one more pins the CSV of a
+two-mean power grid at one, two and three workers. To regenerate them after
+an intended change of output, run
 
     PYTHONPATH=src python tests/test_report_pins.py
 """
@@ -57,6 +58,15 @@ PINS = {
     **{f"input-{name}": ["safe-test", "--input", f"{name}.json"] for name in DOCUMENTS},
 }
 
+_LABELS = ["Worse", "Same", "Better"]
+#: The document each built-in case stands for, written out as an --input file would hold it.
+CASE_DOCUMENTS = {
+    "silvapulle": {"s_n": [-3.0, -2.0], "sigma_n": [[1.0, 0.9], [0.9, 1.0]], "n": 5,
+                   "restriction": [[1.0, 0.0], [0.0, 1.0]]},
+    "cs-table5": {"control": [5, 11, 1], "treatment": [3, 8, 4], "labels": _LABELS},
+    "cs-table6": {"control": [0, 16, 1], "treatment": [8, 3, 4], "labels": _LABELS},
+    "cs-table5-doubled": {"control": [10, 22, 2], "treatment": [6, 16, 8], "labels": _LABELS},
+}
 
 #: 18 cells of 40 000 replications: three chunks per cell, the last one partial.
 POWER_PIN = ["power", "--reps", "40000", "--seed", "7", "--means", "theta0,theta5"]
@@ -81,6 +91,27 @@ def test_report_matches_golden_bytes(name, tmp_path):
     assert code == EXIT_OK
     assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert summary == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASE_DOCUMENTS))
+def test_case_document_through_input_matches_the_case(name, tmp_path):
+    """safe-test --input on a case's document reports what case NAME reports
+    (its golden files) in every key but the echoed inputs, and prints the
+    same summary; the case echoes its name and the document, less the
+    silvapulle restriction."""
+    doc = CASE_DOCUMENTS[name]
+    path, out = tmp_path / f"{name}.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    summary = io.StringIO()
+    with contextlib.redirect_stdout(summary):
+        assert main(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_OK
+    got = json.loads(out.read_text(encoding="utf-8"))
+    want = json.loads((GOLDEN / f"case-{name}.json").read_text(encoding="utf-8"))
+    assert got.pop("inputs") == doc
+    assert want.pop("inputs") == {"case": name, **{k: v for k, v in doc.items()
+                                                    if k != "restriction"}}
+    assert got == want
+    assert summary.getvalue() == (GOLDEN / f"case-{name}.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -238,6 +238,17 @@ class TestDistanceStatistics:
         with pytest.raises(ContractViolationError):
             dt_type_a(gaussian_stat([1.0, 1.0], np.eye(2), 4), sub, ORTHANT2)
 
+    def test_null_off_the_kernel_by_1e_minus_6_rejected(self):
+        """(1, 1 + 1e-6) has the kernel's dimension under the simple order
+        but leaves it: R b = 1e-6 is past the containment bound 2e-8, so both
+        type A entry points refuse it. A bound of 1e-4 (1 + max|R|) would
+        take it for the span of ones."""
+        sub = LinearSubspace.from_basis(np.array([[1.0], [1.0 + 1e-6]]))
+        stat, cone = gaussian_stat([0.3, 0.1], np.eye(2), 4), ConeSpec.simple_order(2)
+        for call in (lambda: dt_type_a(stat, sub, cone), lambda: resolve_weights(stat, sub, cone)):
+            with pytest.raises(ContractViolationError, match="not contained in the cone"):
+                call()
+
     @pytest.mark.parametrize("order", ["simple", "tree", "umbrella"])
     def test_distances_match_the_orthant_reduction(self, order):
         """With z = R s and G = R sigma R', dt_type_b is n |z - P z|^2 and
@@ -702,6 +713,22 @@ class TestConsistencyRegion:
         for c in (0.0, 1.0, 1e3, 1e6, -1e6):
             check = consistency_region(np.array(theta) + c, cone, metric)
             assert (check.consistent, check.type3_risk) == want, c
+
+    def test_kernel_vectors_up_to_roundoff_are_not_consistent(self):
+        """theta = N v for the SVD kernel basis N of a random 2 x 4 R leaves
+        R theta of about 1e-16, at most 1.82 u (|R| |theta|)_i here, within
+        the (m + 1) u = 5 u of the rule. Its projection is theta and its
+        drift equals s, which passed (1e-8)^2 s and read (True, False)."""
+        rng = np.random.default_rng(1)
+        r = rng.standard_normal((2, 4))
+        cone, metric = ConeSpec.polyhedral(r), Metric(np.eye(4))
+        basis = geometry_module._null_space(r)
+        for _ in range(5):
+            theta = basis @ rng.standard_normal(2)
+            assert np.all(np.abs(r @ theta) <= 1.82 * 2.0**-53 * (np.abs(r) @ np.abs(theta)))
+            assert (r @ theta).any()
+            check = consistency_region(theta, cone, metric)
+            assert (check.consistent, check.type3_risk) == (False, False)
 
     def test_agrees_with_polar_membership(self, rng):
         for _ in range(40):

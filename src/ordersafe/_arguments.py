@@ -57,10 +57,10 @@ def level(value, name: str) -> float:
     return v
 
 
-def array(x, name: str, ndim, finite: bool = True, rows: int | None = None) -> np.ndarray:
+def array(x, name: str, ndim: int, finite: bool = True, rows: int | None = None) -> np.ndarray:
     """A read-only, C-ordered float copy of x with ndim dimensions (the
-    matrix rule at ndim 2; a tuple admits each) and, if rows is given, rows
-    entries along its first axis, checked to be finite unless finite is False."""
+    matrix rule at ndim 2) and, if rows is given, rows entries along its
+    first axis, checked to be finite unless finite is False."""
     try:
         a = np.asarray(x)
     except ValueError as exc:  # ragged nesting
@@ -71,10 +71,8 @@ def array(x, name: str, ndim, finite: bool = True, rows: int | None = None) -> n
     if not isinstance(x, np.ndarray) and any(
             isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
         raise ContractViolationError(f"{name} must hold numbers, not bool values")
-    dims = ndim if isinstance(ndim, tuple) else (ndim,)
-    if a.ndim not in dims:
-        want = " or ".join(f"{d}-d" for d in dims)
-        raise ContractViolationError(f"{name} must be a {want} array, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise ContractViolationError(f"{name} must be a {ndim}-d array, got shape {a.shape}")
     if rows is not None and a.shape[0] != rows:
         raise ContractViolationError(f"{name} has length {a.shape[0]}, expected {rows}")
     a = np.array(a, dtype=float, order="C")

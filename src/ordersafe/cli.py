@@ -91,7 +91,7 @@ def _cone_and_subspace(doc, dim, where):
         raise InputError(f"{where}: give either 'restriction' or 'order', not both")
     if "restriction" in doc:
         r = _numeric_array(doc["restriction"], "restriction", where, 2)
-        return ConeSpec.polyhedral(r), LinearSubspace.from_constraint(r)
+        return ConeSpec(r), LinearSubspace.from_constraint(r)
     if "order" not in doc:
         raise InputError(f"{where}: need a 'restriction' matrix or an 'order' name")
     order = doc["order"]

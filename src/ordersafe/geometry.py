@@ -64,11 +64,11 @@ def _column_norms(xt, out) -> np.ndarray:
 class Metric:
     """An SPD matrix with a cached Cholesky factorization.
 
-    Defines the inner product <u, v> = u' sigma^{-1} v and the associated
-    norm. The factorization is computed once at construction; a matrix that
-    is not symmetric positive definite is rejected outright rather than
-    repaired, because silent regularization would corrupt every p-value
-    computed downstream.
+    Defines the inner product <u, v> = u' sigma^{-1} v and its squared norm.
+    The Cholesky factor chol_lower (read-only, sigma = L L') is computed once
+    at construction; a matrix that is not symmetric positive definite is
+    rejected outright rather than repaired, because silent regularization
+    would corrupt every p-value computed downstream.
     """
 
     sigma: np.ndarray
@@ -93,43 +93,27 @@ class Metric:
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"sigma is not positive definite: {exc}") from exc
         chol.setflags(write=False)
-        object.__setattr__(self, "_chol_lower", chol)
+        object.__setattr__(self, "chol_lower", chol)
 
     @property
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    @property
-    def chol_lower(self) -> np.ndarray:
-        """Lower-triangular L with sigma = L L'."""
-        return self._chol_lower
-
-    def solve(self, v):
-        """sigma^{-1} v for a vector or matrix v of dim rows: L y = v, then L' x = y."""
-        return self._solve(check.array(v, "v", (1, 2), rows=self.dim))
-
     def _solve(self, v):
-        return np.linalg.solve(self._chol_lower.T, np.linalg.solve(self._chol_lower, v))
+        """sigma^{-1} v for a checked vector or matrix v: L y = v, then L' x = y."""
+        return np.linalg.solve(self.chol_lower.T, np.linalg.solve(self.chol_lower, v))
 
     def inverse(self) -> np.ndarray:
         """Dense sigma^{-1}, obtained by solving against the identity."""
         return self._solve(np.eye(self.dim))
-
-    def inner(self, u, v) -> float:
-        u = check.vector(u, "u", self.dim)
-        v = check.vector(v, "v", self.dim)
-        return float(u @ self._solve(v))
 
     def norm_sq(self, u) -> float:
         """u' sigma^{-1} u as |y|^2 with L y = u: one triangular solve, never negative."""
         u = check.vector(u, "u", self.dim)
         # past about 1e154 the square overflows to inf, which callers reject as non-finite
         with np.errstate(over="ignore"):
-            y = np.linalg.solve(self._chol_lower, u)
+            y = np.linalg.solve(self.chol_lower, u)
             return float(y @ y)
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(max(self.norm_sq(u), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -150,10 +134,6 @@ class ConeSpec:
             raise ContractViolationError(
                 f"restriction must be non-empty and of full row rank, got shape {r.shape}")
         object.__setattr__(self, "restriction", r)
-
-    @classmethod
-    def polyhedral(cls, restriction) -> "ConeSpec":
-        return cls(restriction)
 
     @classmethod
     def orthant(cls, dim: int) -> "ConeSpec":
@@ -192,8 +172,9 @@ class LinearSubspace:
 
     The basis is the one stored matrix: finite, read-only and of full column
     rank (the rule ConeSpec applies to R), checked once at construction, so
-    dim is its number of columns. from_constraint derives an orthonormal
-    basis of a kernel through an SVD; from_basis and zero store their basis.
+    dim is its number of columns. LinearSubspace(B) spans the columns of B;
+    from_constraint derives an orthonormal basis of a kernel through an SVD,
+    and zero and span_of_ones store theirs.
     """
 
     basis: np.ndarray
@@ -210,11 +191,6 @@ class LinearSubspace:
         return cls(_null_space(check.array(a, "constraint", 2)))
 
     @classmethod
-    def from_basis(cls, b) -> "LinearSubspace":
-        """The span of the columns of b, which must be linearly independent."""
-        return cls(b)
-
-    @classmethod
     def zero(cls, m: int) -> "LinearSubspace":
         """The trivial subspace {0} of dimension m."""
         return cls(np.zeros((check.integer(m, 1, "m", "an integer dimension >= 1"), 0)))
@@ -222,7 +198,7 @@ class LinearSubspace:
     @classmethod
     def span_of_ones(cls, m: int) -> "LinearSubspace":
         """The diagonal span{(1, ..., 1)}, the equal-means null space."""
-        return cls.from_basis(np.ones((check.integer(m, 1, "m", "an integer dimension >= 1"), 1)))
+        return cls(np.ones((check.integer(m, 1, "m", "an integer dimension >= 1"), 1)))
 
     @property
     def ambient_dim(self) -> int:

@@ -31,6 +31,7 @@ from .geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
+    _column_norms,
     _dual_active_set,
     project_cone,
     project_subspace,
@@ -362,14 +363,18 @@ def consistency_region(theta, cone: ConeSpec, metric: Metric) -> ConsistencyChec
     Both drifts and s come from one projection and one factorization of G.
 
     theta is on ker R, so not consistent, where every |(R theta)_i| is at
-    most (m + 1) u (|R| |theta|)_i, u = 2^-53 and m = len(theta): to first
-    order in u, that bounds R theta for a kernel vector whose entries were
-    rounded to doubles (u) and then multiplied out in m-term sums (m u)."""
+    most 8 (m + 1) u ||r_i|| ||theta||, u = 2^-53, m = len(theta) and r_i
+    row i of R: (m + 1) u ||r_i|| ||theta|| bounds, to first order, R theta
+    for a kernel vector rounded to doubles and multiplied out in m-term
+    sums, and an SVD kernel vector's R theta reached 3.5 times it over
+    270,000 random R, m = 2..10, columns scaled by up to 10^+-6."""
     theta, r = _checked(theta, cone, metric)
     proj, lam = _dual_active_set(theta, r, metric)
     g = Metric(r @ metric.sigma @ r.T)
     r_theta = r @ theta
-    on_null = (abs(r_theta) <= (theta.size + 1) * 2.0**-53 * (abs(r) @ abs(theta))).all()
+    # the norms of R's rows and of theta, without overflow at any finite scale
+    norms = _column_norms(np.column_stack([r.T, theta]), np.empty(r.shape[0] + 1))
+    on_null = (abs(r_theta) <= 8 * (theta.size + 1) * 2.0**-53 * norms[-1] * norms[:-1]).all()
     floor = 1e-8 ** 2 * g.norm_sq(r_theta)
     consistent = not on_null and _type_a_drift(r, proj, lam, g) > floor
     type3_risk = consistent and metric.norm_sq(theta - proj) > floor

@@ -319,13 +319,13 @@ class TestCriterion5PropertySuites:
             p = int(rng.integers(1, 6))
             m = p + int(rng.integers(0, 3))
             metric = Metric(random_spd(rng, m))
-            cone = ConeSpec.polyhedral(random_full_rank(rng, p, m))
+            cone = ConeSpec(random_full_rank(rng, p, m))
             x = rng.standard_normal(m) * 2
             proj = project_cone(x, cone, metric)
             comp = polar_complement(x, cone, metric)
             np.testing.assert_allclose(proj + comp, x, atol=1e-12)
             scale = max(metric.norm_sq(x), 1.0)
-            worst_inner = max(worst_inner, abs(metric.inner(proj, comp)) / scale)
+            worst_inner = max(worst_inner, abs(proj @ np.linalg.solve(metric.sigma, comp)) / scale)
             again = project_cone(proj, cone, metric)
             worst_idem = max(worst_idem, float(np.max(np.abs(again - proj))))
         checks = [

@@ -1,13 +1,13 @@
 """CLI reports pinned byte for byte against committed golden files.
 
-The invocations reach the simple, tree, umbrella and polyhedral cones and
-the two nulls the CLI builds, span_of_ones (through from_basis) and
-from_constraint; every built-in case is a document read like an --input
-file, so the CLI no longer reaches LinearSubspace.zero, which the bench and
-other tests still call. Each pin compares the --out report and the printed
-summary with the files under tests/golden/; one more pins the CSV of a
-two-mean power grid at one, two and three workers. To regenerate them after
-an intended change of output, run
+The invocations reach the simple, tree and umbrella cones and ConeSpec(R),
+and the two nulls the CLI builds, span_of_ones and from_constraint; every
+built-in case is a document read like an --input file, so the CLI no longer
+reaches LinearSubspace.zero, which the bench and other tests still call.
+Each pin compares the --out report and the printed summary with the files
+under tests/golden/; one more pins the CSV of a two-mean power grid at one,
+two and three workers. To regenerate them after an intended change of
+output, run
 
     PYTHONPATH=src python tests/test_report_pins.py
 """
@@ -55,6 +55,7 @@ PINS = {
     "case-cs-table6": ["case", "cs-table6"],
     "case-cs-table5-doubled": ["case", "cs-table5-doubled"],
     "dt-cs-table5": ["dt", "--case", "cs-table5"],
+    "dt-cs-table5-alpha97": ["dt", "--case", "cs-table5", "--alpha", "0.97"],
     **{f"input-{name}": ["safe-test", "--input", f"{name}.json"] for name in DOCUMENTS},
 }
 
@@ -145,7 +146,7 @@ def test_restriction_weights_at_tiny_scale():
     the reduced covariance underflows; the weights are those at unit scale."""
     doc = DOCUMENTS["restriction"]
     r = np.array(doc["restriction"])
-    sub, cone = LinearSubspace.from_constraint(r), ConeSpec.polyhedral(r)
+    sub, cone = LinearSubspace.from_constraint(r), ConeSpec(r)
 
     def weights(scale):
         stat = Statistic(s_n=np.array(doc["s_n"]) * scale,

@@ -234,7 +234,7 @@ class TestDistanceStatistics:
                 call()
 
     def test_null_not_inside_cone_rejected(self):
-        sub = LinearSubspace.from_basis(np.array([[1.0], [0.0]]))
+        sub = LinearSubspace(np.array([[1.0], [0.0]]))
         with pytest.raises(ContractViolationError):
             dt_type_a(gaussian_stat([1.0, 1.0], np.eye(2), 4), sub, ORTHANT2)
 
@@ -243,7 +243,7 @@ class TestDistanceStatistics:
         but leaves it: R b = 1e-6 is past the containment bound 2e-8, so both
         type A entry points refuse it. A bound of 1e-4 (1 + max|R|) would
         take it for the span of ones."""
-        sub = LinearSubspace.from_basis(np.array([[1.0], [1.0 + 1e-6]]))
+        sub = LinearSubspace(np.array([[1.0], [1.0 + 1e-6]]))
         stat, cone = gaussian_stat([0.3, 0.1], np.eye(2), 4), ConeSpec.simple_order(2)
         for call in (lambda: dt_type_a(stat, sub, cone), lambda: resolve_weights(stat, sub, cone)):
             with pytest.raises(ContractViolationError, match="not contained in the cone"):
@@ -716,12 +716,13 @@ class TestConsistencyRegion:
 
     def test_kernel_vectors_up_to_roundoff_are_not_consistent(self):
         """theta = N v for the SVD kernel basis N of a random 2 x 4 R leaves
-        R theta of about 1e-16, at most 1.82 u (|R| |theta|)_i here, within
-        the (m + 1) u = 5 u of the rule. Its projection is theta and its
-        drift equals s, which passed (1e-8)^2 s and read (True, False)."""
+        R theta of about 1e-16, at most 1.82 u (|R| |theta|)_i here, so
+        within the rule's 8 (m + 1) u ||r_i|| ||theta||. Its projection is
+        theta and its drift equals s, which passed (1e-8)^2 s and read
+        (True, False)."""
         rng = np.random.default_rng(1)
         r = rng.standard_normal((2, 4))
-        cone, metric = ConeSpec.polyhedral(r), Metric(np.eye(4))
+        cone, metric = ConeSpec(r), Metric(np.eye(4))
         basis = geometry_module._null_space(r)
         for _ in range(5):
             theta = basis @ rng.standard_normal(2)
@@ -729,6 +730,37 @@ class TestConsistencyRegion:
             assert (r @ theta).any()
             check = consistency_region(theta, cone, metric)
             assert (check.consistent, check.type3_risk) == (False, False)
+
+    def test_svd_kernel_vector_of_a_row_of_mixed_sizes_is_not_consistent(self):
+        """For R = (1e-3, 1) the SVD kernel vector leaves R theta = -2.2e-17,
+        98 u (|R| |theta|): its small entry carries the rounding of the large
+        one. A componentwise bound on R theta read it as off ker R and said
+        (True, False); it is 0.2 u ||r|| ||theta||."""
+        r = np.array([[1e-3, 1.0]])
+        theta = geometry_module._null_space(r)[:, 0]
+        assert (r @ theta).any()
+        check = consistency_region(theta, ConeSpec(r), Metric(np.eye(2)))
+        assert (check.consistent, check.type3_risk) == (False, False)
+
+    def test_svd_kernel_vectors_are_not_consistent_seeded_sweep(self):
+        """2 000 rows (+-U(1e-4, 1e-2), +-U(0.5, 2)), and 900 R of 1..m-1
+        rows with columns scaled by 10^U(-3, 3) at m = 2..10, Sigma = I:
+        every SVD kernel vector reads (False, False). Under the componentwise
+        bound (m + 1) u (|R| |theta|)_i most of them read consistent."""
+        rng = np.random.default_rng(71)
+        problems = []
+        for _ in range(2000):
+            small, large = rng.uniform(1e-4, 1e-2), rng.uniform(0.5, 2.0)
+            problems.append(np.array([[small, large]]) * rng.choice([-1.0, 1.0], 2))
+        for m in range(2, 11):
+            for _ in range(100):
+                p = int(rng.integers(1, m))
+                problems.append(rng.standard_normal((p, m)) * 10.0 ** rng.uniform(-3, 3, m))
+        for r in problems:
+            basis = geometry_module._null_space(r)
+            theta = basis @ rng.standard_normal(basis.shape[1])
+            check = consistency_region(theta, ConeSpec(r), Metric(np.eye(r.shape[1])))
+            assert (check.consistent, check.type3_risk) == (False, False), r.tolist()
 
     def test_agrees_with_polar_membership(self, rng):
         for _ in range(40):

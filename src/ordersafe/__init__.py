@@ -17,13 +17,12 @@ from importlib import import_module as _import_module
 #: Each exported name and the submodule that defines it.
 _OWNERS = {name: owner for owner, names in {
     "chibar": ("DEFAULT_MC_DRAWS", "DEFAULT_SEED", "ChiBarWeights", "joint_tail",
-               "mixture_lower_tail", "mixture_upper_tail", "safe_level_2d", "solve_critical",
-               "solve_nominal_level", "weights_closed_form_2d", "weights_monte_carlo"),
+               "mixture_upper_tail", "solve_critical", "weights_closed_form_2d",
+               "weights_monte_carlo"),
     "errors": ("CapabilityError", "ContractViolationError", "DegenerateVarianceError",
                "InfeasibleLevelError", "InternalInvariantError", "NotPositiveDefiniteError",
                "NumericError", "OrderSafeError"),
-    "geometry": ("ConeSpec", "LinearSubspace", "Metric", "polar_complement", "project_cone",
-                 "project_subspace"),
+    "geometry": ("ConeSpec", "LinearSubspace", "Metric", "project_cone", "project_subspace"),
     "studies": ("CS_TABLE5", "CS_TABLE6", "ContingencyTable2xK", "PowerResult", "PowerScenario",
                 "StochasticOrderProblem", "build_stochastic_order", "doubled_table",
                 "power_grid", "run_power_scenario", "silvapulle_case", "simulation_means"),

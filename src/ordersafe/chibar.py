@@ -98,12 +98,6 @@ def chi2_sf(t: float, df: int) -> float:
     return _chi2_tails(check.real(t, "t"), df)[0][df]
 
 
-def chi2_cdf(t: float, df: int) -> float:
-    """Lower tail P(chi2_df < t) for integer df >= 1."""
-    df = check.integer(df, 1, "df")
-    return _chi2_tails(check.real(t, "t"), df)[1][df]
-
-
 def _chi2_tails(t: float, p: int) -> tuple[list[float], list[float]]:
     """(sf, cdf) with sf[df] = P(chi2_df >= t) and cdf[df] = P(chi2_df < t) for
     df = 0..p, df = 0 by the point-mass convention; the one tail evaluator.
@@ -613,13 +607,6 @@ def mixture_upper_tail(weights: ChiBarWeights, t: float) -> float:
     return _joint_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[0], [1.0] * (weights.p + 1))
 
 
-def mixture_lower_tail(weights: ChiBarWeights, t: float) -> float:
-    """P(mixture < t); complements mixture_upper_tail including the atom at 0."""
-    check.instance(weights, ChiBarWeights, "weights")
-    t = check.real(t, "t", nonnegative=True)
-    return _joint_sum(weights.w.tolist(), _chi2_tails(t, weights.p)[1], [1.0] * (weights.p + 1))
-
-
 def joint_tail(weights: ChiBarWeights, c1: float, c2: float) -> float:
     """P(T >= c1, T' < c2 or T' = 0) for the projection statistic and its residual.
 
@@ -849,49 +836,3 @@ def _newton_start(coef: list[float], alpha: float) -> float:
         1.0 + u * (1.432788 + u * (0.189269 + u * 0.001308)))
     k = 2.0 / (9.0 * m)
     return m * max(1.0 - k + math.copysign(z, 0.5 - q) * math.sqrt(k), 0.1) ** 3
-
-
-def solve_nominal_level(weights: ChiBarWeights, target_level: float, c2: float) -> float:
-    """Nominal alpha whose composite region attains a prechosen level.
-
-    At nominal alpha the composite region attains joint_tail(c_alpha, c2),
-    nonincreasing in c_alpha, so alpha is mixture_upper_tail(weights, c) at
-    the joint critical value c = solve_critical(weights, target_level,
-    "joint", c2), and attains target_level within the two solves' bisection
-    bands. A target whose joint critical value is 0 raises
-    InfeasibleLevelError naming the level the region reaches as c -> 0+.
-    """
-    target_level = check.level(target_level, "target_level")
-    c2 = check.real(c2, "c2", nonnegative=True)
-    c = solve_critical(weights, target_level, "joint", c2)
-    if c == 0.0:
-        reached = attained_level(weights, 0.0, c2)
-        raise InfeasibleLevelError(
-            f"target level {target_level} is not below {reached:.12g}, the level "
-            "the composite region reaches as its critical value falls to 0",
-            attainable=reached,
-        )
-    return mixture_upper_tail(weights, c)
-
-
-def safe_level_2d(alpha: float, gamma: float) -> float:
-    """Attained level of the two-dimensional composite test, closed form.
-
-    For the identity-covariance quadrant problem the composite rejection
-    region discards the two corner regions where both base tests reject;
-    this routine returns alpha - 2 * phi-bar(c_alpha) * phi-bar(c_gamma)
-    where c_alpha and c_gamma solve the (1/4, 1/2, 1/4) mixture tail
-    equations and phi-bar is the standard normal upper tail evaluated at the
-    critical values themselves. This reproduces the reference tabulation of
-    the attained level (0.0999 at alpha = gamma = 0.1; 0.0988 at alpha =
-    0.1, gamma = 0.5). The exact probability of the composite region is
-    available as joint_tail(weights, c_alpha, c_gamma), which evaluates the
-    Gaussian tail on the square-root scale instead.
-    """
-    alpha, gamma = check.level(alpha, "alpha"), check.level(gamma, "gamma")
-    wq = weights_closed_form_2d(0.0)
-    c_alpha = solve_critical(wq, alpha)
-    c_gamma = solve_critical(wq, gamma)
-    # phi-bar(c) = erfc(c / sqrt 2) / 2
-    root2 = math.sqrt(2.0)
-    return float(alpha - 0.5 * math.erfc(c_alpha / root2) * math.erfc(c_gamma / root2))

@@ -1,9 +1,9 @@
 """Geometry under an SPD-matrix metric.
 
 Inner products and norms of the form <u, v> = u' S^{-1} v for an SPD
-covariance S, projections onto linear subspaces and polyhedral cones, the
-polar residual of a cone projection, and the batched orthant projector
-whose KKT certificate decides each row's face.
+covariance S, projections onto linear subspaces and polyhedral cones, and
+the batched orthant projector whose KKT certificate decides each row's
+face.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -27,7 +27,8 @@ from .errors import (
 )
 
 #: Scale for "this coordinate/constraint is active" decisions. A value x is
-#: treated as zero when |x| <= ZERO_TOL * (1 + norm(point)).
+#: treated as zero when |x| <= ZERO_TOL * norm(point): relative, so a face
+#: does not depend on the units of the point.
 ZERO_TOL = 1e-10
 
 _SYMMETRY_RTOL = 1e-10
@@ -42,21 +43,24 @@ def _full_row_rank(m) -> bool:
 
 
 def _activity_tol(xt, out=None) -> np.ndarray:
-    """ZERO_TOL * (1 + ||x||) per column x of a (p, n) array, written to out (n,) if given."""
+    """ZERO_TOL * max(||x||, tiny) per column x of a (p, n) array, written to
+    out (n,) if given; tiny, the least normal double, keeps the tolerance of a
+    subnormal column from underflowing to 0."""
     tol = _column_norms(xt, np.empty(xt.shape[1]) if out is None else out)
-    return np.multiply(np.add(tol, 1.0, out=tol), ZERO_TOL, out=tol)
+    return np.multiply(np.maximum(tol, np.finfo(float).tiny, out=tol), ZERO_TOL, out=tol)
 
 
 def _column_norms(xt, out) -> np.ndarray:
-    """||x|| per column x of a (p, n) array, written to out (n,); only columns
-    whose squares overflow (past about 1e154) are rescaled by max|x|, inf
-    giving NaN."""
+    """||x|| per column x of a (p, n) array, written to out (n,). A column whose
+    norm lies outside [1e-150, 1e150], where its squares may overflow or
+    underflow, is rescaled by max|x|; a zero column stays 0, and inf gives NaN."""
     norm = np.sqrt(np.einsum("ij,ij->j", xt, xt, out=out), out=out)
-    big = np.isinf(norm).nonzero()[0]
-    if big.size:
-        scale = np.abs(xt[:, big]).max(axis=0)
+    far = ((norm < 1e-150) | (norm > 1e150)).nonzero()[0]
+    if far.size:
+        scale = np.abs(xt[:, far]).max(axis=0)
+        far, scale = far[scale > 0], scale[scale > 0]
         with np.errstate(invalid="ignore"):
-            norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
+            norm[far] = scale * np.sqrt(((xt[:, far] / scale) ** 2).sum(axis=0))
     return norm
 
 
@@ -249,7 +253,7 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
 
     The result is checked before it is returned: primal feasibility
     R theta >= -tol and dual feasibility lam >= 0, with tol =
-    1e-10 * (1 + ||x||). A breach raises InternalInvariantError, or
+    1e-10 * ||x||. A breach raises InternalInvariantError, or
     NumericError naming cond(G) where it lies within the roundoff of
     R x + G lam, (m + 2p) u |R| (|x| + |sigma R'| lam) for unit roundoff u.
     A solve that needs more than 3p active-set steps raises NumericError.
@@ -342,11 +346,6 @@ def _dual_active_set(x, r, metric):
     return theta, lam
 
 
-def polar_complement(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
-    """Residual x - proj(x | cone), i.e. the projection onto the polar cone."""
-    return x - project_cone(x, cone, metric)
-
-
 def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     """Metric projection of each row of points onto the nonnegative orthant.
 
@@ -357,7 +356,7 @@ def project_orthant_batch(points, metric: Metric) -> np.ndarray:
     support gives theta_S in its S rows and mu_C / M_ii in its C rows, so
     one matrix product per support prices every remaining row; a row is
     certified when all p entries of K_S x are at least
-    -ZERO_TOL * (1 + ||x||). Primal and dual feasibility with
+    -ZERO_TOL * ||x||. Primal and dual feasibility with
     complementarity is sufficient for a convex problem, so no objective is
     compared. The full support is visited first, so a row already inside
     the orthant comes back unchanged, bit for bit; then the supports follow

@@ -295,16 +295,15 @@ class StochasticOrderProblem:
     """The cumulative-proportion reduction of a 2 x K ordered-category table.
 
     theta_hat stacks the first K-1 cumulative proportions of each row,
-    restriction maps them to the pairwise differences w_n whose
-    nonnegativity expresses the stochastic ordering, and sigma_n is the
-    pooled-null covariance estimate scaled to the total count n.
+    restriction maps them to the pairwise differences whose nonnegativity
+    expresses the stochastic ordering, and sigma_n is the pooled-null
+    covariance estimate scaled to the total count n.
     """
 
     theta_hat: np.ndarray
     restriction: np.ndarray
     sigma_n: Metric
     n: int
-    w_n: np.ndarray
 
     def statistic(self) -> Statistic:
         return Statistic(s_n=self.theta_hat, sigma_n=self.sigma_n, n=self.n)
@@ -314,11 +313,6 @@ class StochasticOrderProblem:
 
     def subspace(self) -> LinearSubspace:
         return LinearSubspace.from_constraint(self.restriction)
-
-    @property
-    def v_n(self) -> np.ndarray:
-        """Covariance of w_n on the root-n scale: R sigma_n R'."""
-        return self.restriction @ self.sigma_n.sigma @ self.restriction.T
 
 
 def build_stochastic_order(table: ContingencyTable2xK) -> StochasticOrderProblem:
@@ -357,10 +351,8 @@ def build_stochastic_order(table: ContingencyTable2xK) -> StochasticOrderProblem
     sigma_n[: k - 1, : k - 1] = (n / n1) * sigma0
     sigma_n[k - 1 :, k - 1 :] = (n / n2) * sigma0
     restriction = np.hstack([np.eye(k - 1), -np.eye(k - 1)])
-    w_n = restriction @ theta_hat
     return StochasticOrderProblem(
-        theta_hat=theta_hat, restriction=restriction,
-        sigma_n=Metric(sigma_n), n=n, w_n=w_n,
+        theta_hat=theta_hat, restriction=restriction, sigma_n=Metric(sigma_n), n=n,
     )
 
 

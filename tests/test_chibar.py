@@ -20,12 +20,9 @@ from ordersafe.chibar import (
     attained_level,
     correlation_2x2,
     joint_tail,
-    mixture_lower_tail,
     mixture_upper_tail,
     orthant_weights,
-    safe_level_2d,
     solve_critical,
-    solve_nominal_level,
     weights_closed_form_2d,
     weights_exact,
     weights_monte_carlo,
@@ -42,9 +39,12 @@ from ordersafe.geometry import ConeSpec
 from conftest import (
     PARITY_PSI,
     ROUNDOFF_CASES,
+    chi2_cdf,
+    mixture_lower_tail,
     mp_chi2_sf,
     orthant_probabilities_oracle,
     random_spd,
+    safe_level_2d,
     weights_exact_oracle,
 )
 
@@ -160,10 +160,13 @@ class TestMonteCarloWeights:
     def test_a_parity_breach_is_a_numeric_error_naming_cond(self):
         """Each draw adds +-1 to N sum_j (-1)^j w_j. On PARITY_PSI the exact
         weights end in a singular face block, and Monte Carlo's projection
-        misreads nearly every draw: 990 standard errors at N = 1e6."""
+        misreads nearly every draw: 994 standard errors at N = 1e6. Roundoff
+        decides nearly every draw's face here, so the count moves with the
+        activity tolerance."""
         with pytest.raises(NumericError, match="face block"):
             weights_exact(PARITY_PSI)
-        with pytest.raises(NumericError, match=r"parity identity by -0\.99 .*cond 1\.22e\+16"):
+        with pytest.raises(NumericError, match=r"parity identity by -0\.994 \(994 standard "
+                                               r"errors\).*cond 1\.22e\+16"):
             orthant_weights(PARITY_PSI)
 
     def test_the_parity_bound_is_six_standard_errors(self):
@@ -608,11 +611,6 @@ class TestJointTail:
 
     def test_marginalizes_to_lower_tail_at_c1_zero(self):
         for c in (0.5, 2.0, 5.0):
-            expected = sum(
-                QUADRANT.w[j] * mixture_lower_tail(weights_for_df(2 - j), c)
-                for j in range(3)
-            )
-            # compare against the direct complementary-dimension sum instead
             direct = (
                 QUADRANT.w[0] * (1 - mp_chi2_sf(c, 2))
                 + QUADRANT.w[1] * (1 - mp_chi2_sf(c, 1))
@@ -653,16 +651,22 @@ class TestAttainedLevel:
         w_0 P(chi2_2 < c2), and the limit of the joint tail as c -> 0+."""
         c2 = solve_critical(QUADRANT.complement(), 0.05)
         level = attained_level(QUADRANT, 0.0, c2)
-        assert level == pytest.approx(0.5 * chibar.chi2_cdf(c2, 1) + 0.25, abs=1e-15)
+        assert level == pytest.approx(0.5 * chi2_cdf(c2, 1) + 0.25, abs=1e-15)
         assert level == pytest.approx(0.7301492887, abs=1e-10)
         assert level == pytest.approx(joint_tail(QUADRANT, 1e-12, c2), abs=1e-6)
         assert level < joint_tail(QUADRANT, 0.0, c2)
 
-
-def weights_for_df(p):
-    w = np.zeros(p + 1)
-    w[-1] = 1.0
-    return ChiBarWeights(w=w)
+    @pytest.mark.parametrize("alpha, gamma, level, tabulated", [
+        (0.1, 0.1, 0.0963235531, 0.0999950295),
+        (0.1, 0.5, 0.0754191096, 0.0988158781),
+    ])
+    def test_is_the_one_composite_level_at_the_published_points(self, alpha, gamma, level,
+                                                               tabulated):
+        """The region's probability, not the published 2-d tabulation."""
+        c_alpha = solve_critical(QUADRANT, alpha)
+        c_gamma = solve_critical(QUADRANT.complement(), gamma)
+        assert attained_level(QUADRANT, c_alpha, c_gamma) == pytest.approx(level, abs=1e-10)
+        assert safe_level_2d(alpha, gamma) == pytest.approx(tabulated, abs=1e-10)
 
 
 class TestSolveCritical:
@@ -691,8 +695,8 @@ class TestSolveCritical:
         w_1 P(chi2_1 < c2) + w_2, which is lower by w_0 P(chi2_2 < c2)."""
         c2 = solve_critical(QUADRANT.complement(), 0.1)
         sup = joint_tail(QUADRANT, 0.0, c2)
-        reached = 0.5 * chibar.chi2_cdf(c2, 1) + 0.25
-        assert reached == pytest.approx(sup - 0.25 * chibar.chi2_cdf(c2, 2), abs=1e-15)
+        reached = 0.5 * chi2_cdf(c2, 1) + 0.25
+        assert reached == pytest.approx(sup - 0.25 * chi2_cdf(c2, 2), abs=1e-15)
         with pytest.raises(InfeasibleLevelError, match="as c -> 0[+]") as err:
             solve_critical(QUADRANT, sup + 0.01, mode="joint", c2=c2)
         assert err.value.attainable == pytest.approx(reached, abs=1e-15)
@@ -705,7 +709,21 @@ class TestSolveCritical:
         assert sup == pytest.approx(1e-12, rel=1e-3, abs=0.0)
         with pytest.raises(InfeasibleLevelError) as err:
             solve_critical(w, 1e-10, "joint", c2=1e-30)
-        assert err.value.attainable == sup - 0.5 * chibar.chi2_cdf(1e-30, 2)
+        assert err.value.attainable == sup - 0.5 * chi2_cdf(1e-30, 2)
+
+    def test_joint_mode_between_the_limit_and_the_tail_at_zero_returns_zero(self):
+        """Above zero the composite's level climbs only to attained_level at 0,
+        w_1 P(chi2_1 < c2) + w_2 = 0.7301... as c -> 0+. A level between that
+        and the joint tail at 0 gets c = 0; one past the tail at 0 is refused,
+        naming the same limit."""
+        c2 = solve_critical(QUADRANT.complement(), 0.05)
+        limit = attained_level(QUADRANT, 0.0, c2)
+        assert limit == pytest.approx(0.7301492887, abs=1e-10)
+        assert limit < 0.8 < joint_tail(QUADRANT, 0.0, c2) < 0.99
+        assert solve_critical(QUADRANT, 0.8, "joint", c2) == 0.0
+        with pytest.raises(InfeasibleLevelError, match="0.730149288") as err:
+            solve_critical(QUADRANT, 0.99, "joint", c2)
+        assert err.value.attainable == limit
 
     def test_alpha_range_validated(self):
         with pytest.raises(ContractViolationError):
@@ -714,8 +732,6 @@ class TestSolveCritical:
     def test_nan_c2_rejected(self):
         with pytest.raises(ContractViolationError, match="nonnegative c2"):
             solve_critical(QUADRANT, 0.05, "joint", c2=math.nan)
-        with pytest.raises(ContractViolationError, match="c2 must be a nonnegative number"):
-            solve_nominal_level(QUADRANT, 0.05, math.nan)
 
     def test_infinite_c2_is_the_marginal_solution(self):
         assert (solve_critical(QUADRANT, 0.05, "joint", c2=math.inf)
@@ -723,6 +739,9 @@ class TestSolveCritical:
 
 
 class TestSafeLevel2d:
+    """The published 2-d tabulation (conftest.safe_level_2d), a formula of the
+    reference evaluated through solve_critical on the quadrant weights."""
+
     def test_reference_values(self):
         assert safe_level_2d(0.1, 0.1) == pytest.approx(0.0999, abs=1e-4)
         assert safe_level_2d(0.1, 0.5) == pytest.approx(0.0988, abs=1e-4)
@@ -738,31 +757,3 @@ class TestSafeLevel2d:
         for alpha in np.linspace(0.02, 0.5, 10):
             for gamma in np.linspace(0.02, 0.9, 10):
                 assert safe_level_2d(alpha, gamma) <= alpha
-
-
-class TestNominalLevelAdjustment:
-    def test_round_trip(self):
-        c2 = solve_critical(QUADRANT.complement(), 0.1)
-        nominal = solve_nominal_level(QUADRANT, 0.05, c2)
-        attained = joint_tail(QUADRANT, solve_critical(QUADRANT, nominal), c2)
-        assert attained == pytest.approx(0.05, abs=1e-8)
-        assert nominal >= 0.05
-
-    @pytest.mark.parametrize("rho, gamma, target, expected", [
-        (0.0, 0.1, 0.05, 0.05176857892796034),
-        (0.0, 0.05, 0.05, 0.05080202633984865),
-        (0.9, 0.05, 0.01, 0.010061492802194356),
-        (-0.5, 0.1, 0.05, 0.05291480514649557),
-    ])
-    def test_frozen_values(self, rho, gamma, target, expected):
-        """The marginal tail at the joint critical value, bit for bit."""
-        w = weights_closed_form_2d(rho)
-        assert solve_nominal_level(w, target, solve_critical(w, gamma)) == expected
-
-    def test_a_target_past_the_level_at_zero_is_infeasible(self):
-        """Above zero the composite's level climbs only to
-        w_1 P(chi2_1 < c2) + w_2 = 0.7301... as c -> 0+."""
-        c2 = solve_critical(QUADRANT.complement(), 0.05)
-        with pytest.raises(InfeasibleLevelError, match="0.730149288") as err:
-            solve_nominal_level(QUADRANT, 0.8, c2)
-        assert err.value.attainable == pytest.approx(0.7301492887, abs=1e-10)

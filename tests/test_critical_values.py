@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from ordersafe import chibar
 from ordersafe.chibar import (
     ChiBarWeights,
+    attained_level,
     joint_tail,
     mixture_upper_tail,
     solve_critical,
-    solve_nominal_level,
     weights_closed_form_2d,
     weights_exact,
 )
@@ -30,7 +30,7 @@ from ordersafe.errors import InfeasibleLevelError
 from ordersafe.studies import CS_TABLE5, build_stochastic_order
 from ordersafe.testing import resolve_weights
 
-from conftest import solve_critical_oracle, solve_nominal_level_oracle
+from conftest import solve_critical_oracle
 
 SUITE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 QUADRANT = weights_closed_form_2d(0.0)
@@ -161,30 +161,6 @@ def test_uncertified_solves_are_the_bisection_itself(w, alpha, mode):
     assert got == want and new == old
 
 
-def assert_nominal_level_attains_the_target(w, target, c2):
-    """The composite at the nominal level attains the target within two
-    bisection bands, and no farther from it than the nested search's."""
-    def miss(nominal):
-        return abs(joint_tail(w, solve_critical(w, nominal), c2) - target)
-
-    ours = miss(solve_nominal_level(w, target, c2))
-    assert ours <= 2.0 * min(1e-10, 1e-8 * target)
-    assert ours <= miss(solve_nominal_level_oracle(w, target, c2))
-
-
-@pytest.mark.parametrize("rho, gamma, target", [
-    (0.0, 0.1, 0.05), (0.0, 0.05, 0.05), (0.9, 0.05, 0.01), (-0.5, 0.1, 0.05),
-])
-def test_nominal_level_equals_the_search_over_the_bisection(rho, gamma, target):
-    w = weights_closed_form_2d(rho)
-    assert_nominal_level_attains_the_target(w, target, solve_critical(w, gamma))
-
-
-def test_nominal_level_equals_the_search_over_the_bisection_at_p5():
-    w = simple_order_weights(6)
-    assert_nominal_level_attains_the_target(w, 0.05, solve_critical(w.complement(), 0.05))
-
-
 #: Tail passes of solve_critical for a fixed list of solves: the marginal
 #: c'_gamma of the complement, the marginal c_alpha and the joint c_alpha,safe of the
 #: quadrant, the rho = 0.9 mixture and simple orders at K = 4, 6 and 8, at
@@ -259,8 +235,8 @@ def attainable(solver, *args):
 
 
 def test_infeasible_levels_name_the_oracle_attainable_on_cs_table5():
-    """The oracle sums the faces but the apex itself; solve_critical and
-    solve_nominal_level read chibar's one c -> 0+ limit."""
+    """The oracle sums the faces but the apex itself; solve_critical names
+    chibar's one c -> 0+ limit, attained_level at 0."""
     problem = build_stochastic_order(CS_TABLE5)
     weights = resolve_weights(problem.statistic(), problem.subspace(), problem.cone())
     c2 = solve_critical(weights.complement(), 0.05)
@@ -268,7 +244,7 @@ def test_infeasible_levels_name_the_oracle_attainable_on_cs_table5():
     assert f"{got:.12g}" == "0.767782741206"
     assert got == pytest.approx(attainable(solve_critical_oracle, weights, 0.97, "joint", c2),
                                 rel=1e-15, abs=0.0)
-    assert attainable(solve_nominal_level, weights, 0.9, c2) == got
+    assert attained_level(weights, 0.0, c2) == got
 
 
 @pytest.mark.parametrize("seed", range(1, 21))

@@ -16,7 +16,6 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    polar_complement,
     project_cone,
     project_orthant_batch,
     project_subspace,
@@ -399,7 +398,7 @@ class TestProjectCone:
             cone = ConeSpec(r)
             x = rng.standard_normal(mdim) * 2
             proj = project_cone(x, cone, metric)
-            comp = polar_complement(x, cone, metric)
+            comp = x - proj
             np.testing.assert_allclose(proj + comp, x, atol=1e-12)
             np.testing.assert_allclose(
                 project_cone(proj, cone, metric), proj, atol=1e-10
@@ -533,9 +532,10 @@ class TestAcceptanceRegions:
 class TestFaceDimension:
     @pytest.mark.parametrize(
         "x,expected",
-        [([0.0, 0.0], 0), ([0.3, 0.0, 1.2], 2), ([1e-14, 1e-14], 0)],
+        [([0.0, 0.0], 0), ([0.3, 0.0, 1.2], 2), ([1e-14, 1e-14], 2), ([1e-14, 1.0], 1)],
     )
     def test_counts_strictly_positive_coordinates(self, x, expected):
+        """A coordinate counts when it exceeds 1e-10 ||x||, at any scale."""
         assert face_dimension(np.array(x)) == expected
 
     def test_apex_projection_has_dimension_zero(self):
@@ -575,8 +575,9 @@ class TestBatchProjection:
                 assert abs(mu @ theta) <= tol * (1.0 + np.linalg.norm(x))
 
     def test_feasibility_tolerance_scales_with_the_row(self):
-        """A row is kept as it is when no coordinate falls below
-        -1e-10 (1 + ||x||); further out it is projected."""
+        """A row is kept as it is when no coordinate falls below -1e-10 ||x||;
+        further out it is projected. Rows 0.5 and 2 times 1e-10 (1 + ||x||)
+        below zero fall on either side of that at ||x|| = 3 and 3e6."""
         metric = Metric(np.array([[1.0, 0.5], [0.5, 1.0]]))
         rows = []
         for scale in (1.0, 1e6):

@@ -42,9 +42,10 @@ def _orthant_rows(draw):
     about 1e200 and sometimes a NaN row; n may be 0.
 
     A face row is x = theta - sigma mu with theta_S >= 0 and mu_C >= 0 on
-    complementary supports, then moved by up to twice the activity
-    tolerance 1e-10 (1 + ||x||) either way in a few coordinates of theta
-    and mu, so that its certificate lands within +-tol of the boundary.
+    complementary supports, then moved by up to twice 1e-10 (1 + ||x||),
+    about the activity tolerance 1e-10 ||x|| at these unit-scale rows,
+    either way in a few coordinates of theta and mu, so that its
+    certificate lands within +-tol of the boundary.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = draw(st.integers(1, 6))

@@ -44,65 +44,67 @@ from ordersafe import (
     dt_type_a,
     dt_type_b,
     joint_tail,
-    mixture_lower_tail,
     mixture_upper_tail,
     p_value,
-    polar_complement,
     power_grid,
     project_cone,
     project_subspace,
     run_power_scenario,
-    safe_level_2d,
     safe_test,
     silvapulle_case,
     simulation_means,
     solve_critical,
-    solve_nominal_level,
     weights_closed_form_2d,
     weights_monte_carlo,
 )
-from ordersafe.chibar import attained_level, chi2_cdf, chi2_sf, correlation_2x2, weights_exact
+from ordersafe.chibar import attained_level, chi2_sf, correlation_2x2, weights_exact
 from ordersafe.geometry import project_orthant_batch
 from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
 from ordersafe.testing import resolve_weights
 
 SRC = pathlib.Path(ordersafe.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+BENCH = README.parent / "bench"
 
 RETIRED = {
     "acceptance_member_type_a", "acceptance_member_type_b", "in_polar_orthant",
     "face_dimension", "SingularMatrixError", "minmax_project",
     "tree_order_consistency", "umbrella_consistency", "UmbrellaCheck", "FULL_SPACE",
+    "safe_level_2d", "solve_nominal_level", "mixture_lower_tail", "chi2_cdf", "polar_complement",
 }
 #: The 50 names the package exported when it imported every module eagerly,
-#: less FULL_SPACE, which delta's problem word replaced.
+#: less FULL_SPACE, which delta's problem word replaced, and less the four
+#: that only tests read: safe_level_2d, solve_nominal_level,
+#: mixture_lower_tail and polar_complement.
 EXPORTED = {
-    "DEFAULT_MC_DRAWS", "DEFAULT_SEED", "ChiBarWeights", "joint_tail", "mixture_lower_tail",
-    "mixture_upper_tail", "safe_level_2d", "solve_critical", "solve_nominal_level",
-    "weights_closed_form_2d", "weights_monte_carlo", "CapabilityError", "ContractViolationError",
-    "DegenerateVarianceError", "InfeasibleLevelError", "InternalInvariantError",
-    "NotPositiveDefiniteError", "NumericError", "OrderSafeError", "ConeSpec", "LinearSubspace",
-    "Metric", "polar_complement", "project_cone", "project_subspace", "CS_TABLE5", "CS_TABLE6",
-    "ContingencyTable2xK", "PowerResult", "PowerScenario", "StochasticOrderProblem",
-    "build_stochastic_order", "doubled_table", "power_grid", "run_power_scenario",
-    "silvapulle_case", "simulation_means", "Conclusion", "ConsistencyCheck",
-    "SafeOutcome", "Statistic", "TestResult", "WeightConfig", "consistency_region", "delta",
-    "dt_type_a", "dt_type_b", "p_value", "safe_test",
+    "DEFAULT_MC_DRAWS", "DEFAULT_SEED", "ChiBarWeights", "joint_tail", "mixture_upper_tail",
+    "solve_critical", "weights_closed_form_2d", "weights_monte_carlo", "CapabilityError",
+    "ContractViolationError", "DegenerateVarianceError", "InfeasibleLevelError",
+    "InternalInvariantError", "NotPositiveDefiniteError", "NumericError", "OrderSafeError",
+    "ConeSpec", "LinearSubspace", "Metric", "project_cone", "project_subspace", "CS_TABLE5",
+    "CS_TABLE6", "ContingencyTable2xK", "PowerResult", "PowerScenario",
+    "StochasticOrderProblem", "build_stochastic_order", "doubled_table", "power_grid",
+    "run_power_scenario", "silvapulle_case", "simulation_means", "Conclusion",
+    "ConsistencyCheck", "SafeOutcome", "Statistic", "TestResult", "WeightConfig",
+    "consistency_region", "delta", "dt_type_a", "dt_type_b", "p_value", "safe_test",
 }
 ISOTONIC = {"WeightedSeries", "IsotonicFit", "av", "pava", "SplitCheck",
             "simple_order_consistency"}
 
 
 def _names_read(path):
-    """Every identifier a module reads by name or imports; an attribute such
-    as result.p_value is a field of some object, not a read of an export."""
-    names = set()
+    """(names, attributes): every identifier a module reads by name or
+    imports, and every attribute it loads. An attribute such as
+    result.p_value is a field of some object, not a read of an export."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-    return names
+    return names, attributes
 
 
 def _readme_api():
@@ -110,14 +112,42 @@ def _readme_api():
     return set(re.findall(r"`(\w+)`", section))
 
 
+def _public_members(tree):
+    """(name, class) of each public module-level function (class None) and
+    each public method, property and field of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, None
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, node.name
+                elif isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                    yield item.target.id, node.name
+
+
 def test_every_exported_name_has_a_caller_or_is_documented():
+    """src/ holds only what an entry point runs. Each exported name is read by
+    a module other than its owner, or listed in README's Public API. Beyond
+    the exports, each public function of a module must be called in src/ or
+    bench/, and each public method, property and field of a class read as an
+    attribute there, or be listed in README's Public API."""
     owners = ordersafe._OWNERS
     reads = {path.stem: _names_read(path) for path in SRC.glob("*.py")
              if path.stem != "__init__"}
     api = _readme_api()
     orphans = [name for name in ordersafe.__all__ if name not in api and not any(
-        name in names for module, names in reads.items() if module != owners[name])]
+        name in names for module, (names, _) in reads.items() if module != owners[name])]
     assert orphans == []
+    every_read = [*reads.values(), *map(_names_read, BENCH.glob("*.py"))]
+    names = set().union(*(names for names, _ in every_read))
+    attributes = set().union(*(attributes for _, attributes in every_read))
+    unread = [f"{path.stem}.{f'{owner}.' if owner else ''}{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for name, owner in _public_members(ast.parse(path.read_text()))
+              if name not in api and name not in attributes
+              and not (owner is None and name in names)]
+    assert unread == []
 
 
 def test_each_lazy_name_is_its_owners_object():
@@ -169,6 +199,9 @@ def test_retired_routes_and_isotonic_stay_out_of_the_namespace():
     exported = set(ordersafe.__all__)
     assert not exported & (RETIRED | ISOTONIC)
     assert not RETIRED & set(dir(ordersafe.isotonic))
+    defined = {node.name for path in SRC.glob("*.py") for node in ast.walk(
+        ast.parse(path.read_text())) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not RETIRED & defined
     public = {name for name, value in vars(ordersafe.isotonic).items()
               if not name.startswith("_")
               and getattr(value, "__module__", None) == "ordersafe.isotonic"}
@@ -278,7 +311,7 @@ BASE_CALLS = {
     "Statistic": [(Statistic, dict(s_n=[1.0, 0.0, 2.0], sigma_n=_M3, n=5))],
     "StochasticOrderProblem": [(StochasticOrderProblem, dict(
         theta_hat=_PROBLEM.theta_hat, restriction=_PROBLEM.restriction,
-        sigma_n=_PROBLEM.sigma_n, n=_PROBLEM.n, w_n=_PROBLEM.w_n))],
+        sigma_n=_PROBLEM.sigma_n, n=_PROBLEM.n))],
     "TestResult": [(ordersafe.TestResult, dict(statistic=1.0, p_value=0.5, critical_value=2.0,
                                      weights_used=_W, alpha=0.05))],
     "WeightConfig": [(WeightConfig, dict(n_draws=64, seed=1))],
@@ -293,17 +326,14 @@ BASE_CALLS = {
     "dt_type_a": [(dt_type_a, dict(stat=_STAT3, sub=_SUB3, cone=_CONE3))],
     "dt_type_b": [(dt_type_b, dict(stat=_STAT3, cone=_CONE3))],
     "joint_tail": [(joint_tail, dict(weights=_W, c1=1.0, c2=2.0))],
-    "mixture_lower_tail": [(mixture_lower_tail, dict(weights=_W, t=1.0))],
     "mixture_upper_tail": [(mixture_upper_tail, dict(weights=_W, t=1.0))],
     "p_value": [(p_value, dict(statistic_value=1.0, weights=_W, problem="type_b"))],
-    "polar_complement": [(polar_complement, dict(x=[1.0, -1.0], cone=_ORTHANT2, metric=_M2))],
     "power_grid": [(power_grid, dict(replications=8, seed=1, alpha=0.05, gammas=(0.1,),
                                      ns=(10,), mean_labels=("theta1",), workers=1))],
     "project_cone": [(project_cone, dict(x=[1.0, -1.0], cone=_ORTHANT2, metric=_M2))],
     "project_subspace": [(project_subspace, dict(x=[1.0, 2.0], sub=LinearSubspace.span_of_ones(2),
                                                  metric=_M2))],
     "run_power_scenario": [(run_power_scenario, dict(scenario=_SCENARIO, workers=1))],
-    "safe_level_2d": [(safe_level_2d, dict(alpha=0.1, gamma=0.1))],
     "safe_test": [(safe_test, dict(stat=_STAT3, sub=_SUB3, cone=_CONE3, alpha=0.05, gamma=0.05,
                                    weight_cfg=_CFG))],
     "silvapulle_case": [(silvapulle_case, {})],
@@ -312,7 +342,6 @@ BASE_CALLS = {
         (solve_critical, dict(weights=_W, alpha=0.05, mode="marginal", c2=None)),
         (solve_critical, dict(weights=_W, alpha=0.05, mode="joint", c2=2.0)),
     ],
-    "solve_nominal_level": [(solve_nominal_level, dict(weights=_W, target_level=0.04, c2=2.0))],
     "weights_closed_form_2d": [(weights_closed_form_2d, dict(rho=0.2))],
     "weights_monte_carlo": [(weights_monte_carlo, dict(psi=np.eye(2), n_draws=64, seed=1))],
 }
@@ -320,7 +349,6 @@ BASE_CALLS = {
 #: Public functions of the modules that the package does not re-export.
 MODULE_CALLS = [
     (chi2_sf, dict(t=1.0, df=2)),
-    (chi2_cdf, dict(t=1.0, df=2)),
     (attained_level, dict(weights=_W, c_alpha=1.0, c_gamma=2.0)),
     (correlation_2x2, dict(psi=[[2.0, 0.5], [0.5, 1.0]])),
     (weights_exact, dict(psi=np.eye(3))),
@@ -362,7 +390,7 @@ def _calls():
 @example(bad=math.inf)
 @example(bad=-math.inf)
 @example(bad=True)
-@example(bad="a")                      # safe_level_2d("a", 0.05)
+@example(bad="a")                      # joint_tail(w, "a", 2.0)
 @example(bad=None)                     # mixture_upper_tail(None, 1.0), doubled_table(None), ...
 @example(bad=-1)
 @example(bad=2.5)

@@ -123,13 +123,12 @@ def test_power_csv_matches_golden_bytes(workers, tmp_path):
     assert out.read_bytes() == POWER_GOLDEN.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(DOCUMENTS))
-def test_scaled_document_reproduces_golden_report(name, tmp_path):
-    """s_n * 2^510 and sigma_n * 2^1020 are exact rescalings near the top of
-    double range; every field but the echoed inputs stays as at unit scale."""
+def _assert_scaled_report_is_golden(name, power, tmp_path):
+    """safe-test --input on DOCUMENTS[name] with s_n * 2^power and sigma_n *
+    2^(2 power) reports every field but the echoed inputs as at unit scale."""
     doc = dict(DOCUMENTS[name])
-    doc["s_n"] = [x * 2.0**510 for x in doc["s_n"]]
-    doc["sigma_n"] = [[x * 2.0**1020 for x in row] for row in doc["sigma_n"]]
+    doc["s_n"] = [x * 2.0**power for x in doc["s_n"]]
+    doc["sigma_n"] = [[x * 2.0**(2 * power) for x in row] for row in doc["sigma_n"]]
     path = tmp_path / "scaled.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
@@ -139,6 +138,21 @@ def test_scaled_document_reproduces_golden_report(name, tmp_path):
     want = json.loads((GOLDEN / f"input-{name}.json").read_text(encoding="utf-8"))
     assert got.pop("inputs") != want.pop("inputs")
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_scaled_document_reproduces_golden_report(name, tmp_path):
+    """s_n * 2^510 and sigma_n * 2^1020 are exact rescalings near the top of
+    double range; every field but the echoed inputs stays as at unit scale."""
+    _assert_scaled_report_is_golden(name, 510, tmp_path)
+
+
+@pytest.mark.parametrize("power", [500, -500])
+def test_simple_order_at_either_end_of_double_range_reproduces_golden_report(power, tmp_path):
+    """The projector's activity rule 1e-10 ||x|| is relative, so the report
+    holds bit for bit at 2^-500 too; an absolute floor 1e-10 (1 + ||x||)
+    read t' = 0 and t = 16.05 there."""
+    _assert_scaled_report_is_golden("order-simple", power, tmp_path)
 
 
 def test_restriction_weights_at_tiny_scale():

@@ -22,6 +22,8 @@ from ordersafe.studies import (
 )
 from ordersafe.testing import Conclusion, dt_type_a, dt_type_b, safe_test
 
+from conftest import cumulative_differences
+
 
 class TestSimulationMeans:
     def test_ring_geometry(self):
@@ -49,12 +51,13 @@ class TestStochasticOrderConstruction:
             float(Fraction(5, 17) - Fraction(3, 15)),
             float(Fraction(16, 17) - Fraction(11, 15)),
         ]
-        np.testing.assert_allclose(problem.w_n, expected, atol=1e-12)
-        np.testing.assert_allclose(problem.w_n, [0.094, 0.208], atol=5e-4)
+        w_n = cumulative_differences(problem)[0]
+        np.testing.assert_allclose(w_n, expected, atol=1e-12)
+        np.testing.assert_allclose(w_n, [0.094, 0.208], atol=5e-4)
 
     def test_reduced_covariance_matches_reference_entries(self):
         problem = build_stochastic_order(CS_TABLE5)
-        v = problem.v_n
+        v = cumulative_differences(problem)[1]
         assert v[0, 0] == pytest.approx(0.75, abs=0.005)
         assert v[0, 1] == pytest.approx(0.16, abs=0.005)
         assert v[1, 1] == pytest.approx(0.53, abs=0.005)
@@ -68,15 +71,15 @@ class TestStochasticOrderConstruction:
         )
 
     def test_shared_margins_give_identical_covariance(self):
-        v5 = build_stochastic_order(CS_TABLE5).v_n
-        v6 = build_stochastic_order(CS_TABLE6).v_n
+        v5 = cumulative_differences(build_stochastic_order(CS_TABLE5))[1]
+        v6 = cumulative_differences(build_stochastic_order(CS_TABLE6))[1]
         np.testing.assert_allclose(v5, v6, atol=1e-12)
 
     def test_reversed_first_difference_in_second_table(self):
-        problem = build_stochastic_order(CS_TABLE6)
-        assert problem.w_n[0] == pytest.approx(-8.0 / 15.0, abs=1e-12)
-        assert problem.w_n[0] < -0.5
-        assert problem.w_n[1] > 0
+        w_n = cumulative_differences(build_stochastic_order(CS_TABLE6))[0]
+        assert w_n[0] == pytest.approx(-8.0 / 15.0, abs=1e-12)
+        assert w_n[0] < -0.5
+        assert w_n[1] > 0
 
     def test_block_diagonal_scaling(self):
         problem = build_stochastic_order(CS_TABLE5)
@@ -123,11 +126,12 @@ class TestDoubling:
     def test_invariants_of_the_construction(self):
         base = build_stochastic_order(CS_TABLE5)
         dbl = build_stochastic_order(doubled_table(CS_TABLE5))
-        np.testing.assert_allclose(base.w_n, dbl.w_n, atol=1e-14)
+        (w_base, v_base), (w_dbl, v_dbl) = map(cumulative_differences, (base, dbl))
+        np.testing.assert_allclose(w_base, w_dbl, atol=1e-14)
         assert dbl.n == 2 * base.n
         # per-observation pooled covariance unchanged, so the n-scaled
         # reduction is identical while the statistic doubles
-        np.testing.assert_allclose(base.v_n, dbl.v_n, atol=1e-12)
+        np.testing.assert_allclose(v_base, v_dbl, atol=1e-12)
         t_base = dt_type_a(base.statistic(), base.subspace(), base.cone())
         t_dbl = dt_type_a(dbl.statistic(), dbl.subspace(), dbl.cone())
         assert t_dbl == pytest.approx(2 * t_base, abs=1e-9)

@@ -29,7 +29,6 @@ from ordersafe.geometry import (
     ConeSpec,
     LinearSubspace,
     Metric,
-    polar_complement,
     project_cone,
     project_orthant_batch,
     project_subspace,
@@ -89,11 +88,10 @@ _STAT3 = Statistic(s_n=_S3, sigma_n=_METRIC3, n=5)
     lambda: project_cone(_S3, [[1, 0, 0]], _METRIC3),
     lambda: safe_test((_S3, _METRIC3, 5), _SUB3, _CONE3, 0.05, 0.05),
     lambda: project_subspace(_S3, _SUB3.basis, _METRIC3),
-    lambda: polar_complement(_S3, _CONE3, np.eye(3)),
     lambda: resolve_weights(_STAT3, _SUB3, _CONE3, {"seed": 1}),
 ], ids=["statistic-sigma-array", "type-a-stat-none", "type-a-sub-none", "type-a-cone-array",
         "type-b-cone-none", "project-metric-array", "project-cone-list", "safe-test-tuple",
-        "subspace-basis-array", "polar-metric-array", "weights-config-dict"])
+        "subspace-basis-array", "weights-config-dict"])
 def test_mistyped_objects_are_contract_violations(call):
     """A wrong type at the distance-test boundary is the caller's error,
     named as such, not an AttributeError from deep inside."""
@@ -639,6 +637,20 @@ class TestDelta:
 
 
 class TestLargeScale:
+    @pytest.mark.parametrize("c", [1.0, 1e-16, 1e-30, 1e-100, 1e-200, 1e100, 1e300])
+    def test_the_answer_does_not_depend_on_the_units(self, c):
+        """s * sqrt(c) with Sigma = c I, K = 4 simple order, n = 50: the
+        projector's activity rule 1e-10 ||x|| is relative, so t, t' and the
+        conclusion are those at c = 1. A floor of 1e-10 (1 + ||x||) read
+        t = 10.5, t' = 0 and a safe rejection at every c <= 1e-30."""
+        s = np.array([0.3, -0.2, 0.1, 0.4]) * math.sqrt(c)
+        stat = Statistic(s_n=s, sigma_n=Metric(c * np.eye(4)), n=50)
+        out = safe_test(stat, LinearSubspace.span_of_ones(4), ConeSpec.simple_order(4),
+                        alpha=0.05, gamma=0.05)
+        assert out.original.statistic == pytest.approx(4.25, rel=1e-12)
+        assert out.auxiliary.statistic == pytest.approx(6.25, rel=1e-12)
+        assert out.conclusion is Conclusion.DO_NOT_REJECT_REVISIT
+
     def test_polar_point_at_2_to_the_40_is_not_an_internal_error(self):
         """A point whose cone projection lies in the null: type A subtracts
         two squared distances near 1e25 and delta two squared norms near 0
@@ -687,14 +699,13 @@ class TestConsistencyRegion:
 
     def test_thresholds_scale_with_theta(self):
         """Both thresholds are (1e-8)^2 s, s = (R theta)' G^-1 (R theta), so
-        theta c answers alike at every c = 2^k, k = -30..40: on the 2-d
+        theta c answers alike at every c = 2^k, k = -200..199: on the 2-d
         orthant with Sigma = I, (1e-7, -1) c has drifts 1e-14 s and 1 s, and
         (1e-9, -1) c a type A drift of 1e-18 s. An absolute (1e-8)^2 says
-        (False, False) for the first at c = 1e-2. Below about c = 2^-34 the
-        projector's absolute floor 1e-10 (1 + ||x||) calls theta inside the
-        cone; that floor is not this threshold's."""
+        (False, False) for the first at c = 1e-2, and a projector floor of
+        1e-10 (1 + ||x||) called theta inside the cone below c = 2^-34."""
         metric = Metric(np.eye(2))
-        for k in range(-30, 41):
+        for k in range(-200, 200):
             for theta, want in (([1e-7, -1.0], (True, True)), ([1e-9, -1.0], (False, False))):
                 check = consistency_region(np.array(theta) * 2.0 ** k, ORTHANT2, metric)
                 assert (check.consistent, check.type3_risk) == want, (k, theta)

@@ -32,6 +32,15 @@ def integer(value, least: int, name: str, kind: str | None = None) -> int:
     raise ContractViolationError(f"{name} must be {kind}, not {value!r}")
 
 
+def sample_size(value) -> int:
+    """int(value) for a sample size n, an integer in [1, 2**53]; above 2**53
+    the float products n * distance would round n itself."""
+    n = integer(value, 1, "n")
+    if n > 2**53:
+        raise ContractViolationError(f"n must be no larger than 2**53, not {n!r}")
+    return n
+
+
 def real(value, name: str, nonnegative: bool = False) -> float:
     """float(value) for a real number that is not NaN, and >= 0 when nonnegative.
 

@@ -288,7 +288,7 @@ def cmd_power(args) -> int:
     from .studies import MEAN_LABELS, power_grid
 
     _check_out_path(args.out)
-    means = args.means.split(",") if args.means else list(MEAN_LABELS)
+    means = args.means.split(",") if args.means is not None else list(MEAN_LABELS)
     try:
         gammas = [float(g) for g in args.gammas.split(",")]
         ns = [int(n) for n in args.ns.split(",")]

@@ -22,6 +22,7 @@ from .geometry import (ConeSpec, LinearSubspace, Metric, _Workspace, _orthant_bl
 from .testing import Statistic
 
 _POWER_CHUNK = 1 << 14
+_POWER_PASS = 1 << 16  # the widest counting pass: four chunks (see _run_scenarios)
 
 #: Angles (degrees, from the positive horizontal axis) of the six non-null
 #: mean settings used by the power study; all lie on the circle of radius 3/4.
@@ -64,7 +65,8 @@ class PowerScenario:
         theta = check.vector(self.theta, "theta", 2)
         if check.instance(self.sigma, Metric, "sigma").dim != 2:
             raise ContractViolationError("sigma must be 2 x 2")
-        for name, least in (("n", 1), ("replications", 1), ("seed", 0)):
+        object.__setattr__(self, "n", check.sample_size(self.n))
+        for name, least in (("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, check.integer(getattr(self, name), least, name))
         for name in ("alpha", "gamma"):
             object.__setattr__(self, name, check.level(getattr(self, name), name))
@@ -95,21 +97,25 @@ def run_power_scenario(scenario: PowerScenario, workers: int = 1) -> PowerResult
     and the composite when the certificate is also issued; _count_rejections
     states both rules with their atoms. Replications are
     generated in fixed-size chunks with seeds spawned deterministically from
-    the scenario seed and counts merged in chunk order, so results are
+    the scenario seed, counted in passes of up to four consecutive chunks
+    (see _run_scenarios), and the integer counts are summed, so results are
     identical for any worker count. This is the one-scenario case of the
-    pass power_grid makes over the whole grid.
+    pool power_grid runs over the whole grid.
     """
     return _run_scenarios([check.instance(scenario, PowerScenario, "scenario")], workers)[0]
 
 
 def _run_scenarios(scenarios, workers) -> list[PowerResult]:
-    """All chunks of all scenarios through one pool; one result per scenario.
+    """All passes of all scenarios through one pool; one result per scenario.
 
     The scenarios share one metric (a mix is an internal error): its weights,
     sigma^-1 and orthant operator table are made once, with one critical
-    value per distinct alpha and per distinct gamma. Each thread that runs
-    chunks gets one workspace for the call, sized for the largest chunk, in
-    which a chunk draws its (2, size) means and counts its rejections.
+    value per distinct alpha and per distinct gamma. A job is a pass: up to
+    four consecutive chunks of one scenario, each drawn from its own seeded
+    stream into its own columns, then one _count_rejections call. Over one
+    chunk the count's numpy calls are too short for a second thread to run
+    beside them; over four they overlap. Each thread that runs passes gets
+    one workspace for the call, sized for the widest pass.
     """
     workers = check.integer(workers, 1, "workers")
     if not scenarios:
@@ -122,21 +128,29 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
     polar = w.complement()
     c_alpha = {a: solve_critical(w, a, "marginal") for a in {s.alpha for s in scenarios}}
     c_gamma = {g: solve_critical(polar, g, "marginal") for g in {s.gamma for s in scenarios}}
-    jobs = [(index, child, size) for index, scenario in enumerate(scenarios)
-            for child, size in _seeded_chunks(scenario.seed, scenario.replications,
-                                              _POWER_CHUNK)]
-    capacity = 2 * max(size for _, _, size in jobs)
+    step, jobs = _POWER_PASS // _POWER_CHUNK, []
+    for index, scenario in enumerate(scenarios):
+        chunks = list(_seeded_chunks(scenario.seed, scenario.replications, _POWER_CHUNK))
+        jobs += [(index, chunks[i:i + step]) for i in range(0, len(chunks), step)]
+    capacity = 2 * min(_POWER_PASS, max(s.replications for s in scenarios))
     local = threading.local()
 
-    def one_chunk(job):
-        index, child, size = job
+    def one_pass(job):
+        index, run = job
         scenario = scenarios[index]
         work = getattr(local, "work", None)
         if work is None:
             work = local.work = _Workspace(capacity)
-        draws = np.random.default_rng(child).standard_normal(out=work.view("draws", (size, 2)))
+        width = sum(size for _, size in run)
+        draws = work.view("draws", (width, 2))
+        xbar = work.view("points", (2, width))
         chol = metric.chol_lower / np.sqrt(scenario.n)
-        xbar = np.matmul(chol, draws.T, out=work.view("points", (2, size)))
+        lo = 0
+        for child, size in run:
+            hi = lo + size
+            np.random.default_rng(child).standard_normal(out=draws[lo:hi])
+            np.matmul(chol, draws[lo:hi].T, out=xbar[:, lo:hi])
+            lo = hi
         xbar += scenario.theta[:, None]
         return (index,) + _count_rejections(xbar, minv, scenario.n, table,
                                             c_alpha[scenario.alpha], c_gamma[scenario.gamma],
@@ -146,9 +160,9 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(one_chunk, jobs))
+            counts = list(pool.map(one_pass, jobs))
     else:
-        counts = [one_chunk(job) for job in jobs]
+        counts = [one_pass(job) for job in jobs]
     n_dt, n_safe = [0] * len(scenarios), [0] * len(scenarios)
     for index, dt, safe in counts:
         n_dt[index] += dt
@@ -168,8 +182,14 @@ def _count_rejections(xbar, minv, n, table, c_alpha, c_gamma, work) -> tuple[int
     """(plain, composite) rejection counts over the columns of a (2, size)
     array of means, from the projector's blocks in the workspace.
 
+    The harness passes a run of up to four chunks, so the 60 or so numpy
+    calls here are paid once per run, and each column is decided on its own.
+    So a pass counts what its chunks would, bit for bit under the grid's
+    identity metric. Under another metric a column that was a chunk's only
+    one, or its last open one at a support, is rounded by gemv there and by
+    gemm in the pass, which moves a count only at a tie within an ulp.
     t = n theta' M theta and t' = n r' M r with r = x - theta, M = sigma^{-1},
-    are rounded as over the whole chunk at once. The atoms follow the p-value
+    are rounded as over the whole pass at once. The atoms follow the p-value
     rule of TestResult.reject: the apex (theta = 0, t = 0, alpha* = 1) never
     rejects and the full support (r = 0, t' = 0, gamma* = 1) always
     certifies. Elsewhere t >= c_alpha rejects and t' < c'_gamma certifies,
@@ -182,7 +202,7 @@ def _count_rejections(xbar, minv, n, table, c_alpha, c_gamma, work) -> tuple[int
     def statistic(v):
         # n (v * (M @ v)).sum(axis=0) per column; numpy multiplies a lone
         # column by gemv and several by gemm, so a lone column of a wider
-        # chunk goes through gemm beside a zero column. Not dead code: at
+        # pass goes through gemm beside a zero column. Not dead code: at
         # p = 2 gemv and gemm differ in the last bit for about half of random
         # (M, v) on OpenBLAS, and without the pad the counts leave those of
         # the reference chunk (test_power_counts_equal_the_reference_chunk)
@@ -221,10 +241,9 @@ def power_grid(replications: int = 100_000, seed: int = DEFAULT_SEED,
     Cell seeds are the 64-bit states generated from the root seed, so the
     grid is reproducible as a whole while cells stay independent. The
     critical values are solved once: c_alpha for the grid and c_gamma per
-    gamma. The chunks of every cell go through one pool of the given number
-    of worker threads, and each cell's counts are merged in chunk order, so
-    the rows equal those of run_power_scenario cell by cell at any worker
-    count.
+    gamma. The passes of every cell go through one pool of the given number
+    of worker threads, and each cell's counts are summed, so the rows equal
+    those of run_power_scenario cell by cell at any worker count.
     """
     seed = check.integer(seed, 0, "seed")
     means = simulation_means()

@@ -63,12 +63,8 @@ class Statistic:
 
     def __post_init__(self):
         s = check.vector(self.s_n, "s_n", check.instance(self.sigma_n, Metric, "sigma_n").dim)
-        # above 2**53 the float products n * distance would round n itself
-        n = check.integer(self.n, 1, "n")
-        if n > 2**53:
-            raise ContractViolationError(f"n must be no larger than 2**53, not {n!r}")
         object.__setattr__(self, "s_n", s)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check.sample_size(self.n))
         object.__setattr__(self, "_cone_memo", None)
 
     @property

@@ -367,6 +367,8 @@ class TestPowerCommand:
         ("--seed", "-1", "seed must"),
         ("--workers", "0", "workers must"),
         ("--workers", "-1", "workers must"),
+        ("--ns", "9007199254740993", "n must be no larger than 2**53"),
+        ("--means", "", "unknown mean label ''"),
     ])
     def test_invalid_counts_exit_2(self, capsys, option, value, message):
         argv = ["power", "--means", "theta0", "--gammas", "0.1", "--ns", "10", "--reps", "10"]

@@ -184,15 +184,25 @@ def _counts(result):
     return round(result.power_dt * result.replications), round(result.power_safe * result.replications)
 
 
-@pytest.mark.parametrize("alpha, gamma", [(0.05, 0.05), (0.9, 0.05), (0.05, 0.9), (0.95, 0.99)])
+_CHUNK = studies._POWER_CHUNK
+
+
+@pytest.mark.parametrize("alpha, gamma, replications", [
+    # id alpha-gamma, with the replication count after it past three chunks
+    pytest.param(alpha, gamma, reps, id=f"{alpha}-{gamma}" + (f"-{reps}" if i else ""))
+    for i, reps in enumerate([2 * _CHUNK + 123, 4 * _CHUNK + 123, 9 * _CHUNK - 7])
+    for alpha, gamma in [(0.05, 0.05), (0.9, 0.05), (0.05, 0.9), (0.95, 0.99)]])
 @pytest.mark.parametrize("rho, scale", [(0.0, 1.0), (0.999, 2.0**-40), (-0.999, 2.0**40)])
-def test_scenario_counts_equal_the_reference_chunks(alpha, gamma, rho, scale):
-    """Whole scenarios, three chunks with the last partial; at alpha or gamma
-    near 1 the critical value is 0 and the apex and interior shortcuts count."""
+def test_scenario_counts_equal_the_reference_chunks(alpha, gamma, replications, rho, scale):
+    """Whole scenarios against their chunks counted one by one: three chunks
+    (one pass), five (a pass of four and a partial fifth) and nine (passes of
+    four, four and a partial ninth), the last chunk partial each time; at
+    alpha or gamma near 1 the critical value is 0 and the apex and interior
+    shortcuts count."""
     sigma = Metric(scale * np.array([[1.0, rho], [rho, 1.0]]))
     theta = np.sqrt(scale) * np.array([0.2, -0.1])
     scenario = PowerScenario(theta=theta, sigma=sigma, n=20, alpha=alpha, gamma=gamma,
-                             replications=2 * studies._POWER_CHUNK + 123, seed=5)
+                             replications=replications, seed=5)
     result = run_power_scenario(scenario)
     assert _counts(result) == _scenario_counts_oracle(scenario)
     assert result.power_dt == _scenario_counts_oracle(scenario)[0] / scenario.replications

@@ -5,8 +5,8 @@ and the two nulls the CLI builds, span_of_ones and from_constraint; every
 built-in case is a document read like an --input file, so the CLI no longer
 reaches LinearSubspace.zero, which the bench and other tests still call.
 Each pin compares the --out report and the printed summary with the files
-under tests/golden/; one more pins the CSV of a two-mean power grid at one,
-two and three workers. To regenerate them after an intended change of
+under tests/golden/; two more pin the CSVs of two small power grids at
+one, two and three workers. To regenerate them after an intended change of
 output, run
 
     PYTHONPATH=src python tests/test_report_pins.py
@@ -69,9 +69,16 @@ CASE_DOCUMENTS = {
     "cs-table5-doubled": {"control": [10, 22, 2], "treatment": [6, 16, 8], "labels": _LABELS},
 }
 
-#: 18 cells of 40 000 replications: three chunks per cell, the last one partial.
-POWER_PIN = ["power", "--reps", "40000", "--seed", "7", "--means", "theta0,theta5"]
-POWER_GOLDEN = GOLDEN / "power-theta0-theta5.csv"
+#: Golden CSV name -> power argv. 18 cells of 40 000 replications, three
+#: chunks each with the last one partial; and 6 cells of 70 000, five chunks
+#: each: a pass of four, then a partial chunk of 4 464 alone.
+POWER_PINS = {
+    "power-theta0-theta5": ["power", "--reps", "40000", "--seed", "7",
+                            "--means", "theta0,theta5"],
+    "power-pass-boundary": ["power", "--reps", "70000", "--seed", "11",
+                            "--means", "theta0,theta3,theta6", "--gammas", "0.05",
+                            "--ns", "10,50"],
+}
 
 
 def _run_pin(name, workdir):
@@ -117,10 +124,11 @@ def test_case_document_through_input_matches_the_case(name, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_power_csv_matches_golden_bytes(workers, tmp_path):
-    out = tmp_path / "power.csv"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(POWER_PIN + ["--workers", str(workers), "--out", str(out)]) == EXIT_OK
-    assert out.read_bytes() == POWER_GOLDEN.read_bytes()
+    for name, argv in POWER_PINS.items():
+        out = tmp_path / f"{name}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--workers", str(workers), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), name
 
 
 def _assert_scaled_report_is_golden(name, power, tmp_path):
@@ -180,10 +188,11 @@ def _regenerate():
             (GOLDEN / f"{name}.json").write_text(report, encoding="utf-8")
             (GOLDEN / f"{name}.txt").write_text(summary, encoding="utf-8")
             print(f"wrote {name}")
-    with contextlib.redirect_stdout(io.StringIO()):
-        if main(POWER_PIN + ["--out", str(POWER_GOLDEN)]) != EXIT_OK:
-            raise SystemExit("power: nonzero exit")
-    print(f"wrote {POWER_GOLDEN.stem}")
+    for name, argv in POWER_PINS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(argv + ["--out", str(GOLDEN / f"{name}.csv")]) != EXIT_OK:
+                raise SystemExit(f"{name}: nonzero exit")
+        print(f"wrote {name}")
 
 
 if __name__ == "__main__":

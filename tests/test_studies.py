@@ -362,6 +362,45 @@ class TestPowerHarness:
         rows = power_grid(replications=10)
         assert len(rows) == 63 and built == [[[1.0, 0.0], [0.0, 1.0]]]
 
+    def test_a_pass_counts_a_run_of_up_to_four_chunks(self, monkeypatch):
+        """The two chunks of a 32 768-rep cell are one pass, so the 63-cell
+        grid counts in 63 passes; nine chunks count in passes of 4, 4 and 1."""
+        widths = []
+
+        def counting(xbar, *args):
+            widths.append(xbar.shape[1])
+            return count_rejections(xbar, *args)
+
+        count_rejections = studies._count_rejections
+        monkeypatch.setattr(studies, "_count_rejections", counting)
+        power_grid(replications=32768)
+        assert widths == [32768] * 63
+        widths.clear()
+        chunk = studies._POWER_CHUNK
+        run_power_scenario(self.scenario([0.3, -0.1], reps=9 * chunk), workers=2)
+        assert sorted(widths) == [chunk, 4 * chunk, 4 * chunk]
+
+    def test_workspaces_hold_at_most_one_pass(self, monkeypatch):
+        """However many chunks a scenario has, a thread's workspace holds the
+        (2, width) means of one pass of at most four chunks."""
+        capacities = []
+
+        class Recording(studies._Workspace):
+            def __init__(self, capacity):
+                capacities.append(capacity)
+                super().__init__(capacity)
+
+        monkeypatch.setattr(studies, "_Workspace", Recording)
+        chunk = studies._POWER_CHUNK
+        run_power_scenario(self.scenario([0.3, -0.1], reps=9 * chunk), workers=2)
+        assert capacities and max(capacities) <= 2 * 4 * chunk
+
+    def test_n_is_at_most_2_53(self):
+        """Statistic's bound: above 2**53 the float n would round n itself."""
+        assert self.scenario([0.0, 0.0], reps=10, n=2**53).n == 2**53
+        with pytest.raises(ContractViolationError, match=r"n must be no larger than 2\*\*53"):
+            self.scenario([0.0, 0.0], reps=10, n=2**53 + 1)
+
     def test_one_pass_takes_one_metric(self):
         """power_grid and run_power_scenario build every pass under one
         metric; a list that mixes metrics is an internal error, and an empty

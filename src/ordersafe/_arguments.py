@@ -91,6 +91,15 @@ def array(x, name: str, ndim: int, finite: bool = True, rows: int | None = None)
     return a
 
 
+def symmetric(a: np.ndarray, name: str) -> None:
+    """Refuse a square float array a unless ||a - a'|| <= 1e-10 ||a|| in the
+    Frobenius norm. Both norms are taken of a / max|a|, so they can neither
+    underflow nor overflow; a zero a counts as symmetric."""
+    unit = a / (np.abs(a).max() or 1.0)
+    if np.linalg.norm(unit - unit.T) > 1e-10 * np.linalg.norm(unit):
+        raise ContractViolationError(f"{name} is not symmetric within tolerance 1e-10")
+
+
 def vector(x, name: str, dim: int | None = None) -> np.ndarray:
     """array(x, name, 1), of length dim when dim is given."""
     return array(x, name, 1, rows=dim)

@@ -7,7 +7,7 @@ the closed-form weights for two-dimensional orthants, exact weights up to
 p = EXACT_MAX_DIM = 8 by Kudô's face decomposition with Plackett's orthant
 reduction (weights_exact, deterministic, in quadrature passes of 16, 32,
 64 and 128 nodes), Monte Carlo weight estimation by face counting
-(weights_monte_carlo, on request at any p, and the oracle the exact
+(weights_monte_carlo, on request up to p = 16, and the oracle the exact
 weights are tested against), the one rule that picks among them
 (orthant_weights), upper/joint tails, attained_level, and critical values.
 
@@ -232,9 +232,11 @@ class ChiBarWeights:
 
 
 def correlation_2x2(psi) -> float:
+    """psi_01 / sqrt(psi_00 psi_11) of a symmetric 2 x 2 psi with a positive diagonal."""
     psi = check.array(psi, "psi", 2)
     if psi.shape != (2, 2):
         raise ContractViolationError("expected a 2 x 2 covariance")
+    check.symmetric(psi, "psi")
     # dividing by a power of two is exact and keeps psi_00 psi_11 in range
     psi = np.ldexp(psi, -np.frexp(np.abs(psi).max())[1])
     if not (psi[0, 0] > 0.0 and psi[1, 1] > 0.0):
@@ -509,8 +511,9 @@ def orthant_weights(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAULT_SE
       CapabilityError.
 
     n_draws and seed are checked at every p. psi must be a finite, non-empty
-    square matrix with, at p = 2, a positive diagonal (ContractViolationError);
-    a psi handed on, a p = 1 psi <= 0 included, must pass Metric.
+    square matrix with, at p = 2, a positive diagonal and Metric's symmetry
+    (ContractViolationError); a psi handed on, a p = 1 psi <= 0 included,
+    must pass Metric.
     """
     n_draws, seed = check.integer(n_draws, 1, "n_draws"), check.integer(seed, 0, "seed")
     sigma = check.array(psi, "psi", 2)
@@ -544,8 +547,9 @@ def weights_monte_carlo(psi, n_draws: int = DEFAULT_MC_DRAWS, seed: int = DEFAUL
     spawned from the seed by _seeded_chunks (which seeds the power harness
     too), and the face counts are merged in chunk order, so the result is
     reproducible bit-for-bit for a given (psi, n_draws, seed). The draws
-    are projected by the KKT-certified pass of project_orthant_batch, with
-    its 2^p support operators and one workspace built once per call: each
+    are projected by _orthant_blocks, the KKT-certified pass that
+    project_orthant_batch wraps, with its 2^p support operators and one
+    workspace built once per call (p <= 16, else CapabilityError): each
     chunk is drawn and transformed into the workspace, and the certificate
     decides each face, a support of size j adding its block's size to the
     count of w_j. No projection is put back into row order. Each draw adds

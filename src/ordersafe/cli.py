@@ -211,7 +211,7 @@ def dumps_report(obj) -> str:
 
 
 def _check_out_path(path):
-    """Validate the output location before any computation runs."""
+    """Validate the output location of any command before it runs."""
     if path is None:
         return
     import os
@@ -249,7 +249,6 @@ def _print_summary(outcome):
 
 def _composite_problem(args):
     """(statistic, sub, cone, inputs echo, alpha, gamma, WeightConfig) of a run."""
-    _check_out_path(args.out)
     if args.case is not None and args.input is not None:
         raise InputError("give either --input FILE or --case NAME, not both")
     if args.case is not None:
@@ -287,7 +286,6 @@ _POWER_COLUMNS = ("mean_label", "gamma", "n", "power_dt", "power_safe",
 def cmd_power(args) -> int:
     from .studies import MEAN_LABELS, power_grid
 
-    _check_out_path(args.out)
     means = args.means.split(",") if args.means is not None else list(MEAN_LABELS)
     try:
         gammas = [float(g) for g in args.gammas.split(",")]
@@ -304,7 +302,6 @@ def cmd_power(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    _check_out_path(args.out)
     if args.identity is not None and args.input is not None:
         raise InputError("give either --input FILE or --identity DIM, not both")
     if args.identity is not None:
@@ -429,18 +426,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_path(args.out)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OrderSafeError as exc:
-        # remaining library contract violations stem from bad inputs
+    except (InputError, OrderSafeError) as exc:
+        # the remaining library errors (contract, capability) stem from bad inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

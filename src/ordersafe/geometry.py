@@ -31,7 +31,6 @@ from .errors import (
 #: does not depend on the units of the point.
 ZERO_TOL = 1e-10
 
-_SYMMETRY_RTOL = 1e-10
 _RANK_RTOL = 1e-10
 _EXACT_MAX_ROWS = 16
 
@@ -83,11 +82,7 @@ class Metric:
             raise ContractViolationError(f"sigma must be square, got shape {sigma.shape}")
         if sigma.size == 0:
             raise ContractViolationError("sigma must be non-empty")
-        # scaled to max|sigma| = 1, the Frobenius norms can neither underflow nor overflow
-        scale = np.abs(sigma).max()
-        unit = sigma / (scale or 1.0)  # a zero sigma fails the Cholesky factorization below
-        if np.linalg.norm(unit - unit.T) > _SYMMETRY_RTOL * np.linalg.norm(unit):
-            raise ContractViolationError("sigma is not symmetric within tolerance 1e-10")
+        check.symmetric(sigma, "sigma")  # a zero sigma fails the Cholesky factorization below
         # halving first is exact and cannot overflow where sigma + sigma.T can
         sigma = 0.5 * sigma + 0.5 * sigma.T
         sigma.setflags(write=False)
@@ -168,6 +163,16 @@ class ConeSpec:
     def as_polyhedral(self) -> np.ndarray:
         """The p x m matrix R with cone = {theta : R theta >= 0} (read-only)."""
         return self.restriction
+
+    def _acting_on(self, dim: int, what: str) -> np.ndarray:
+        """R, once the cone is known to live in dimension dim, that of what
+        (a metric or a statistic): the one rule that pairs a cone with a
+        dimension, read from the cone by every module that pairs one."""
+        r = self.restriction
+        if r.shape[1] != dim:
+            raise ContractViolationError(f"cone and {what} dimensions disagree "
+                                         f"(cone lives in dimension {r.shape[1]}, {what} in {dim})")
+        return r
 
 
 @dataclass(frozen=True)
@@ -274,11 +279,7 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
         SPD matrix defining the geometry.
     """
     x = check.vector(x, "x", check.instance(metric, Metric, "metric").dim)
-    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
-    if r.shape[1] != metric.dim:
-        raise ContractViolationError(
-            f"cone lives in dimension {r.shape[1]}, metric in {metric.dim}"
-        )
+    r = check.instance(cone, ConeSpec, "cone")._acting_on(metric.dim, "metric")
     return _dual_active_set(x, r, metric)[0]
 
 
@@ -435,7 +436,9 @@ class _Workspace:
     keeps short calls cheap: glibc returns a dozen separately freed 256 KB
     buffers to the system, and the next call faults their pages in again.
     A workspace belongs to one thread: the power harness keeps one per
-    worker thread for one call, weights_monte_carlo one per call.
+    worker thread for one call, weights_monte_carlo one per call. A power
+    pass takes all _SLOTS names, 9 in _orthant_blocks and 7 in studies, so
+    a new view there needs _SLOTS raised.
     """
 
     _SLOTS = 16

@@ -43,26 +43,16 @@ class WeightedSeries:
 class IsotonicFit:
     """Result of the weighted projection onto the nondecreasing cone.
 
-    blocks lists the maximal constant level sets as half-open (start, stop)
-    index ranges; within each block the fitted value is the weighted average
-    of the raw values, and the overall weighted mean is preserved.
+    Each maximal constant run of fitted holds the weighted average of its
+    raw values, so the overall weighted mean is preserved.
     """
 
     fitted: np.ndarray
-    blocks: tuple[tuple[int, int], ...]
     objective: float
 
 
-def av(series: WeightedSeries, u: int, v: int) -> float:
-    """Weighted average of values[u..v], endpoints included (0-based)."""
-    k = len(check.instance(series, WeightedSeries, "series"))
-    if not check.integer(u, 0, "u") <= check.integer(v, 0, "v") < k:
-        raise ContractViolationError(f"indices ({u}, {v}) out of range for length {k}")
-    return _av(series, u, v)
-
-
 def _av(series: WeightedSeries, u: int, v: int) -> float:
-    """av without its argument checks, for indices already known to be in range."""
+    """Weighted average of values[u..v], endpoints included (0-based)."""
     w = series.weights[u : v + 1]
     return float(w @ series.values[u : v + 1] / w.sum())
 
@@ -85,18 +75,10 @@ def pava(series: WeightedSeries) -> IsotonicFit:
             mean = (lo[2] * lo[3] + hi[2] * hi[3]) / wsum
             stack.append([lo[0], hi[1], wsum, mean])
     fitted = np.empty_like(values)
-    blocks: list[tuple[int, int]] = []
-    tol = 1e-12 * (1.0 + np.max(np.abs(values)))
     for start, stop, _, mean in stack:
         fitted[start:stop] = mean
-        # pooling merges on >=, so adjacent equal means are already one block;
-        # guard against float ties splitting a maximal level set anyway
-        if blocks and abs(fitted[blocks[-1][0]] - mean) <= tol:
-            blocks[-1] = (blocks[-1][0], stop)
-        else:
-            blocks.append((start, stop))
     objective = float(weights @ (values - fitted) ** 2)
-    return IsotonicFit(fitted=fitted, blocks=tuple(blocks), objective=objective)
+    return IsotonicFit(fitted=fitted, objective=objective)
 
 
 @dataclass(frozen=True)

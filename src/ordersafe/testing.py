@@ -143,9 +143,7 @@ def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarr
     """R, once the null is ker R: the one pairing rule of type A, for which
     alone the chi-bar law holds (dt_type_a and resolve_weights)."""
     check.instance(sub, LinearSubspace, "sub")
-    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
-    if r.shape[1] != dim:
-        raise ContractViolationError("cone and statistic dimensions disagree")
+    r = check.instance(cone, ConeSpec, "cone")._acting_on(dim, "statistic")
     if sub.ambient_dim != dim:
         raise ContractViolationError("subspace and statistic dimensions disagree")
     b = sub.basis
@@ -192,16 +190,16 @@ def dt_type_a(stat: Statistic, sub: LinearSubspace, cone: ConeSpec) -> float:
 
 
 def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
-    """Distance test for a cone null: n times squared distance to the cone.
+    """Distance test for a cone null: n times squared distance to the cone,
+    a sum of squares, so never negative.
 
     The distance comes from the Statistic's memo, shared with dt_type_a.
     """
     check.instance(stat, Statistic, "stat")
-    if check.instance(cone, ConeSpec, "cone").as_polyhedral().shape[1] != stat.dim:
-        raise ContractViolationError("cone and statistic dimensions disagree")
+    check.instance(cone, ConeSpec, "cone")._acting_on(stat.dim, "statistic")
     value = stat.n * _cone_distance_sq(stat, cone)
     _require_finite(value, "type B")
-    return max(value, 0.0)
+    return value
 
 
 def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
@@ -311,10 +309,7 @@ def safe_test(stat: Statistic, sub: LinearSubspace, cone: ConeSpec, alpha: float
 def _checked(theta, cone, metric):
     """theta as a float vector and the R of cone, checked against metric."""
     theta = check.vector(theta, "theta", check.instance(metric, Metric, "metric").dim)
-    r = check.instance(cone, ConeSpec, "cone").as_polyhedral()
-    if r.shape[1] != metric.dim:
-        raise ContractViolationError("cone and metric dimensions disagree")
-    return theta, r
+    return theta, check.instance(cone, ConeSpec, "cone")._acting_on(metric.dim, "metric")
 
 
 def _type_a_drift(r, proj, lam, g):

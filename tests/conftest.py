@@ -284,6 +284,21 @@ def minmax_project(series):
     return out
 
 
+def av(series, u, v):
+    """Weighted average of values[u..v] of a WeightedSeries, endpoints
+    included (0-based): the block value of the partition oracle."""
+    w = series.weights[u:v + 1]
+    return float(w @ series.values[u:v + 1] / w.sum())
+
+
+def level_sets(fitted):
+    """The maximal constant runs of a fit as half-open (start, stop) index
+    ranges. pava pools on >=, so its blocks have strictly increasing means
+    and are exactly these runs."""
+    bounds = [0, *(np.flatnonzero(np.diff(fitted)) + 1).tolist(), len(fitted)]
+    return tuple(zip(bounds, bounds[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Reference forms of the exact weights and the tails. These are the
 # implementations the table-driven engine in ordersafe.chibar replaced: a

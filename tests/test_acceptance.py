@@ -27,7 +27,7 @@ from ordersafe.geometry import (
     project_cone,
     project_orthant_batch,
 )
-from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
+from ordersafe.isotonic import WeightedSeries, pava, simple_order_consistency
 from ordersafe.studies import (
     CS_TABLE5,
     CS_TABLE6,
@@ -46,6 +46,7 @@ from ordersafe.testing import (
 )
 
 from conftest import (
+    av,
     cumulative_differences,
     minmax_project,
     mp_chi2_sf,

@@ -546,7 +546,7 @@ class TestOrthantWeights:
                                                       [0.0, 0.0, 1.0]]),
         dict(psi=np.eye(1), n_draws=0), dict(psi=np.eye(2), n_draws=True),
         dict(psi=np.eye(3), n_draws=2.5), dict(psi=np.eye(2), seed=-1),
-        dict(psi=np.eye(3), seed="1"),
+        dict(psi=np.eye(3), seed="1"), dict(psi=[[1.0, 0.5], [0.2, 1.0]]),
     ])
     def test_bad_arguments_raise_contract_violations(self, kwargs):
         with pytest.raises(ContractViolationError):
@@ -563,6 +563,11 @@ class TestMixtureTails:
     def test_nan_weight_rejected(self):
         with pytest.raises(ContractViolationError, match="sum to nan"):
             ChiBarWeights(w=np.array([np.nan, 0.5, 0.5]))
+
+    def test_negative_weight_rejected(self):
+        """The weights sum to 1, so only the sign rule refuses them."""
+        with pytest.raises(ContractViolationError, match="weights must be nonnegative"):
+            ChiBarWeights(w=np.array([-0.1, 0.6, 0.5]))
 
     def test_total_mass_at_zero(self):
         assert mixture_upper_tail(QUADRANT, 0.0) == 1.0

@@ -280,6 +280,21 @@ class TestSafeTestCommand:
         code = run(["safe-test", "--case", "silvapulle", "--out", str(out)])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read"),
+        ("[1.0, 2.0]", "top-level document must be an object"),
+        (json.dumps(dict(_PROBLEM, order="simple", restriction=[[1, -1, 0], [0, 1, -1]])),
+         "give either 'restriction' or 'order', not both"),
+    ], ids=["unreadable", "top-level-array", "restriction-and-order"])
+    def test_unusable_documents_exit_2_without_output(self, tmp_path, capsys, text, message):
+        path = tmp_path / "doc.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "report.json"
+        assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["safe-test", "--case", "cs-table5", "--seed", "5", "--out"]
@@ -369,6 +384,7 @@ class TestPowerCommand:
         ("--workers", "-1", "workers must"),
         ("--ns", "9007199254740993", "n must be no larger than 2**53"),
         ("--means", "", "unknown mean label ''"),
+        ("--gammas", "0.1,x", "bad --gammas/--ns value"),
     ])
     def test_invalid_counts_exit_2(self, capsys, option, value, message):
         argv = ["power", "--means", "theta0", "--gammas", "0.1", "--ns", "10", "--reps", "10"]
@@ -487,6 +503,28 @@ class TestOptionsAreDeclaredWhereRead:
     def test_identity_must_be_positive(self, dim, capsys):
         assert run(["weights", "--identity", dim, "--mc-n", "100"]) == EXIT_INPUT
         assert f"--identity must be at least 1, not {dim}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["safe-test"], "provide --input FILE or --case NAME"),
+        (["weights", "--mc-n", "100"], "provide --input FILE with a 'sigma' matrix or --identity DIM"),
+    ], ids=["safe-test", "weights"])
+    def test_no_problem_source_exits_2(self, argv, message, capsys):
+        assert run(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["safe-test", "--case", "silvapulle"],
+                                      ["dt", "--case", "cs-table5"],
+                                      ["case", "silvapulle"],
+                                      ["power", "--means", "theta0", "--reps", "10"],
+                                      ["weights", "--identity", "2", "--mc-n", "100"]],
+                             ids=["safe-test", "dt", "case", "power", "weights"])
+    def test_an_out_that_names_a_directory_exits_2_before_any_command(self, argv, tmp_path,
+                                                                    capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output path is a directory: {tmp_path}\n"
+        assert captured.out == ""
 
     def test_identity_with_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sigma.json"

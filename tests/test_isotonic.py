@@ -3,9 +3,9 @@ import pytest
 
 from ordersafe.errors import ContractViolationError
 from ordersafe.geometry import ConeSpec, Metric, project_cone
-from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
+from ordersafe.isotonic import WeightedSeries, pava, simple_order_consistency
 
-from conftest import minmax_project
+from conftest import av, level_sets, minmax_project
 
 
 def series(values, weights=None):
@@ -26,6 +26,8 @@ class TestWeightedSeries:
 
 
 class TestAv:
+    """The block average of the partition oracle (conftest.av)."""
+
     def test_plain_mean(self):
         assert av(series([1, 2, 3]), 0, 2) == 2.0
 
@@ -36,16 +38,12 @@ class TestAv:
         # (3*4 + 1*2) / 4
         assert av(series([4, 2], weights=[3, 1]), 0, 1) == 3.5
 
-    def test_out_of_range(self):
-        with pytest.raises(ContractViolationError):
-            av(series([1, 2]), 1, 2)
-
 
 class TestPava:
     def test_monotone_input_unchanged(self):
         fit = pava(series([1, 2, 3]))
         np.testing.assert_allclose(fit.fitted, [1, 2, 3])
-        assert fit.blocks == ((0, 1), (1, 2), (2, 3))
+        assert level_sets(fit.fitted) == ((0, 1), (1, 2), (2, 3))
         assert fit.objective == 0.0
 
     def test_two_point_pool(self):
@@ -61,7 +59,7 @@ class TestPava:
     def test_three_point_example(self):
         fit = pava(series([0, 2, 1]))
         np.testing.assert_allclose(fit.fitted, [0, 1.5, 1.5])
-        assert fit.blocks == ((0, 1), (1, 3))
+        assert level_sets(fit.fitted) == ((0, 1), (1, 3))
 
     def test_matches_generic_cone_projection(self, rng):
         """Cross-module oracle: the monotone cone under a diagonal metric."""
@@ -89,7 +87,7 @@ class TestPava:
         w = rng.uniform(0.5, 1.5, size=8)
         s = series(vals, w)
         fit = pava(s)
-        for start, stop in fit.blocks:
+        for start, stop in level_sets(fit.fitted):
             np.testing.assert_allclose(
                 fit.fitted[start:stop], av(s, start, stop - 1), atol=1e-12
             )
@@ -119,6 +117,10 @@ class TestMinMaxEquivalence:
 
 
 class TestSimpleOrderConsistency:
+    def test_one_group_is_refused(self):
+        with pytest.raises(ContractViolationError, match="need at least two groups"):
+            simple_order_consistency(series([1.0]))
+
     def test_constant_vector_has_no_split(self):
         check = simple_order_consistency(series([0, 0, 0]))
         assert not check.consistent and check.witness is None

@@ -24,7 +24,7 @@ from ordersafe.chibar import (
     weights_closed_form_2d,
     weights_monte_carlo,
 )
-from ordersafe.errors import NumericError
+from ordersafe.errors import InternalInvariantError, NumericError
 from ordersafe.geometry import Metric, _Workspace, _orthant_operators, project_orthant_batch
 from ordersafe.studies import PowerScenario, power_grid, run_power_scenario
 
@@ -251,6 +251,16 @@ class TestWorkspaceReuse:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert concurrent == sequential
+
+
+def test_a_workspace_refuses_a_name_past_its_slots():
+    """A power pass takes all 16 slots; a 17th name is an internal error,
+    not a write into another name's buffer."""
+    work = _Workspace(4)
+    views = [work.view(f"name{i}", (4,)) for i in range(_Workspace._SLOTS)]
+    assert len({v.__array_interface__["data"][0] for v in views}) == 16
+    with pytest.raises(InternalInvariantError, match="workspace has no buffer left for 'name16'"):
+        work.view("name16", (4,))
 
 
 def test_chunked_draws_match_plain_draws():

@@ -59,7 +59,7 @@ from ordersafe import (
 )
 from ordersafe.chibar import attained_level, chi2_sf, correlation_2x2, weights_exact
 from ordersafe.geometry import project_orthant_batch
-from ordersafe.isotonic import WeightedSeries, av, pava, simple_order_consistency
+from ordersafe.isotonic import WeightedSeries, pava, simple_order_consistency
 from ordersafe.testing import resolve_weights
 
 SRC = pathlib.Path(ordersafe.__file__).parent
@@ -71,6 +71,7 @@ RETIRED = {
     "face_dimension", "SingularMatrixError", "minmax_project",
     "tree_order_consistency", "umbrella_consistency", "UmbrellaCheck", "FULL_SPACE",
     "safe_level_2d", "solve_nominal_level", "mixture_lower_tail", "chi2_cdf", "polar_complement",
+    "av",
 }
 #: The 50 names the package exported when it imported every module eagerly,
 #: less FULL_SPACE, which delta's problem word replaced, and less the four
@@ -88,8 +89,7 @@ EXPORTED = {
     "ConsistencyCheck", "SafeOutcome", "Statistic", "TestResult", "WeightConfig",
     "consistency_region", "delta", "dt_type_a", "dt_type_b", "p_value", "safe_test",
 }
-ISOTONIC = {"WeightedSeries", "IsotonicFit", "av", "pava", "SplitCheck",
-            "simple_order_consistency"}
+ISOTONIC = {"WeightedSeries", "IsotonicFit", "pava", "SplitCheck", "simple_order_consistency"}
 
 
 def _names_read(path):
@@ -355,7 +355,6 @@ MODULE_CALLS = [
     (project_orthant_batch, dict(points=[[1.0, -1.0], [-1.0, 2.0]], metric=_M2)),
     (resolve_weights, dict(stat=_STAT3, sub=_SUB3, cone=_CONE3, cfg=_CFG)),
     (WeightedSeries, dict(values=[1.0, 0.0, 2.0], weights=[1.0, 2.0, 1.0])),
-    (av, dict(series=_SERIES, u=0, v=1)),
     (pava, dict(series=_SERIES)),
     (simple_order_consistency, dict(series=_SERIES)),
 ]

@@ -98,6 +98,11 @@ class TestStochasticOrderConstruction:
         with pytest.raises(ContractViolationError, match=r"2\*\*53"):
             ContingencyTable2xK(control=(2**53, 1), treatment=(1, 1))
 
+    def test_a_row_of_zeros_is_refused(self):
+        table = ContingencyTable2xK(control=(0, 0, 0), treatment=(3, 8, 4))
+        with pytest.raises(ContractViolationError, match="each row needs at least one observation"):
+            build_stochastic_order(table)
+
     def test_degenerate_pooled_category_raises(self):
         table = ContingencyTable2xK(control=(0, 5, 5), treatment=(0, 3, 3))
         with pytest.raises(DegenerateVarianceError):
@@ -275,6 +280,11 @@ class TestPowerHarness:
     def test_non_finite_theta_rejected(self, value):
         with pytest.raises(ContractViolationError, match="theta has non-finite"):
             self.scenario([value, 0.0])
+
+    def test_sigma_must_be_2_by_2(self):
+        with pytest.raises(ContractViolationError, match="sigma must be 2 x 2"):
+            PowerScenario(theta=np.zeros(2), sigma=Metric(np.eye(3)), n=10, alpha=0.05,
+                          gamma=0.1, replications=10, seed=0)
 
     def test_plain_array_sigma_rejected(self):
         with pytest.raises(ContractViolationError, match="sigma must be a Metric"):

@@ -196,6 +196,12 @@ def test_nan_arguments_are_rejected(call):
         call()
 
 
+def test_an_int_beyond_the_float_range_is_rejected():
+    """float(10**400) overflows; the real-number rule refuses it by name."""
+    with pytest.raises(ContractViolationError, match="t must be a real number, not 1000"):
+        chi2_sf(10**400, 1)
+
+
 @pytest.mark.parametrize("df", [0, -1, 2.5, True])
 def test_degrees_of_freedom_must_be_positive_integers(df):
     with pytest.raises(ContractViolationError, match="df must be an integer"):

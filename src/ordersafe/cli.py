@@ -19,8 +19,7 @@ from . import _arguments as check
 from .chibar import (
     DEFAULT_MC_DRAWS,
     DEFAULT_SEED,
-    correlation_2x2,
-    weights_closed_form_2d,
+    orthant_weights,
     weights_monte_carlo,
 )
 from .errors import ContractViolationError, InternalInvariantError, NumericError, OrderSafeError
@@ -226,8 +225,11 @@ def _check_out_path(path):
 def _write_out(path, text):
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_summary(outcome):
@@ -314,23 +316,17 @@ def cmd_weights(args) -> int:
     n_draws = args.mc_n if args.mc_n is not None else DEFAULT_MC_DRAWS
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     est = weights_monte_carlo(sigma, n_draws=n_draws, seed=seed)
-    closed = None
-    # echoed where the weight rule (chibar.orthant_weights) uses the closed form
-    if est.p == 2 and -1.0 < (rho := correlation_2x2(sigma)) < 1.0:
-        closed = weights_closed_form_2d(rho)
-    rows = []
-    for j in range(est.p + 1):
-        rows.append({
-            "j": j,
-            "weight": float(est.w[j]),
-            "closed_form": float(closed.w[j]) if closed is not None else "",
-            "n_draws": n_draws,
-            "seed": seed,
-        })
+    # the weight rule's weights, echoed where it uses the closed form (p = 1, and
+    # p = 2 with -1 < rho < 1)
+    rule = orthant_weights(sigma, n_draws, seed) if est.p <= 2 else None
+    closed = rule.w if rule is not None and rule.source == "closed_form" else None
+    rows = [{"j": j, "weight": float(est.w[j]),
+             "closed_form": float(closed[j]) if closed is not None else "",
+             "n_draws": n_draws, "seed": seed} for j in range(est.p + 1)]
     payload = {"weights": [float(x) for x in est.w], "n_draws": n_draws,
                "seed": seed, "version": __version__}
     if closed is not None:
-        payload["closed_form"] = [float(x) for x in closed.w]
+        payload["closed_form"] = [float(x) for x in closed]
     return _emit(args, payload, rows, ("j", "weight", "closed_form", "n_draws", "seed"),
                  "weights")
 

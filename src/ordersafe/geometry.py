@@ -265,9 +265,8 @@ def project_cone(x, cone: ConeSpec, metric: Metric) -> np.ndarray:
     A cone that is not a ConeSpec, or a metric that is not a Metric,
     raises ContractViolationError.
 
-    This is the one exact cone projector. The distance tests dt_type_a,
-    dt_type_b and safe_test call it once per Statistic and cone, through
-    the Statistic's memo of its squared distance to the last cone.
+    This is the one exact cone projector: testing.delta and
+    consistency_region, and through delta the distance tests, run its pass.
 
     Parameters
     ----------

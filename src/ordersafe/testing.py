@@ -33,7 +33,6 @@ from .geometry import (
     Metric,
     _column_norms,
     _dual_active_set,
-    project_cone,
     project_subspace,
 )
 
@@ -45,10 +44,10 @@ class Statistic:
     s_n estimates the parameter, sigma_n estimates the covariance of the
     root-n limit law, and n is the sample size behind the estimate.
 
-    Both distance statistics come from the one cone projection of s_n, so a
-    Statistic remembers its squared distance to the last cone it was
-    projected onto: dt_type_a, dt_type_b and safe_test on one Statistic and
-    one ConeSpec project once. The memo is keyed by the cone's identity (a
+    Both distance statistics read the squared distance from s_n to the
+    cone, the type B drift delta(s_n), so a Statistic remembers it for the
+    last cone: dt_type_a, dt_type_b and safe_test on one Statistic and one
+    ConeSpec project once. The memo is keyed by the cone's identity (a
     ConeSpec is immutable, so the same object has the same restriction
     matrix; an equal but distinct cone projects again), holds no error, and
     is one (cone, distance) tuple written by a single attribute store, so a
@@ -146,8 +145,11 @@ def _validate_pairing(dim: int, sub: LinearSubspace, cone: ConeSpec) -> np.ndarr
     r = check.instance(cone, ConeSpec, "cone")._acting_on(dim, "statistic")
     if sub.ambient_dim != dim:
         raise ContractViolationError("subspace and statistic dimensions disagree")
-    b = sub.basis
-    if b.size and np.max(np.abs(r @ b)) > 1e-8 * (1.0 + np.abs(r).max()):
+    # |(R B)_ij| <= 1e-8 max_k |R_ik| sum_k |B_kj|, read with R's rows and B's
+    # columns divided by their largest entries, so that no scale overflows
+    r_rows = r / np.abs(r).max(axis=1, keepdims=True)
+    b_cols = sub.basis / np.abs(sub.basis).max(axis=0)
+    if (np.abs(r_rows @ b_cols) > 1e-8 * np.abs(b_cols).sum(axis=0)).any():
         raise ContractViolationError(
             "null subspace is not contained in the cone (R @ basis != 0)"
         )
@@ -203,13 +205,12 @@ def dt_type_b(stat: Statistic, cone: ConeSpec) -> float:
 
 
 def _cone_distance_sq(stat: Statistic, cone: ConeSpec) -> float:
-    """Squared metric distance from s_n to the cone, projected once per
-    Statistic and cone (see Statistic). Read and written as one tuple."""
+    """Squared metric distance from s_n to the cone, the type B delta(s_n),
+    once per Statistic and cone (see Statistic); one tuple read and written."""
     memo = stat._cone_memo
     if memo is not None and memo[0] is cone:
         return memo[1]
-    metric = stat.sigma_n
-    d_cone = metric.norm_sq(stat.s_n - project_cone(stat.s_n, cone, metric))
+    d_cone = delta(stat.s_n, cone, stat.sigma_n, "type_b")
     object.__setattr__(stat, "_cone_memo", (cone, d_cone))
     return d_cone
 

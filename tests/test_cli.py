@@ -475,6 +475,17 @@ class TestWeightsCommand:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert float(rows[0]["weight"]) == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_dimensional_echoes_the_rule(self, capsys, fmt):
+        """The weight rule gives (1/2, 1/2) at p = 1, so that is the echo."""
+        assert run(["weights", "--identity", "1", "--mc-n", "100", "--format", fmt]) == EXIT_OK
+        text = capsys.readouterr().out
+        if fmt == "csv":
+            closed = [row["closed_form"] for row in csv.DictReader(text.splitlines())]
+            assert closed == ["0.5", "0.5"]
+        else:
+            assert json.loads(text)["closed_form"] == [0.5, 0.5]
+
 
 class TestOptionsAreDeclaredWhereRead:
     @pytest.mark.parametrize("argv", [
@@ -525,6 +536,20 @@ class TestOptionsAreDeclaredWhereRead:
         captured = capsys.readouterr()
         assert captured.err == f"error: output path is a directory: {tmp_path}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["case", "silvapulle"],
+                                      ["weights", "--identity", "2", "--mc-n", "100"]],
+                             ids=["report", "csv"])
+    def test_a_failed_write_exits_2(self, argv, tmp_path, capsys):
+        """A symlink into a missing directory passes the early check on the
+        output's directory; opening it fails, and that is an input error."""
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "report.json")
+        assert run(argv + ["--out", str(link)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {link}: ")
+        assert captured.err.count("\n") == 1
 
     def test_identity_with_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sigma.json"

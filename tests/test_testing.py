@@ -59,17 +59,17 @@ def gaussian_stat(s, sigma, n):
 
 
 def counted_projections(monkeypatch, fail_first=False):
-    """Count the calls testing makes to project_cone; optionally make the
-    first one raise NumericError."""
+    """Count the calls testing makes to delta, each one cone projection;
+    optionally make the first one raise NumericError."""
     calls = []
 
     def wrapper(*args):
         calls.append(args[1])
         if fail_first and len(calls) == 1:
             raise NumericError("cone projection did not converge")
-        return project_cone(*args)
+        return delta(*args)
 
-    monkeypatch.setattr(testing_module, "project_cone", wrapper)
+    monkeypatch.setattr(testing_module, "delta", wrapper)
     return calls
 
 
@@ -235,6 +235,25 @@ class TestDistanceStatistics:
         sub = LinearSubspace(np.array([[1.0], [0.0]]))
         with pytest.raises(ContractViolationError):
             dt_type_a(gaussian_stat([1.0, 1.0], np.eye(2), 4), sub, ORTHANT2)
+
+    def test_null_check_reads_the_scales_of_r_and_the_basis(self):
+        """ConeSpec(c R) is one cone for every c > 0, and a basis spans one
+        subspace at any scale: over R 2^k and B 2^j, k in -500..500 and j in
+        -500..500, the null check refuses span(e_1), which is not ker R of the
+        simple order, and accepts the span of ones, with the weights of scale
+        1, on all 231 pairs (a bound of 1e-8 (1 + max|R|) took span(e_1) for
+        ker R on 135 of them)."""
+        r = ConeSpec.simple_order(4).restriction
+        stat = gaussian_stat([0.3, -0.2, 0.1, 0.4], np.eye(4), 5)
+        e_1, ones = np.eye(4)[:, :1], np.ones((4, 1))
+        want = resolve_weights(stat, LinearSubspace(ones), ConeSpec(r)).w
+        for k in range(-500, 501, 50):
+            cone = ConeSpec(r * 2.0**k)
+            for j in range(-500, 501, 100):
+                with pytest.raises(ContractViolationError, match="not contained in the cone"):
+                    resolve_weights(stat, LinearSubspace(e_1 * 2.0**j), cone)
+                got = resolve_weights(stat, LinearSubspace(ones * 2.0**j), cone).w
+                np.testing.assert_array_equal(got, want)
 
     def test_null_off_the_kernel_by_1e_minus_6_rejected(self):
         """(1, 1 + 1e-6) has the kernel's dimension under the simple order
@@ -455,7 +474,7 @@ class TestSafeTest:
         """t and t' share one cone projection, and the polar weights are built
         once; dt_type_a and dt_type_b on the same Statistic and cone read
         that projection from its memo and give the same bits."""
-        calls = {"project_cone": 0, "complement": 0}
+        calls = {"delta": 0, "complement": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -463,20 +482,19 @@ class TestSafeTest:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(testing_module, "project_cone",
-                            counted("project_cone", testing_module.project_cone))
+        monkeypatch.setattr(testing_module, "delta", counted("delta", delta))
         monkeypatch.setattr(ChiBarWeights, "complement",
                             counted("complement", ChiBarWeights.complement))
         sub, cone = LinearSubspace.span_of_ones(4), ConeSpec.simple_order(4)
         stat = gaussian_stat([0.3, -0.2, 0.1, 0.4], random_spd(rng, 4), 50)
         out = safe_test(stat, sub, cone, alpha=0.05, gamma=0.05)
-        assert calls == {"project_cone": 1, "complement": 1}
+        assert calls == {"delta": 1, "complement": 1}
         weights = out.original.weights_used
         for statistic, kind, result in ((dt_type_a(stat, sub, cone), "type_a", out.original),
                                         (dt_type_b(stat, cone), "type_b", out.auxiliary)):
             assert result.statistic == statistic
             assert result.p_value == p_value(statistic, weights, kind)
-        assert calls["project_cone"] == 1
+        assert calls["delta"] == 1
 
     @pytest.mark.parametrize("order, k", [("simple", 3), ("simple", 6), ("tree", 5),
                                           ("umbrella", 6)])

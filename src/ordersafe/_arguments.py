@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -121,9 +122,10 @@ def choice(value, options, name: str) -> str:
 
 
 def items(value, name: str) -> tuple:
-    """tuple(value) for an iterable value."""
+    """tuple(value) for an iterable value that is not a str, bytes or mapping."""
     try:
-        return tuple(value)
+        if not isinstance(value, (str, bytes, Mapping)):
+            return tuple(value)
     except TypeError:
-        raise ContractViolationError(
-            f"{name} must be a sequence, not {type(value).__name__}") from None
+        pass
+    raise ContractViolationError(f"{name} must be a sequence, not {type(value).__name__}")

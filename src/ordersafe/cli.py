@@ -62,22 +62,17 @@ def _load_document(path):
     return doc
 
 
-def _require(doc, key, kind, path):
-    if key not in doc:
-        raise InputError(f"{path}: missing required field {key!r}")
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise InputError(f"{path}: field {key!r} has the wrong type")
-    return value
+def _require(doc, key, where):
+    """doc[key], present and not null; the library rule it reaches decides its type."""
+    if doc.get(key) is None:
+        raise InputError(f"{where}: required field {key!r} is missing or null")
+    return doc[key]
 
 
 def _numeric_array(value, key, path, ndim):
-    """A JSON vector (ndim 1) or matrix (ndim 2) of numbers as a float array.
-
-    Whatever the library's array rule refuses (ragged rows, numbers too
-    large for a float, strings, booleans and nulls) is an input error; a
-    non-finite entry is left to the library, as for any other caller.
-    """
+    """A JSON vector (ndim 1) or matrix (ndim 2) of numbers as a float array:
+    what the library's array rule refuses is an input error; a non-finite
+    entry is left to the library, as for any other caller."""
     try:
         return check.array(value, key, ndim, finite=False)
     except ContractViolationError:
@@ -108,19 +103,20 @@ def _cone_and_subspace(doc, dim, where):
 def _problem(doc, where):
     """(statistic, sub, cone) of a problem document, read from a file or a
     built-in case; where the library refuses it, that is an input error."""
+    table = any(key in doc for key in ("control", "treatment", "labels"))
+    if table and any(key in doc for key in ("s_n", "sigma_n", "n", "order", "restriction")):
+        raise InputError(f"{where}: a document is a table or a statistic with a cone, not both")
     try:
-        if "control" in doc or "treatment" in doc:
+        if table:
             from .studies import ContingencyTable2xK, build_stochastic_order
 
-            control = _require(doc, "control", list, where)
-            treatment = _require(doc, "treatment", list, where)
-            labels = _require(doc, "labels", list, where) if "labels" in doc else None
-            problem = build_stochastic_order(ContingencyTable2xK(control, treatment, labels))
+            labels = _require(doc, "labels", where) if "labels" in doc else None
+            problem = build_stochastic_order(ContingencyTable2xK(
+                _require(doc, "control", where), _require(doc, "treatment", where), labels))
             return problem.statistic(), problem.subspace(), problem.cone()
-        s_n = _numeric_array(_require(doc, "s_n", list, where), "s_n", where, 1)
-        sigma = _numeric_array(_require(doc, "sigma_n", list, where), "sigma_n", where, 2)
-        n = _require(doc, "n", int, where)
-        stat = Statistic(s_n=s_n, sigma_n=Metric(sigma), n=n)
+        s_n = _numeric_array(_require(doc, "s_n", where), "s_n", where, 1)
+        sigma = _numeric_array(_require(doc, "sigma_n", where), "sigma_n", where, 2)
+        stat = Statistic(s_n=s_n, sigma_n=Metric(sigma), n=_require(doc, "n", where))
         cone, sub = _cone_and_subspace(doc, s_n.size, where)
         return stat, sub, cone
     except OrderSafeError as exc:
@@ -142,6 +138,11 @@ def _case_document(name):
     return doc, {"case": name, **doc}
 
 
+def _given(**options):
+    """The options that were given, those not None; the callee's defaults stand for the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _levels_and_config(doc, args, where):
     """alpha, gamma and WeightConfig: each option over its document field over its default."""
     alpha = args.alpha if args.alpha is not None else doc.get("alpha", 0.05)
@@ -149,11 +150,11 @@ def _levels_and_config(doc, args, where):
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):
         raise InputError(f"{where}: 'mc' must be an object with N and seed")
-    n_draws = args.mc_n if args.mc_n is not None else mc_doc.get("N", DEFAULT_MC_DRAWS)
-    seed = args.seed if args.seed is not None else mc_doc.get("seed", DEFAULT_SEED)
+    config = {name: mc_doc[key] for name, key in (("n_draws", "N"), ("seed", "seed"))
+              if key in mc_doc}
+    config.update(_given(n_draws=args.mc_n, seed=args.seed))
     try:
-        return check.level(alpha, "alpha"), check.level(gamma, "gamma"), WeightConfig(
-            n_draws=n_draws, seed=seed)
+        return check.level(alpha, "alpha"), check.level(gamma, "gamma"), WeightConfig(**config)
     except OrderSafeError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -286,20 +287,17 @@ _POWER_COLUMNS = ("mean_label", "gamma", "n", "power_dt", "power_safe",
 
 
 def cmd_power(args) -> int:
-    from .studies import MEAN_LABELS, power_grid
+    from .studies import power_grid
 
-    means = args.means.split(",") if args.means is not None else list(MEAN_LABELS)
+    lists = {"mean_labels": (args.means, str), "gammas": (args.gammas, float),
+             "ns": (args.ns, int)}
     try:
-        gammas = [float(g) for g in args.gammas.split(",")]
-        ns = [int(n) for n in args.ns.split(",")]
+        given = {name: [kind(x) for x in text.split(",")]
+                 for name, (text, kind) in lists.items() if text is not None}
     except ValueError as exc:
         raise InputError(f"bad --gammas/--ns value: {exc}") from exc
-    rows = power_grid(
-        replications=args.reps,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        alpha=args.alpha if args.alpha is not None else 0.05,
-        gammas=gammas, ns=ns, mean_labels=means, workers=args.workers,
-    )
+    rows = power_grid(**given, **_given(replications=args.reps, seed=args.seed,
+                                        alpha=args.alpha, workers=args.workers))
     return _emit(args, rows, rows, _POWER_COLUMNS, f"{len(rows)} rows")
 
 
@@ -310,21 +308,22 @@ def cmd_weights(args) -> int:
         sigma = np.eye(check.integer(args.identity, 1, "--identity", "at least 1"))
     elif args.input is not None:
         doc = _load_document(args.input)
-        sigma = _numeric_array(_require(doc, "sigma", list, args.input), "sigma", args.input, 2)
+        sigma = _numeric_array(_require(doc, "sigma", args.input), "sigma", args.input, 2)
     else:
         raise InputError("provide --input FILE with a 'sigma' matrix or --identity DIM")
-    n_draws = args.mc_n if args.mc_n is not None else DEFAULT_MC_DRAWS
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    est = weights_monte_carlo(sigma, n_draws=n_draws, seed=seed)
+    given = _given(n_draws=args.mc_n, seed=args.seed)
     # the weight rule's weights, echoed where it uses the closed form (p = 1, and
-    # p = 2 with -1 < rho < 1)
-    rule = orthant_weights(sigma, n_draws, seed) if est.p <= 2 else None
-    closed = rule.w if rule is not None and rule.source == "closed_form" else None
+    # p = 2 with -1 < rho < 1); where it runs Monte Carlo on the same inputs,
+    # its estimate is the command's
+    rule = orthant_weights(sigma, **given) if len(sigma) <= 2 else None
+    source = getattr(rule, "source", None)
+    est = rule if source == "monte_carlo" else weights_monte_carlo(sigma, **given)
+    closed = rule.w if source == "closed_form" else None
     rows = [{"j": j, "weight": float(est.w[j]),
              "closed_form": float(closed[j]) if closed is not None else "",
-             "n_draws": n_draws, "seed": seed} for j in range(est.p + 1)]
-    payload = {"weights": [float(x) for x in est.w], "n_draws": n_draws,
-               "seed": seed, "version": __version__}
+             "n_draws": est.n_draws, "seed": est.seed} for j in range(est.p + 1)]
+    payload = {"weights": [float(x) for x in est.w], "n_draws": est.n_draws,
+               "seed": est.seed, "version": __version__}
     if closed is not None:
         payload["closed_form"] = [float(x) for x in closed]
     return _emit(args, payload, rows, ("j", "weight", "closed_form", "n_draws", "seed"),
@@ -396,19 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_power = subcommand("power", "reproduce the power comparison table", cmd_power,
                          "--alpha", "--seed", "--out", "--format")
-    p_power.add_argument("--reps", type=int, default=100_000,
-                         help="replications per cell (default 1e5)")
-    p_power.add_argument("--means", type=str, default=None,
-                         help="comma-separated mean labels (default all)")
-    p_power.add_argument("--gammas", type=str, default="0.1,0.05,0.01")
-    p_power.add_argument("--ns", type=str, default="10,20,50")
-    p_power.add_argument("--workers", type=int, default=1)
+    p_power.add_argument("--reps", type=int, help="replications per cell (default 1e5)")
+    p_power.add_argument("--means", help="comma-separated mean labels (default all)")
+    p_power.add_argument("--gammas")
+    p_power.add_argument("--ns")
+    p_power.add_argument("--workers", type=int)
 
     p_weights = subcommand("weights", "estimate mixture weights by Monte Carlo", cmd_weights,
                            "--mc-n", "--seed", "--out", "--format")
-    p_weights.add_argument("--input", type=str, default=None,
-                           help="JSON document with a 'sigma' matrix")
-    p_weights.add_argument("--identity", type=int, default=None,
+    p_weights.add_argument("--input", help="JSON document with a 'sigma' matrix")
+    p_weights.add_argument("--identity", type=int,
                            help="use an identity covariance of this dimension (at least 1)")
 
     p_case = subcommand("case", "reproduce a built-in case study", cmd_safe_test,

@@ -106,7 +106,8 @@ def run_power_scenario(scenario: PowerScenario, workers: int = 1) -> PowerResult
 
 
 def _run_scenarios(scenarios, workers) -> list[PowerResult]:
-    """All passes of all scenarios through one pool; one result per scenario.
+    """All passes of all scenarios, through one pool when two or more
+    workers have two or more passes; one result per scenario.
 
     The scenarios share one metric (a mix is an internal error): its weights,
     sigma^-1 and orthant operator table are made once, with one critical
@@ -156,7 +157,7 @@ def _run_scenarios(scenarios, workers) -> list[PowerResult]:
                                             c_alpha[scenario.alpha], c_gamma[scenario.gamma],
                                             work)
 
-    if workers > 1:
+    if min(workers, len(jobs)) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

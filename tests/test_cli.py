@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import functools
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordersafe
-from ordersafe.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, dumps_report, main
+from ordersafe.chibar import weights_monte_carlo
+from ordersafe.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, build_parser,
+                           dumps_report, main)
 from ordersafe.errors import InternalInvariantError, NumericError
 
 from conftest import PARITY_PSI, ROUNDOFF_CASES
@@ -285,7 +288,28 @@ class TestSafeTestCommand:
         ("[1.0, 2.0]", "top-level document must be an object"),
         (json.dumps(dict(_PROBLEM, order="simple", restriction=[[1, -1, 0], [0, 1, -1]])),
          "give either 'restriction' or 'order', not both"),
-    ], ids=["unreadable", "top-level-array", "restriction-and-order"])
+        # a document is a table or a statistic with a cone: the fields of the
+        # other kind were echoed in the report, and never read
+        (json.dumps({"control": [1, 2], "treatment": [2, 1], "s_n": [1]}), "not both"),
+        (json.dumps({"control": [5, 11, 1], "treatment": [3, 8, 4], "order": "simple"}),
+         "not both"),
+        (json.dumps(dict(_PROBLEM, order="simple", labels=["a", "b", "c"])), "not both"),
+        # a null field is missing; a present one is typed by the library rule it reaches
+        (json.dumps(dict(_PROBLEM, order="simple", n=None)),
+         "required field 'n' is missing or null"),
+        (json.dumps(dict(_PROBLEM, order="simple", n=10.0)),
+         "n must be an integer >= 1, not 10.0"),
+        (json.dumps(dict(_PROBLEM, order="simple", mc={"N": None, "seed": 3})),
+         "n_draws must be an integer >= 1, not None"),
+        (json.dumps(dict(_PROBLEM, order="simple", mc={"N": 100, "seed": None})),
+         "seed must be nonnegative and an integer, not None"),
+        (json.dumps({"control": [5, 11, 1], "treatment": [3, 8, 4], "labels": None}),
+         "required field 'labels' is missing or null"),
+        (json.dumps({"control": [1, 2], "treatment": [2, 1], "labels": "ab"}),
+         "labels must be a sequence, not str"),
+    ], ids=["unreadable", "top-level-array", "restriction-and-order", "table-with-s_n",
+            "table-with-order", "statistic-with-labels", "null-n", "float-n", "null-mc-N",
+            "null-mc-seed", "null-labels", "string-labels"])
     def test_unusable_documents_exit_2_without_output(self, tmp_path, capsys, text, message):
         path = tmp_path / "doc.json"
         if text is not None:
@@ -293,7 +317,10 @@ class TestSafeTestCommand:
         out = tmp_path / "report.json"
         assert run(["safe-test", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
         assert not out.exists()
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -393,6 +420,14 @@ class TestPowerCommand:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_no_options_are_the_grid_defaults(self, capsys):
+        assert run(["power"]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert len(default.splitlines()) == 1 + 63
+        assert run(["power", "--reps", "100000", "--seed", "1729", "--alpha", "0.05",
+                    "--gammas", "0.1,0.05,0.01", "--ns", "10,20,50", "--workers", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+
     def test_deterministic_output_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["power", "--means", "theta5", "--gammas", "0.1", "--ns", "10",
@@ -453,6 +488,26 @@ class TestWeightsCommand:
         else:
             payload = json.loads(text)
             assert len(payload["weights"]) == 3 and "closed_form" not in payload
+
+    def test_monte_carlo_runs_once_where_the_rule_runs_it(self, tmp_path, capsys, monkeypatch):
+        """At p <= 2 the weight rule runs first; where its source is Monte Carlo
+        (rho rounds to -1), its estimate on the same inputs is the command's,
+        with the bytes of the second run it replaces."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return weights_monte_carlo(*args, **kwargs)
+
+        monkeypatch.setattr("ordersafe.chibar.weights_monte_carlo", counting)
+        monkeypatch.setattr("ordersafe.cli.weights_monte_carlo", counting)
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"sigma": ROUNDOFF_CASES["rho"][1]}))
+        assert run(["weights", "--input", str(path), "--mc-n", "1000"]) == EXIT_OK
+        assert len(calls) == 1
+        assert capsys.readouterr().out == ("j,weight,closed_form,n_draws,seed\n"
+                                           "0,0.509,,1000,1729\n1,0.491,,1000,1729\n"
+                                           "2,0.0,,1000,1729\n")
 
     def test_non_spd_exits_3(self, tmp_path):
         path = tmp_path / "sigma.json"
@@ -577,6 +632,23 @@ class TestOptionsAreDeclaredWhereRead:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_INPUT
+
+
+def _options(parser):
+    """Every optional action of parser and of its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _options(sub)
+        elif action.option_strings:
+            yield action
+
+
+def test_options_default_to_none_so_the_library_owns_each_default():
+    """Only an option the user gave is passed on; --format is the CLI's own."""
+    defaults = {(action.option_strings[0], action.default) for action in _options(build_parser())
+                if action.default not in (None, argparse.SUPPRESS)}
+    assert defaults == {("--format", "csv")}
 
 
 def _modules_loaded(args, cwd=None):

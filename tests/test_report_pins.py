@@ -131,6 +131,16 @@ def test_power_csv_matches_golden_bytes(workers, tmp_path):
         assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), name
 
 
+def test_a_report_without_out_prints_its_summary_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "order-simple.json").write_text(json.dumps(DOCUMENTS["order-simple"]))
+    summary = io.StringIO()
+    with contextlib.redirect_stdout(summary):
+        assert main(["safe-test", "--input", "order-simple.json"]) == EXIT_OK
+    assert summary.getvalue() == (GOLDEN / "input-order-simple.txt").read_text(encoding="utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["order-simple.json"]
+
+
 def _assert_scaled_report_is_golden(name, power, tmp_path):
     """safe-test --input on DOCUMENTS[name] with s_n * 2^power and sigma_n *
     2^(2 power) reports every field but the echoed inputs as at unit scale."""

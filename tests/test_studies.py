@@ -93,6 +93,13 @@ class TestStochasticOrderConstruction:
         with pytest.raises(ContractViolationError, match="integers"):
             ContingencyTable2xK(control=(count, 5, 5), treatment=(1, 3, 3))
 
+    @pytest.mark.parametrize("labels", ["ab", b"ab", {"x": 1, "y": 2}],
+                             ids=["str", "bytes", "mapping"])
+    def test_labels_are_a_sequence_not_a_string_or_mapping(self, labels):
+        """Iterating these gave the characters ('a', 'b') or the keys ('x', 'y')."""
+        with pytest.raises(ContractViolationError, match="labels must be a sequence"):
+            ContingencyTable2xK(control=(1, 2), treatment=(2, 1), labels=labels)
+
     def test_total_count_is_float_exact(self):
         ContingencyTable2xK(control=(2**53 - 2, 1), treatment=(1, 0))
         with pytest.raises(ContractViolationError, match=r"2\*\*53"):
@@ -404,6 +411,26 @@ class TestPowerHarness:
         chunk = studies._POWER_CHUNK
         run_power_scenario(self.scenario([0.3, -0.1], reps=9 * chunk), workers=2)
         assert capacities and max(capacities) <= 2 * 4 * chunk
+
+    def test_a_pool_only_where_two_workers_have_two_passes(self, monkeypatch):
+        """A one-pass cell at two workers counts in the calling thread: a pool
+        gives its one pass no second thread to overlap with, only a start-up cost."""
+        import concurrent.futures
+
+        pools = []
+
+        class Counting(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+        chunk = studies._POWER_CHUNK
+        one_pass = self.scenario([0.3, -0.1], reps=4 * chunk)
+        assert run_power_scenario(one_pass, workers=2) == run_power_scenario(one_pass)
+        assert pools == []
+        run_power_scenario(self.scenario([0.3, -0.1], reps=4 * chunk + 1), workers=2)
+        assert pools == [2]
 
     def test_n_is_at_most_2_53(self):
         """Statistic's bound: above 2**53 the float n would round n itself."""

@@ -62,6 +62,22 @@ def _load_document(path):
     return doc
 
 
+#: The fields of each kind of document. The run reads every field that it accepts, so a
+#: report echoes only what was read; any other field, also inside 'mc', is an input error.
+_FIELDS = {"statistic": ("s_n", "sigma_n", "n", "order", "restriction"),
+           "table": ("control", "treatment", "labels"),
+           "levels": ("alpha", "gamma", "mc"),  # of a statistic and of a table
+           "mc": ("N", "seed"), "weights": ("sigma",)}
+
+
+def _only(doc, fields, where, what, rule=""):
+    """doc, once each of its keys is one of fields."""
+    for key in doc:
+        if key not in fields:
+            raise InputError(f"{where}: {key!r} is not a field of {what} ({', '.join(fields)}){rule}")
+    return doc
+
+
 def _require(doc, key, where):
     """doc[key], present and not null; the library rule it reaches decides its type."""
     if doc.get(key) is None:
@@ -103,11 +119,11 @@ def _cone_and_subspace(doc, dim, where):
 def _problem(doc, where):
     """(statistic, sub, cone) of a problem document, read from a file or a
     built-in case; where the library refuses it, that is an input error."""
-    table = any(key in doc for key in ("control", "treatment", "labels"))
-    if table and any(key in doc for key in ("s_n", "sigma_n", "n", "order", "restriction")):
-        raise InputError(f"{where}: a document is a table or a statistic with a cone, not both")
+    kind = "table" if any(key in doc for key in _FIELDS["table"]) else "statistic"
+    _only(doc, _FIELDS[kind] + _FIELDS["levels"], where, f"a {kind}",
+          "; a document is a table or a statistic with a cone, not both")
     try:
-        if table:
+        if kind == "table":
             from .studies import ContingencyTable2xK, build_stochastic_order
 
             labels = _require(doc, "labels", where) if "labels" in doc else None
@@ -150,6 +166,7 @@ def _levels_and_config(doc, args, where):
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, dict):
         raise InputError(f"{where}: 'mc' must be an object with N and seed")
+    _only(mc_doc, _FIELDS["mc"], where, "'mc'")
     config = {name: mc_doc[key] for name, key in (("n_draws", "N"), ("seed", "seed"))
               if key in mc_doc}
     config.update(_given(n_draws=args.mc_n, seed=args.seed))
@@ -163,17 +180,9 @@ def _levels_and_config(doc, args, where):
 # reports
 # ---------------------------------------------------------------------------
 
-def _weights_block(weights):
-    return {
-        "source": weights.source,
-        "w": [float(x) for x in weights.w],
-        "n_draws": weights.n_draws,
-        "seed": weights.seed,
-    }
-
-
 def _base_report(original, auxiliary, inputs_echo, seed):
     """The keys of a report that the two base tests decide: the dt report."""
+    w = original.weights_used
     return {
         "inputs": inputs_echo,
         "t_n": original.statistic,
@@ -184,7 +193,8 @@ def _base_report(original, auxiliary, inputs_echo, seed):
         "gamma": auxiliary.alpha,
         "c_alpha": original.critical_value,
         "c_gamma_prime": auxiliary.critical_value,
-        "weights": _weights_block(original.weights_used),
+        "weights": {"source": w.source, "w": [float(x) for x in w.w], "n_draws": w.n_draws,
+                    "seed": w.seed},
         "version": __version__,
         "seed": seed,
     }
@@ -307,14 +317,14 @@ def cmd_weights(args) -> int:
     if args.identity is not None:
         sigma = np.eye(check.integer(args.identity, 1, "--identity", "at least 1"))
     elif args.input is not None:
-        doc = _load_document(args.input)
+        doc = _only(_load_document(args.input), _FIELDS["weights"], args.input,
+                    "a weights document")
         sigma = _numeric_array(_require(doc, "sigma", args.input), "sigma", args.input, 2)
     else:
         raise InputError("provide --input FILE with a 'sigma' matrix or --identity DIM")
     given = _given(n_draws=args.mc_n, seed=args.seed)
-    # the weight rule's weights, echoed where it uses the closed form (p = 1, and
-    # p = 2 with -1 < rho < 1); where it runs Monte Carlo on the same inputs,
-    # its estimate is the command's
+    # the weight rule's weights: echoed where it uses the closed form (p = 1, and p = 2 with
+    # -1 < rho < 1), and the command's estimate where it runs Monte Carlo on the same inputs
     rule = orthant_weights(sigma, **given) if len(sigma) <= 2 else None
     source = getattr(rule, "source", None)
     est = rule if source == "monte_carlo" else weights_monte_carlo(sigma, **given)

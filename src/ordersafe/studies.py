@@ -288,7 +288,9 @@ class ContingencyTable2xK:
         if labels is None:
             labels = tuple(f"cat{i + 1}" for i in range(len(control)))
         else:
-            labels = tuple(str(s) for s in check.items(labels, "labels"))
+            labels = check.items(labels, "labels")
+            if not all(isinstance(s, str) for s in labels):
+                raise ContractViolationError(f"labels must be strings, not {labels!r}")
             if len(labels) != len(control):
                 raise ContractViolationError("labels must match the number of categories")
         object.__setattr__(self, "control", control)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import ordersafe
 from ordersafe.chibar import weights_monte_carlo
-from ordersafe.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, build_parser,
-                           dumps_report, main)
+from ordersafe.cli import (_FIELDS, EXIT_INPUT, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK,
+                           build_parser, dumps_report, main)
 from ordersafe.errors import InternalInvariantError, NumericError
 
 from conftest import PARITY_PSI, ROUNDOFF_CASES
@@ -307,9 +307,22 @@ class TestSafeTestCommand:
          "required field 'labels' is missing or null"),
         (json.dumps({"control": [1, 2], "treatment": [2, 1], "labels": "ab"}),
          "labels must be a sequence, not str"),
+        (json.dumps({"control": [5, 11, 1], "treatment": [3, 8, 4],
+                     "labels": [None, {"a": 1}, [2]]}), "labels must be strings"),
+        # a field the run does not read is refused by name, also inside mc: a
+        # misspelled level ran at its default, while the report echoed the value
+        ('{"s_n": [1.0, 2.0], "sigma_n": [[1, 0], [0, 1]], "n": 5, "order": "simple", '
+         '"alpah": 0.2, "mc": {"n": 100}}', "'alpah' is not a field of a statistic"),
+        (json.dumps(dict(_PROBLEM, order="simple", mc={"n": 100})),
+         "'n' is not a field of 'mc'"),
+        (json.dumps(dict(_PROBLEM, order="simple", mc={"N": 100, "Seed": 3})),
+         "'Seed' is not a field of 'mc'"),
+        (json.dumps({"control": [5, 11, 1], "treatment": [3, 8, 4], "s_n": [1.0, 2.0, 3.0]}),
+         "'s_n' is not a field of a table"),
     ], ids=["unreadable", "top-level-array", "restriction-and-order", "table-with-s_n",
             "table-with-order", "statistic-with-labels", "null-n", "float-n", "null-mc-N",
-            "null-mc-seed", "null-labels", "string-labels"])
+            "null-mc-seed", "null-labels", "string-labels", "non-string-labels", "alpah",
+            "mc-n", "mc-Seed", "table-with-s_n-named"])
     def test_unusable_documents_exit_2_without_output(self, tmp_path, capsys, text, message):
         path = tmp_path / "doc.json"
         if text is not None:
@@ -509,6 +522,17 @@ class TestWeightsCommand:
                                            "0,0.509,,1000,1729\n1,0.491,,1000,1729\n"
                                            "2,0.0,,1000,1729\n")
 
+    def test_a_field_besides_sigma_exits_2_without_output(self, tmp_path, capsys):
+        """The command reads only sigma: an mc field was accepted and never read."""
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps({"sigma": [[1, 0], [0, 1]], "mc": {"N": 10}}))
+        out = tmp_path / "weights.csv"
+        assert run(["weights", "--input", str(path), "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "'mc' is not a field" in captured.err
+
     def test_non_spd_exits_3(self, tmp_path):
         path = tmp_path / "sigma.json"
         path.write_text(json.dumps({"sigma": [[1.0, 2.0], [2.0, 1.0]]}))
@@ -694,7 +718,8 @@ _VALID_DOCUMENTS = [
      "restriction": [[1.0, 0.0], [0.0, 1.0]], "alpha": 0.05, "gamma": 0.05},
     dict(_PROBLEM, order="simple", mc={"N": 2000, "seed": 4}),
     dict(_PROBLEM, order={"umbrella": 1}),
-    {"control": [5, 11, 1], "treatment": [3, 8, 4], "labels": ["Worse", "Same", "Better"]},
+    {"control": [5, 11, 1], "treatment": [3, 8, 4], "labels": ["Worse", "Same", "Better"],
+     "mc": {"seed": 2}},
 ]
 _ODD_VALUES = st.sampled_from([None, True, "x", "1", 1.5, -1, 0, 10**400, float("nan"),
                                float("inf"), 1e308, [], {}, [1], [[1]]])
@@ -708,27 +733,50 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+#: Field names of every kind, misspellings of them, and one of no kind.
+_KEYS = st.sampled_from(["alpha", "alpah", "gamma", "mc", "N", "n", "seed", "Seed", "s_n",
+                         "order", "restriction", "control", "labels", "sigma", "case"])
+
+
 @st.composite
 def _mutated_documents(draw):
-    """A valid document with one to three entries replaced by odd values or removed."""
+    """A valid document with one to three entries replaced by odd values or
+    removed, or with a key added or renamed at the top level or inside mc."""
     doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCUMENTS)))
     for _ in range(draw(st.integers(1, 3))):
+        change = draw(st.sampled_from(["replace", "remove", "add", "rename"]))
+        if change in ("add", "rename"):
+            dicts = [doc, doc["mc"]] if isinstance(doc.get("mc"), dict) else [doc]
+            parent = draw(st.sampled_from(dicts))
+            if change == "add" or not parent:
+                parent[draw(_KEYS)] = draw(st.one_of(_ODD_VALUES, st.sampled_from([0.1, 3])))
+            else:
+                parent[draw(_KEYS)] = parent.pop(draw(st.sampled_from(sorted(parent))))
+            continue
         paths = list(_paths(doc))
         if not paths:
             break
         path = draw(st.sampled_from(paths))
         parent = functools.reduce(operator.getitem, path[:-1], doc)
-        if draw(st.booleans()):
+        if change == "replace":
             parent[path[-1]] = draw(_ODD_VALUES)
         else:
             del parent[path[-1]]
     return doc
 
 
+def _read_fields(doc):
+    """Whether each field of doc, and of its mc, is in the CLI's field table."""
+    kinds = [_FIELDS[kind] + _FIELDS["levels"] for kind in ("statistic", "table")]
+    mc = doc.get("mc", {})
+    return any(set(doc) <= set(fields) for fields in kinds) and set(mc) <= set(_FIELDS["mc"])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_mutated_documents())
 def test_mutated_documents_exit_cleanly(doc):
-    """Exit 0 writes a strict-JSON report; any other exit is 2, 3 or 4 and writes none."""
+    """Exit 0 writes a strict-JSON report whose echo is the document, every field
+    of which the run read; any other exit is 2, 3 or 4 and writes none."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -737,6 +785,8 @@ def test_mutated_documents_exit_cleanly(doc):
         assert code in (0, 2, 3, 4)
         if code == 0:
             with open(out, encoding="utf-8") as fh:
-                json.load(fh, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+                report = json.load(
+                    fh, parse_constant=lambda name: pytest.fail(f"report holds {name}"))
+            assert report["inputs"] == doc and _read_fields(doc)
         else:
             assert not os.path.exists(out)

@@ -401,6 +401,7 @@ def _calls():
 @example(bad="0.2")                    # weights_closed_form_2d("0.2")
 @example(bad=("zz",))                  # power_grid(mean_labels=("zz",))
 @example(bad=5)                        # ContingencyTable2xK((1, 2), (3, 4), 5)
+@example(bad=[None, {"a": 1}])         # ContingencyTable2xK((1, 2), (3, 4), [None, {"a": 1}])
 @example(bad=["a", "b"])               # PowerScenario(theta=["a", "b"]), ChiBarWeights(["a", "b"])
 @example(bad=["a", "b", "c"])          # project_cone(["a", "b", "c"], ...), Statistic
 @example(bad=[["a", "b"]])             # ConeSpec([["a", "b"]]), project_orthant_batch

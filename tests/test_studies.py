@@ -93,11 +93,16 @@ class TestStochasticOrderConstruction:
         with pytest.raises(ContractViolationError, match="integers"):
             ContingencyTable2xK(control=(count, 5, 5), treatment=(1, 3, 3))
 
-    @pytest.mark.parametrize("labels", ["ab", b"ab", {"x": 1, "y": 2}],
-                             ids=["str", "bytes", "mapping"])
-    def test_labels_are_a_sequence_not_a_string_or_mapping(self, labels):
-        """Iterating these gave the characters ('a', 'b') or the keys ('x', 'y')."""
-        with pytest.raises(ContractViolationError, match="labels must be a sequence"):
+    @pytest.mark.parametrize("labels, message", [
+        ("ab", "labels must be a sequence"),
+        (b"ab", "labels must be a sequence"),
+        ({"x": 1, "y": 2}, "labels must be a sequence"),
+        ([None, {"a": 1}], "labels must be strings"),
+    ], ids=["str", "bytes", "mapping", "non-string-items"])
+    def test_labels_are_a_sequence_not_a_string_or_mapping(self, labels, message):
+        """Iterating these gave the characters ('a', 'b') or the keys ('x', 'y'),
+        and str() made the labels 'None' and "{'a': 1}"."""
+        with pytest.raises(ContractViolationError, match=message):
             ContingencyTable2xK(control=(1, 2), treatment=(2, 1), labels=labels)
 
     def test_total_count_is_float_exact(self):

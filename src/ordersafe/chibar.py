@@ -416,31 +416,10 @@ def _plackett(corr: np.ndarray, stacks: dict, nodes) -> tuple:
     return tops, out if r <= 3 else None
 
 
-def _kudo_weights(corr: np.ndarray, prec: np.ndarray, nodes) -> np.ndarray:
-    """Face decomposition (Kudô 1963) of the orthant weights of a correlation matrix.
-
-    w_j = sum over |J| = j of P(N(0, ((C^-1)_JJ)^-1) >= 0) P(N(0, (C_J'J')^-1) >= 0),
-    J' the complement of J; prec is C^-1. Every orthant probability of the
-    pass, from either factor and of every dimension, is evaluated in one walk.
-    """
-    p = corr.shape[0]
-    stacks = {}
-    for d in range(p + 1):
-        sub = _subsets(p, d)
-        comp = sub[::-1]                     # complements of the (p - d)-subsets
-        blocks = np.concatenate([prec[sub[:, :, None], sub[:, None, :]],
-                                 corr[comp[:, :, None], comp[:, None, :]]])
-        if d >= 2:
-            inv = np.linalg.inv(blocks)
-            sd = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
-            blocks = inv / (sd[:, :, None] * sd[:, None, :])
-        stacks[d] = blocks
-    probs, n = _orthant_probabilities(stacks, nodes), [math.comb(p, j) for j in range(p + 1)]
-    return np.array([probs[j][:n[j]] @ probs[p - j][n[j]:] for j in range(p + 1)])
-
-
 def weights_exact(psi) -> ChiBarWeights:
-    """Orthant weights by Kudô's face decomposition, deterministic and exact.
+    """Orthant weights by Kudô's face decomposition, deterministic and exact:
+    w_j = sum over |J| = j of P(N(0, ((C^-1)_JJ)^-1) >= 0) P(N(0, (C_J'J')^-1) >= 0),
+    C the correlation of psi and J' the complement of J.
 
     Only the correlation of psi matters. Orthant probabilities of dimension
     four and up are Plackett integrals evaluated by Gauss-Legendre
@@ -458,8 +437,9 @@ def weights_exact(psi) -> ChiBarWeights:
     One pass costs about 0.1 ms at p = 3, 0.7 ms at p = 5, 6 ms at p = 7
     and 70 ms at p = 8 with 16 nodes, on one core with one BLAS thread. The
     node rules and the subset and index tables are built once per size, on
-    first use, and shared read-only; each face dimension gathers its blocks
-    in one step, and one walk evaluates them all (_orthant_probabilities).
+    first use, and shared read-only. The face blocks are built once per
+    call, one gather and one inversion per face dimension, and each node
+    rule only walks them, all in one walk (_orthant_probabilities).
 
     Parameters
     ----------
@@ -475,13 +455,27 @@ def weights_exact(psi) -> ChiBarWeights:
         prec = np.linalg.inv(corr)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"psi is singular in floating point ({exc})") from exc
+    # roundoff past |rho| = 1 or below a zero variance gives NaN, checked below
+    p, blocks = metric.dim, {}
+    try:
+        with np.errstate(invalid="ignore"):
+            for d in range(p + 1):
+                sub = _subsets(p, d)
+                comp = sub[::-1]                 # complements of the (p - d)-subsets
+                blocks[d] = np.concatenate([prec[sub[:, :, None], sub[:, None, :]],
+                                            corr[comp[:, :, None], comp[:, None, :]]])
+                if d >= 2:
+                    inv = np.linalg.inv(blocks[d])
+                    sd = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
+                    blocks[d] = inv / (sd[:, :, None] * sd[:, None, :])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"a face block of psi is singular in floating point ({exc})") from exc
+    n = [math.comb(p, j) for j in range(p + 1)]
     for n_nodes in _NODE_COUNTS:
-        # roundoff past |rho| = 1 or below a zero variance gives NaN, checked below
-        try:
-            with np.errstate(invalid="ignore"):
-                w = _kudo_weights(corr, prec, _gauss_legendre(n_nodes))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"a face block of psi is singular in floating point ({exc})") from exc
+        # the walk replaces entries of the dict that it is given, never an array in it
+        with np.errstate(invalid="ignore"):
+            probs = _orthant_probabilities(dict(blocks), _gauss_legendre(n_nodes))
+            w = np.array([probs[j][:n[j]] @ probs[p - j][n[j]:] for j in range(p + 1)])
         residual = _identity_residual(w)
         if not np.isfinite(residual):
             raise NumericError(

@@ -176,6 +176,15 @@ def _levels_and_config(doc, args, where):
         raise InputError(f"{where}: {exc}") from exc
 
 
+def _read_fields(echo, args):
+    """The fields of an accepted document's echo that the run read: those that no
+    option replaced, and 'mc' only while it keeps a field."""
+    options = {"alpha": args.alpha, "gamma": args.gamma, "N": args.mc_n, "seed": args.seed}
+    read = {key: value for key, value in echo.items() if key != "mc" and options.get(key) is None}
+    mc = {key: value for key, value in echo.get("mc", {}).items() if options[key] is None}
+    return {**read, "mc": mc} if mc else read
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -271,7 +280,8 @@ def _composite_problem(args):
     else:
         raise InputError("provide --input FILE or --case NAME")
     where = args.case or args.input
-    return (*_problem(doc, where), echo, *_levels_and_config(doc, args, where))
+    problem, levels = _problem(doc, where), _levels_and_config(doc, args, where)
+    return (*problem, _read_fields(echo, args), *levels)
 
 
 def cmd_safe_test(args) -> int:

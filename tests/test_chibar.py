@@ -40,6 +40,7 @@ from conftest import (
     PARITY_PSI,
     ROUNDOFF_CASES,
     chi2_cdf,
+    kudo_weights_oracle,
     mixture_lower_tail,
     mp_chi2_sf,
     orthant_probabilities_oracle,
@@ -250,7 +251,8 @@ class TestExactWeights:
             weights_exact(np.eye(EXACT_MAX_DIM + 1))
 
     def test_non_finite_weights_are_numeric_errors(self, monkeypatch):
-        monkeypatch.setattr(chibar, "_kudo_weights", lambda corr, prec, nodes: np.full(5, np.nan))
+        """NaN nodes make the p = 4 Plackett integral, so every weight, NaN."""
+        monkeypatch.setattr(chibar, "_gauss_legendre", lambda n: (np.full(n, np.nan),) * 2)
         with pytest.raises(NumericError, match="not finite"):
             weights_exact(np.eye(4))
 
@@ -262,13 +264,25 @@ class TestExactWeights:
         """Each pass runs once, in order, and the first to meet the identities
         returns. A psi that misses them at every pass is
         test_monte_carlo_where_the_exact_quadrature_fails."""
-        kudo, seen = chibar._kudo_weights, []
-        def counted(corr, prec, nodes):
-            seen.append(nodes[0].size)
-            return kudo(corr, prec, nodes)
-        monkeypatch.setattr(chibar, "_kudo_weights", counted)
+        rule, seen = chibar._gauss_legendre, []
+        def counted(n):
+            seen.append(n)
+            return rule(n)
+        monkeypatch.setattr(chibar, "_gauss_legendre", counted)
         assert weights_exact(psi).source == "exact"
         assert seen == passes
+
+    def test_face_stacks_are_inverted_once_per_call(self, monkeypatch):
+        """Equicorrelation 0.99 at p = 7 takes three passes, yet each face stack,
+        d = 2 to 7, is inverted once: p - 1 stack inversions, not one per pass."""
+        inv, stacks = np.linalg.inv, []
+        def counted(a):
+            if np.ndim(a) == 3:
+                stacks.append(a.shape)
+            return inv(a)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        weights_exact(equicorrelation(7, 0.99))
+        assert [shape[1] for shape in stacks] == list(range(2, 8))
 
     @pytest.mark.parametrize("p", range(3, 8))
     @pytest.mark.parametrize("order", ["simple", "tree"])
@@ -333,7 +347,7 @@ def test_node_doubling_at_p7_matches_the_reference_bit_for_bit():
     corr = equicorrelation(7, 0.99)
     prec = np.linalg.inv(corr)
     for n in (16, 32):
-        w = chibar._kudo_weights(corr, prec, chibar._gauss_legendre(n))
+        w = kudo_weights_oracle(corr, prec, chibar._gauss_legendre(n))
         assert chibar._identity_residual(w) > chibar._EXACT_TOL
     assert np.array_equal(weights_exact(corr).w, weights_exact_oracle(corr))
 
